@@ -9,7 +9,7 @@ from .modelspace import ModelSpace, QuadratureConfig, WarpingSpec
 from .surfaces import ParamSurface, TriMesh, builtin, load_mesh, minimality_residual, tessellate
 from .dgeom import (ClippedRegion, SparseSPDSystem, assemble_laplacian, capacity_discrete,
                     clip, count_ends, end_components, exit_time_discrete,
-                    first_eigenvalue_estimate, flux, radial_gradient_norm, region_area,
+                    first_eigenvalue_estimate, flux, region_area,
                     solve_dirichlet)
 from .harness import (Check, EndsReport, QuotientCurve, ToneReport, VerificationReport,
                       comparison_gates, ends_bound, exit_time_comparison, gate_verdicts,

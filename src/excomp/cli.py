@@ -4,7 +4,8 @@ Subcommands: model (pure model-space quantities), surface (mesh generation
 and ingestion), quotients, capacity, exit-time, ends, tone, and verify (the
 full check suite).  Output goes to <outdir>/<run-name>/ as report.json,
 curves.csv, mesh.off and meta.json; identical configurations produce
-byte-identical report.json (wall-clock data lives only in meta.json).
+byte-identical report.json (wall-clock data and the run placement keys out,
+name and threads live only in meta.json).
 
 Flag values override --config file entries, which override defaults.  Exit
 codes: 0 clean, 1 failed checks (or inconclusive under --strict), 2 usage,
@@ -27,6 +28,22 @@ from . import dgeom, harness, surfaces
 from .errors import ExcompError
 from .modelspace import ModelSpace, QuadratureConfig, WarpingSpec
 from .harness import FAIL, INCONCLUSIVE, PASS, VerificationReport, _json_safe
+
+# Keys that place or parallelise a run without changing its results: they go
+# to meta.json, so report.json does not depend on them.
+_PLACEMENT_KEYS = ("out", "name", "threads")
+
+
+class UsageError(ExcompError):
+    """A flag or config value that does not parse (exit code 2)."""
+
+
+def _parse_numbers(spec, sep: str, kind, what: str) -> tuple:
+    try:
+        return tuple(kind(x) for x in str(spec).split(sep))
+    except ValueError:
+        raise UsageError(f"{what} must be {kind.__name__} values separated by "
+                         f"{sep!r}, got {spec!r}") from None
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -60,20 +77,20 @@ def make_model(dim: int, warp: str, lam: float = math.inf) -> ModelSpace:
 
 
 def make_surface(args) -> surfaces.TriMesh:
-    pole = tuple(float(x) for x in args.pole.split(","))
+    pole = _parse_numbers(args.pole, ",", float, "--pole")
     if len(pole) != 3:
-        raise ExcompError(f"pole must be x,y,z, got {args.pole!r}")
+        raise UsageError(f"--pole must be x,y,z, got {args.pole!r}")
     if args.mesh:
         if not os.path.exists(args.mesh):
             raise ExcompError(f"mesh file not found: {args.mesh}")
         return surfaces.load_mesh(args.mesh, fmt=args.format, pole=pole)
     if not args.surface:
         raise ExcompError("either --surface or --mesh is required")
-    res = args.res.split(":")
-    nu = int(res[0])
-    nv = int(res[1]) if len(res) > 1 else nu
+    res = _parse_numbers(args.res, ":", int, "--res")
+    nu = res[0]
+    nv = res[1] if len(res) > 1 else nu
     surf = surfaces.builtin(args.surface, a=args.a, c=args.c, cover_radius=args.cover)
-    refine = tuple(float(x) for x in args.refine.split(",")) if args.refine else ()
+    refine = _parse_numbers(args.refine, ",", float, "--refine") if args.refine else ()
     return surfaces.tessellate(surf, nu, nv, refine_near=refine, pole=pole)
 
 
@@ -126,8 +143,13 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
     if getattr(args, "config", None):
         if not os.path.exists(args.config):
             raise ExcompError(f"config file not found: {args.config}")
-        with open(args.config) as fh:
-            cfg = json.load(fh)
+        try:
+            with open(args.config) as fh:
+                cfg = json.load(fh)
+        except ValueError as exc:
+            raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise UsageError(f"config file {args.config} must hold a JSON object")
         for key, val in cfg.items():
             merged[key.replace("-", "_")] = val
     for key, val in vars(args).items():
@@ -237,6 +259,7 @@ def _write_outputs(args, report: VerificationReport, mesh=None, started=None):
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "runtime_sec": None if started is None else time.perf_counter() - started,
         "versions": {"python": sys.version.split()[0], "numpy": np.__version__},
+        **{key: getattr(args, key) for key in _PLACEMENT_KEYS},
     }
     (rundir / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     return rundir
@@ -263,6 +286,7 @@ def _exit_code(args, report: VerificationReport) -> int:
 
 
 def _cmd_model(args) -> int:
+    started = time.perf_counter()
     quad = _quad(args)
     model = make_model(args.dim, args.warp, args.lam)
     scalars: dict = {"dim": model.m, "warp": model.warp.describe(), "V0": model.V0}
@@ -279,14 +303,13 @@ def _cmd_model(args) -> int:
         scalars["capacity"] = model.capacity(rho, R, quad)
         print(f"capacity({rho}, {R}) = {scalars['capacity']:.6g}")
     if args.exit_time:
-        parts = str(args.exit_time).split(":")
-        R = float(parts[0])
-        r = float(parts[1]) if len(parts) > 1 else 0.0
+        parts = _parse_numbers(args.exit_time, ":", float, "--exit-time")
+        R = parts[0]
+        r = parts[1] if len(parts) > 1 else 0.0
         scalars["exit_time"] = model.mean_exit(R, r, quad)
         print(f"mean_exit({R}, start={r}) = {scalars['exit_time']:.6g}")
     report = VerificationReport([], scalars=scalars, config=_config_dict(args))
-    rundir = _rundir(args)
-    (rundir / "report.json").write_text(report.to_json() + "\n")
+    rundir = _write_outputs(args, report, started=started)
     if args.grid:
         grid = _parse_grid(args.grid)
         lines = ["r [length],w [length],eta [1/length],volS [length^(m-1)],"
@@ -471,7 +494,7 @@ def _cmd_verify(args) -> int:
 
 def _config_dict(args) -> dict:
     cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("config",) and not k.startswith("_")}
+           if k not in ("config",) + _PLACEMENT_KEYS and not k.startswith("_")}
     for key, val in cfg.items():
         if isinstance(val, float) and math.isinf(val):
             cfg[key] = "inf"
@@ -496,6 +519,9 @@ def main(argv=None) -> int:
     try:
         args = _resolve(args)
         return _COMMANDS[args.command](args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except ExcompError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

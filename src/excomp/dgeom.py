@@ -8,14 +8,18 @@ ends as unbounded complement components.
 
 Conventions: level comparisons treat a vertex with r exactly equal to the
 level as lying above it (symbolic perturbation by one ulp), interpolated cut
-vertices carry r equal to the level exactly, and negative cotangent weights
-are clamped to zero so solves obey the discrete maximum principle.
+vertices carry r equal to the level exactly, a cut that lands within 1e-12
+(in edge parameter) of a mesh vertex reuses that vertex instead of leaving a
+zero-area fragment, boundary vertices of a clipped region carry per-vertex
+labels (inner level, outer level, truncation) rather than traced loops, and
+negative cotangent weights are clamped to zero so solves obey the discrete
+maximum principle.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -34,19 +38,13 @@ LABEL_NAMES = {LABEL_INTERIOR: "interior", LABEL_INNER: "inner level set",
 
 
 @dataclass(eq=False)
-class Loop:
-    vertices: np.ndarray
-    closed: bool
-    label: str  # 'inner' | 'outer' | 'truncation' | 'mixed'
-
-
-@dataclass(eq=False)
 class ClippedRegion:
     """Submesh between the extrinsic radii rho and R of a parent mesh.
 
     Cut triangles are split along the linear interpolant of r on edges; cut
-    vertices carry r equal to the cut level exactly.  vertex_label marks the
-    inner level set, outer level set and inherited truncation boundary.
+    vertices carry r equal to the cut level exactly, except that a cut within
+    1e-12 of an edge end reuses that end.  vertex_label marks the inner level
+    set, outer level set and inherited truncation boundary.
     """
 
     verts: np.ndarray
@@ -57,16 +55,9 @@ class ClippedRegion:
     R: float
     parent_name: str
     vertex_label: np.ndarray
-    boundary_loops: list = field(default_factory=list)
 
     def area(self) -> float:
         return float(_face_areas(self.verts, self.faces).sum())
-
-    def n_vertices(self) -> int:
-        return len(self.verts)
-
-    def boundary_vertex_mask(self) -> np.ndarray:
-        return self.vertex_label != LABEL_INTERIOR
 
     def has_label(self, label: int) -> bool:
         return bool(np.any(self.vertex_label == label))
@@ -83,20 +74,23 @@ def _roll_rows(rows: np.ndarray, shift: np.ndarray) -> np.ndarray:
 
 
 def _interp_edges(verts, r, pairs, level):
-    """One vertex per unique undirected edge in `pairs`, placed where the
-    linear interpolant of r reaches `level`.  Returns (points, inverse)."""
-    if len(pairs) == 0:
-        return np.zeros((0, 3)), np.zeros(0, dtype=np.int64)
+    """The vertex where the linear interpolant of r reaches `level` on each
+    edge in `pairs`: one new vertex per unique undirected edge, or the edge
+    end itself when the crossing lies within 1e-12 of it in the edge
+    parameter (so a cut through a vertex leaves no zero-area fragment).
+    Returns (new points, vertex index per row of pairs)."""
     lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
     keys = lo * np.int64(len(verts)) + hi
-    uniq, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     i, j = lo[first], hi[first]
-    denom = r[j] - r[i]
-    t = (level - r[i]) / denom
-    t = np.clip(t, 0.0, 1.0)
+    t = np.clip((level - r[i]) / (r[j] - r[i]), 0.0, 1.0)
+    new = (t > 1e-12) & (t < 1.0 - 1e-12)
+    ids = np.where(t <= 1e-12, i, j)
+    ids[new] = len(verts) + np.arange(int(new.sum()))
+    i, j, t = i[new], j[new], t[new]
     pts = verts[i] + t[:, None] * (verts[j] - verts[i])
-    return pts, inverse
+    return pts, ids[inverse]
 
 
 def _clip_half(verts, r, faces, parent, level, keep_below):
@@ -128,10 +122,7 @@ def _clip_half(verts, r, faces, parent, level, keep_below):
     if not new_pairs:
         return verts, r, np.concatenate(out_faces), np.concatenate(out_parent)
 
-    pairs = np.concatenate(new_pairs)
-    pts, inverse = _interp_edges(verts, r, pairs, level)
-    base = len(verts)
-    ids = base + inverse
+    pts, ids = _interp_edges(verts, r, np.concatenate(new_pairs), level)
     verts = np.concatenate([verts, pts])
     r = np.concatenate([r, np.full(len(pts), level)])
 
@@ -188,17 +179,9 @@ def clip(mesh: TriMesh, rho: float, R: float, face_mask=None,
     used = np.unique(faces)
     remap = np.full(len(verts), -1, dtype=np.int64)
     remap[used] = np.arange(len(used))
-    faces = remap[faces]
-    verts = verts[used]
-    rvals = r[used]
-
-    orig_tags = np.zeros(len(verts), dtype=np.uint8)
-    orig_mask = used < len(mesh.verts)
-    orig_tags[orig_mask] = mesh.tags[used[orig_mask]]
-
-    region = ClippedRegion(verts, faces, rvals, parent, rho, R, mesh.name,
-                           np.zeros(len(verts), dtype=np.uint8))
-    _label_boundary(region, orig_tags)
+    region = ClippedRegion(verts[used], remap[faces], r[used], parent, rho, R, mesh.name,
+                           np.zeros(len(used), dtype=np.uint8))
+    _label_boundary(region)
     return region
 
 
@@ -206,98 +189,39 @@ def _check_coverage(mesh: TriMesh, R: float, faces: np.ndarray, rho: float = 0.0
     """The window leaks if a truncation vertex of the faces in use lies
     strictly inside the radius band (rho, R); vertices at or below rho are
     wholly outside the requested region and do not count."""
-    used = np.unique(faces)
-    trunc = used[mesh.tags[used] == TAG_TRUNCATION]
-    if len(trunc):
-        rv = mesh.r[trunc]
-        inside = (rv > rho) & (rv < R)
-        if inside.any():
-            raise CoverageError(
-                f"truncation boundary of {mesh.name!r} intrudes at r={rv[inside].min():.6g} "
-                f"inside the requested band ({rho:.6g}, {R:.6g})", R)
+    rv = mesh.r[faces[mesh.tags[faces] == TAG_TRUNCATION]]
+    rv = rv[(rv > rho) & (rv < R)]
+    if len(rv):
+        raise CoverageError(
+            f"truncation boundary of {mesh.name!r} intrudes at r={rv.min():.6g} "
+            f"inside the requested band ({rho:.6g}, {R:.6g})", R)
 
 
-def _label_boundary(region: ClippedRegion, orig_tags):
-    f = region.faces
-    n = len(region.verts)
-    if len(f) == 0:
+def _unique_edges(faces, n):
+    """Undirected edges of the faces as index arrays (i < j), with the
+    number of faces sharing each edge."""
+    und = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]),
+                  axis=1)
+    keys, counts = np.unique(und[:, 0] * np.int64(n) + und[:, 1], return_counts=True)
+    return keys // n, keys % n, counts
+
+
+def _label_boundary(region: ClippedRegion):
+    """Label the ends of each boundary edge: inner (both ends on r = rho,
+    rho > 0), else outer (both on r = R), else truncation.  Level labels win
+    over truncation at corner vertices."""
+    if len(region.faces) == 0:
         raise DomainError("clip produced an empty region")
-    directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-    und = np.sort(directed, axis=1)
-    keys = und[:, 0] * np.int64(n) + und[:, 1]
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    uniq, starts, counts = np.unique(sk, return_index=True, return_counts=True)
-    boundary_keys = uniq[counts == 1]
-    boundary_rows = order[starts[counts == 1]]
-    bedges = directed[boundary_rows]
-
-    eps_in = 1e-9 * max(1.0, region.rho)
-    eps_out = 1e-9 * max(1.0, region.R)
-    rv = region.r
+    i, j, counts = _unique_edges(region.faces, len(region.verts))
+    ends = np.column_stack([i, j])[counts == 1]
+    rv = region.r[ends]
+    inner = (region.rho > 0) & np.all(
+        np.abs(rv - region.rho) <= 1e-9 * max(1.0, region.rho), axis=1)
+    outer = ~inner & np.all(np.abs(rv - region.R) <= 1e-9 * max(1.0, region.R), axis=1)
     labels = region.vertex_label
-
-    def edge_label(a, b):
-        if region.rho > 0 and abs(rv[a] - region.rho) <= eps_in and abs(rv[b] - region.rho) <= eps_in:
-            return "inner"
-        if abs(rv[a] - region.R) <= eps_out and abs(rv[b] - region.R) <= eps_out:
-            return "outer"
-        return "truncation"
-
-    elabels = [edge_label(a, b) for a, b in bedges]
-    for (a, b), lab in zip(bedges, elabels):
-        code = {"inner": LABEL_INNER, "outer": LABEL_OUTER, "truncation": LABEL_TRUNCATION}[lab]
-        for vtx in (a, b):
-            # level labels win over truncation at corner vertices
-            if labels[vtx] == LABEL_INTERIOR or (labels[vtx] == LABEL_TRUNCATION and code != LABEL_TRUNCATION):
-                labels[vtx] = code
-
-    region.boundary_loops = _walk_loops(bedges, elabels)
-
-
-def _walk_loops(bedges, elabels):
-    nxt: dict[int, list[tuple[int, str]]] = {}
-    for (a, b), lab in zip(bedges, elabels):
-        nxt.setdefault(int(a), []).append((int(b), lab))
-    for v in nxt:
-        nxt[v].sort()
-    loops = []
-    visited = set()
-    for start in sorted(nxt):
-        while nxt[start]:
-            if (start, nxt[start][0][0]) in visited:
-                nxt[start].pop(0)
-                continue
-            chain = [start]
-            labs = set()
-            cur = start
-            closed = False
-            while True:
-                options = nxt.get(cur, [])
-                hop = None
-                while options:
-                    cand = options[0]
-                    if (cur, cand[0]) in visited:
-                        options.pop(0)
-                        continue
-                    hop = cand
-                    options.pop(0)
-                    break
-                if hop is None:
-                    break
-                visited.add((cur, hop[0]))
-                labs.add(hop[1])
-                cur = hop[0]
-                if cur == start:
-                    closed = True
-                    break
-                chain.append(cur)
-            if len(chain) > 1 or closed:
-                label = labs.pop() if len(labs) == 1 else "mixed"
-                loops.append(Loop(np.array(chain), closed, label))
-            else:
-                break
-    return loops
+    labels[ends[~(inner | outer)]] = LABEL_TRUNCATION
+    labels[ends[outer]] = LABEL_OUTER
+    labels[ends[inner]] = LABEL_INNER
 
 
 def region_area(region: ClippedRegion) -> float:
@@ -328,11 +252,6 @@ def radial_gradient_norms(verts, faces, pole) -> np.ndarray:
     dot = (d * nrm).sum(axis=1)
     vals = np.sqrt(np.clip(1.0 - dot * dot, 0.0, 1.0))
     return vals
-
-
-def radial_gradient_norm(mesh: TriMesh, face: int) -> float:
-    """Single-face value in [0, 1]."""
-    return float(radial_gradient_norms(mesh.verts, mesh.faces[face:face + 1], mesh.pole)[0])
 
 
 def flux(mesh: TriMesh, R: float, face_mask=None) -> float:
@@ -429,8 +348,9 @@ def solve_dirichlet(system: SparseSPDSystem, source: np.ndarray | None = None,
     field[system.constrained] = system.values
     if nfree == 0:
         return field
-    Kff = system.K[free][:, free]
-    rhs = -system.K[free][:, ~free] @ field[~free]
+    Kf = system.K[free]
+    Kff = Kf[:, free]
+    rhs = -Kf[:, ~free] @ field[~free]
     if source is not None:
         rhs = rhs + source[free]
     diag = Kff.diagonal()
@@ -492,14 +412,13 @@ def first_eigenvalue_estimate(region: ClippedRegion, tol: float = 1e-8,
                               maxiter: int = 500) -> float:
     """Smallest Dirichlet eigenvalue of (K, M) on the region by inverse
     power iteration (direct factorization of the free block)."""
-    K, _ = cotangent_stiffness(region.verts, region.faces, clamp=True)
-    mass = barycentric_mass(region.verts, region.faces)
-    free = ~region.boundary_vertex_mask()
+    system = assemble_laplacian(region, {"inner": 0.0, "outer": 0.0, "truncation": 0.0})
+    free = system.free_mask()
     nfree = int(free.sum())
     if nfree == 0:
         raise DomainError("region has no interior vertices")
-    Kff = K[free][:, free].tocsc()
-    mf = mass[free]
+    Kff = system.K[free][:, free].tocsc()
+    mf = system.mass[free]
     lu = splu(Kff)
     x = np.ones(nfree)
     x /= math.sqrt(float((x * x * mf).sum()))
@@ -516,12 +435,7 @@ def first_eigenvalue_estimate(region: ClippedRegion, tol: float = 1e-8,
 
 
 def _mean_edge_length(region: ClippedRegion) -> float:
-    f = region.faces
-    n = len(region.verts)
-    und = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
-    keys = und[:, 0] * np.int64(n) + und[:, 1]
-    uniq = np.unique(keys)
-    i, j = uniq // n, uniq % n
+    i, j, _ = _unique_edges(region.faces, len(region.verts))
     return float(np.linalg.norm(region.verts[i] - region.verts[j], axis=1).mean())
 
 

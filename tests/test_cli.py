@@ -76,17 +76,19 @@ class TestQuotients:
         assert csv[0].startswith("R [ambient length],vol_quotient")
         assert len(csv) == 7
 
-    def test_byte_identical_reports(self, tmp_path):
+    def test_byte_identical_reports(self, tmp_path, monkeypatch):
+        # run placement and thread count stay out of report.json
         args = ["quotients", "--surface", "plane", "--res", "48", "--cover", "3.2",
-                "--dim", "2", "--warp", "r", "--grid", "0.5:3:5", "--out", str(tmp_path)]
-        run(args + ["--name", "a"])
-        run(args + ["--name", "rerun"])
-        ra = json.loads((tmp_path / "a" / "report.json").read_text())
-        rb = json.loads((tmp_path / "rerun" / "report.json").read_text())
-        ra["config"].pop("name")
-        rb["config"].pop("name")
-        # identical config -> byte-identical canonical payload
-        assert json.dumps(ra, sort_keys=True) == json.dumps(rb, sort_keys=True)
+                "--dim", "2", "--warp", "r", "--grid", "0.5:3:5"]
+        monkeypatch.setenv("EXCOMP_THREADS", "1")
+        run(args + ["--out", str(tmp_path / "x"), "--name", "a"])
+        monkeypatch.setenv("EXCOMP_THREADS", "2")
+        run(args + ["--out", str(tmp_path / "y"), "--name", "rerun"])
+        ra = (tmp_path / "x" / "a" / "report.json").read_bytes()
+        rb = (tmp_path / "y" / "rerun" / "report.json").read_bytes()
+        assert ra == rb
+        meta = json.loads((tmp_path / "y" / "rerun" / "meta.json").read_text())
+        assert (meta["out"], meta["name"], meta["threads"]) == (str(tmp_path / "y"), "rerun", 2)
 
 
 class TestVerify:
@@ -169,3 +171,37 @@ class TestOtherSubcommands:
         code = run(["surface", "--mesh", str(tmp_path / "nope.off"),
                     "--out", str(tmp_path)])
         assert code == 3
+
+
+class TestValueErrors:
+    """Values that do not parse are usage errors: exit 2, one error line."""
+
+    def _usage_error(self, argv, capsys):
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_malformed_config_json(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{\"dim\": 2,")
+        err = self._usage_error(["model", "--config", str(cfg), "--out", str(tmp_path)],
+                                capsys)
+        assert "not valid JSON" in err
+
+    def test_non_integer_res(self, tmp_path, capsys):
+        err = self._usage_error(["surface", "--surface", "plane", "--res", "1.5",
+                                 "--cover", "2", "--out", str(tmp_path)], capsys)
+        assert "--res" in err
+
+    def test_non_numeric_pole(self, tmp_path, capsys):
+        err = self._usage_error(["surface", "--surface", "plane", "--res", "16",
+                                 "--cover", "2", "--pole", "0,zero,0",
+                                 "--out", str(tmp_path)], capsys)
+        assert "--pole" in err
+
+    def test_non_numeric_exit_time(self, tmp_path, capsys):
+        err = self._usage_error(["model", "--exit-time", "two", "--out", str(tmp_path)],
+                                capsys)
+        assert "--exit-time" in err

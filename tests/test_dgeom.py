@@ -2,14 +2,52 @@ import math
 
 import numpy as np
 import pytest
-from scipy import special
+from hypothesis import assume, given, strategies as st
+from scipy import sparse, special
 
 from excomp import dgeom, surfaces
-from excomp.dgeom import (LABEL_INNER, LABEL_OUTER, capacity_discrete, clip, count_ends,
-                          end_components, exit_time_discrete, first_eigenvalue_estimate,
-                          flux, radial_gradient_norm, region_area, solve_dirichlet)
+from excomp.dgeom import (LABEL_INNER, LABEL_INTERIOR, LABEL_OUTER, LABEL_TRUNCATION,
+                          capacity_discrete, clip, count_ends, end_components,
+                          exit_time_discrete, first_eigenvalue_estimate, flux, region_area,
+                          solve_dirichlet)
 from excomp.errors import CoverageError, DomainError, TruncationContactError
-from excomp.surfaces import TriMesh, builtin, cotangent_stiffness, tessellate
+from excomp.surfaces import TAG_TRUNCATION, TriMesh, builtin, cotangent_stiffness, tessellate
+
+
+def _strip_mesh():
+    strip = surfaces.ParamSurface(
+        "strip", lambda u, v: (u, v, np.zeros_like(u + v)), -4.0, 4.0, -1.0, 1.0)
+    return tessellate(strip, 64, 16)
+
+
+def _permuted_helicoid(res, seed, ext=13.2):
+    """Grid helicoid (v cos u, v sin u, u) with vertex order, face order and
+    the starting corner of each face shuffled, tagged like an ingested mesh."""
+    s = np.linspace(-ext, ext, res + 1)
+    U, V = np.meshgrid(s, s, indexing="ij")
+    verts = np.column_stack([(V * np.cos(U)).ravel(), (V * np.sin(U)).ravel(), U.ravel()])
+    idx = np.arange(len(verts)).reshape(res + 1, res + 1)
+    a, b = idx[:-1, :-1].ravel(), idx[1:, :-1].ravel()
+    c, d = idx[1:, 1:].ravel(), idx[:-1, 1:].ravel()
+    faces = np.concatenate([np.column_stack([a, b, c]), np.column_stack([a, c, d])])
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(len(verts))
+    new_id = np.empty_like(perm)
+    new_id[perm] = np.arange(len(perm))
+    verts = verts[perm]
+    faces = new_id[faces][rng.permutation(len(faces))]
+    roll = (rng.integers(0, 3, len(faces))[:, None] + np.arange(3)) % 3
+    faces = np.take_along_axis(faces, roll, axis=1)
+    mesh = TriMesh(verts, faces)
+    tags = np.where(mesh.boundary_vertex_mask(), TAG_TRUNCATION, 0)
+    return TriMesh(verts, faces, tags=tags)
+
+
+def _boundary_edges(reg):
+    f = reg.faces
+    und = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
+    edges, counts = np.unique(und, axis=0, return_counts=True)
+    return edges[counts == 1]
 
 
 class TestRadialGradientNorm:
@@ -21,8 +59,8 @@ class TestRadialGradientNorm:
     def test_orthogonal_face_is_zero(self):
         verts = np.array([[1, 0, 1], [-0.5, math.sqrt(3) / 2, 1],
                           [-0.5, -math.sqrt(3) / 2, 1]], float)
-        mesh = TriMesh(verts, np.array([[0, 1, 2]]))
-        assert radial_gradient_norm(mesh, 0) < 1e-12
+        vals = dgeom.radial_gradient_norms(verts, np.array([[0, 1, 2]]), np.zeros(3))
+        assert vals[0] < 1e-12
 
     def test_catenoid_neck_faces_small(self, catenoid_96):
         # faces whose vertices straddle the neck circle r = a = 1
@@ -56,17 +94,30 @@ class TestClip:
         assert np.allclose(reg.r[inner], 1.0) and np.allclose(reg.r[outer], 2.0)
 
     def test_loops_closed(self, plane_256):
+        # two level circles and no truncation: every boundary vertex carries a
+        # level label and lies on exactly two boundary edges of that label
         reg = clip(plane_256, 1.0, 2.0)
-        labels = sorted(l.label for l in reg.boundary_loops)
-        assert labels == ["inner", "outer"]
-        assert all(l.closed for l in reg.boundary_loops)
+        assert set(np.unique(reg.vertex_label)) == {LABEL_INTERIOR, LABEL_INNER, LABEL_OUTER}
+        edges = _boundary_edges(reg)
+        ends = reg.vertex_label[edges]
+        assert np.all(ends[:, 0] == ends[:, 1])
+        degree = np.bincount(edges.ravel(), minlength=len(reg.verts))
+        assert np.all(degree[reg.vertex_label != LABEL_INTERIOR] == 2)
 
     def test_catenoid_annulus_has_two_components(self, catenoid_96):
         # the neck sits at r = a = 1 < 1.5, so the annulus splits in two bands
         reg = clip(catenoid_96, 1.5, 3.0)
-        by_label = sorted((l.label, l.closed) for l in reg.boundary_loops)
-        assert by_label == [("inner", True), ("inner", True),
-                            ("outer", True), ("outer", True)]
+        f = reg.faces
+        n = len(reg.verts)
+        edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+        graph = sparse.coo_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])),
+                                  shape=(n, n))
+        ncomp, comp = sparse.csgraph.connected_components(graph, directed=False)
+        assert ncomp == 2
+        for c in range(ncomp):
+            labels = reg.vertex_label[comp == c]
+            assert (labels == LABEL_INNER).any() and (labels == LABEL_OUTER).any()
+        assert not reg.has_label(LABEL_TRUNCATION)
 
     def test_precondition(self, plane_128):
         with pytest.raises(DomainError):
@@ -75,6 +126,22 @@ class TestClip:
     def test_coverage_error(self, plane_128):
         with pytest.raises(CoverageError):
             clip(plane_128, 0.0, 10.0)
+
+    def test_coverage_error_with_face_mask_and_rho(self):
+        # keep the strip faces whose truncation vertices (the window edge
+        # v = +-1) lie near the pole; the farthest of them is at r = edge
+        mesh = _strip_mesh()
+        trunc = mesh.tags == TAG_TRUNCATION
+        mask = ~(trunc & (mesh.r > 1.2))[mesh.faces].any(axis=1)
+        used = mesh.faces[mask]
+        edge = float(mesh.r[used][trunc[used]].max())
+        assert 1.0 < edge < 1.2
+        with pytest.raises(CoverageError, match="intrudes at r=1 "):
+            clip(mesh, 0.5, 3.0, face_mask=mask)
+        with pytest.raises(CoverageError):
+            clip(mesh, float(np.nextafter(edge, 0.0)), 3.0, face_mask=mask)
+        # truncation vertices at or below rho lie outside the band
+        assert region_area(clip(mesh, edge, 3.0, face_mask=mask)) > 0
 
     def test_area_monotone_in_R(self, plane_128):
         radii = np.linspace(0.5, 3.0, 11)
@@ -92,6 +159,16 @@ class TestClip:
         assert np.any(mesh.r == 2.0)
         reg = clip(mesh, 0.0, 2.0)
         assert region_area(reg) == pytest.approx(math.pi * 4, rel=2e-2)
+        # a cut through a vertex reuses it: no hole, so no truncation label
+        assert not reg.has_label(LABEL_TRUNCATION)
+        assert exit_time_discrete(reg).max() > 0
+        reg = clip(mesh, float(np.nextafter(1.0, 0.0)), 2.5)
+        assert not reg.has_label(LABEL_TRUNCATION)
+        # a permuted helicoid whose cut at R = 6 lands within ulps of vertices
+        helicoid = _permuted_helicoid(176, seed=1)
+        reg = clip(helicoid, 0.0, 6.0)
+        assert not reg.has_label(LABEL_TRUNCATION)
+        assert exit_time_discrete(reg).max() > 0
 
     @pytest.mark.parametrize("name,kwargs,rho,R", [
         ("plane", {"cover_radius": 3.2}, 1.0, 2.5),
@@ -110,6 +187,20 @@ class TestClip:
         und = np.sort(directed, axis=1)
         _, ucounts = np.unique(und[:, 0] * np.int64(n) + und[:, 1], return_counts=True)
         assert ucounts.max() <= 2  # edge-manifold
+
+
+@pytest.mark.parametrize("mesh_name,lo,hi", [("plane_128", 0.3, 3.1),
+                                              ("catenoid_96", 1.2, 12.0)])
+@given(s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0))
+def test_area_additive(request, mesh_name, lo, hi, s, t):
+    # the catenoid has no points below its neck radius r = 1
+    mesh = request.getfixturevalue(mesh_name)
+    rho = lo + (hi - lo) * min(s, t)
+    R = lo + (hi - lo) * max(s, t)
+    assume(R - rho > 1e-3)
+    whole = region_area(clip(mesh, 0.0, R))
+    parts = region_area(clip(mesh, 0.0, rho)) + region_area(clip(mesh, rho, R))
+    assert parts == pytest.approx(whole, rel=1e-9)
 
 
 class TestFlux:
@@ -225,9 +316,7 @@ class TestCapacity:
     def test_truncation_policies(self):
         # a strip window whose truncation boundary crosses the band: the
         # reflect policy treats it as a zero-Neumann wall, error refuses
-        strip = surfaces.ParamSurface(
-            "strip", lambda u, v: (u, v, np.zeros_like(u + v)), -4.0, 4.0, -1.0, 1.0)
-        mesh = tessellate(strip, 64, 16)
+        mesh = _strip_mesh()
         with pytest.raises(CoverageError):
             clip(mesh, 0.5, 3.0)
         reg = clip(mesh, 0.5, 3.0, allow_truncation=True)
@@ -305,14 +394,44 @@ class TestEnds:
 
 class TestBoundaryLoops:
     def test_truncation_contact_flags_mixed_loop(self):
-        strip = surfaces.ParamSurface(
-            "strip", lambda u, v: (u, v, np.zeros_like(u + v)), -4.0, 4.0, -1.0, 1.0)
-        mesh = tessellate(strip, 64, 16)
-        reg = clip(mesh, 0.5, 3.0, allow_truncation=True)
-        labels = {l.label for l in reg.boundary_loops}
-        # the window cuts the level circles: loops mixing level and truncation
-        assert "mixed" in labels
+        reg = clip(_strip_mesh(), 0.5, 3.0, allow_truncation=True)
+        # the window cuts the outer circle: its boundary mixes level and truncation
+        for label in (LABEL_INNER, LABEL_OUTER, LABEL_TRUNCATION):
+            assert reg.has_label(label)
+        # corners, where the outer circle meets the window edge v = +-1, take
+        # the level label although they also end truncation edges
+        corner = (np.abs(np.abs(reg.verts[:, 1]) - 1.0) < 1e-12) & (np.abs(reg.r - 3.0) < 1e-9)
+        assert corner.sum() == 4
+        assert np.all(reg.vertex_label[corner] == LABEL_OUTER)
+        edges = _boundary_edges(reg)
+        touching = edges[corner[edges].any(axis=1)]
+        assert (reg.vertex_label[touching] == LABEL_TRUNCATION).any()
 
     def test_closed_circles_stay_pure(self, plane_128):
         reg = clip(plane_128, 1.0, 2.0)
-        assert {l.label for l in reg.boundary_loops} == {"inner", "outer"}
+        assert set(np.unique(reg.vertex_label)) == {LABEL_INTERIOR, LABEL_INNER, LABEL_OUTER}
+
+    @pytest.mark.parametrize("case", ["strip", "catenoid", "helicoid"])
+    def test_labels_match_edge_loop_reference(self, case, catenoid_96):
+        if case == "strip":
+            reg = clip(_strip_mesh(), 0.5, 3.0, allow_truncation=True)
+        elif case == "catenoid":
+            reg = clip(catenoid_96, 1.5, 3.0)
+        else:
+            reg = clip(_permuted_helicoid(48, seed=3, ext=3.0), 1.0, 4.0,
+                       allow_truncation=True)
+        # reference: one boundary edge at a time, level labels winning corners
+        expected = np.zeros(len(reg.verts), dtype=np.uint8)
+        for a, b in _boundary_edges(reg):
+            ends = reg.r[[a, b]]
+            if reg.rho > 0 and np.all(np.abs(ends - reg.rho) <= 1e-9 * max(1.0, reg.rho)):
+                code = LABEL_INNER
+            elif np.all(np.abs(ends - reg.R) <= 1e-9 * max(1.0, reg.R)):
+                code = LABEL_OUTER
+            else:
+                code = LABEL_TRUNCATION
+            for v in (a, b):
+                if expected[v] == LABEL_INTERIOR or (expected[v] == LABEL_TRUNCATION
+                                                     and code != LABEL_TRUNCATION):
+                    expected[v] = code
+        assert np.array_equal(reg.vertex_label, expected)
