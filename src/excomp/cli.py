@@ -4,12 +4,13 @@ Subcommands: model (pure model-space quantities), surface (mesh generation
 and ingestion), quotients, capacity, exit-time, ends, tone, and verify (the
 full check suite).  Output goes to <outdir>/<run-name>/ as report.json,
 curves.csv, mesh.off and meta.json; identical configurations produce
-byte-identical report.json (wall-clock data and the run placement keys out,
-name and threads live only in meta.json).
+byte-identical report.json (wall-clock data and the run placement keys out
+and name live only in meta.json).
 
-Flag values override --config file entries, which override defaults.  Exit
-codes: 0 clean, 1 failed checks (or inconclusive under --strict), 2 usage,
-3 computation error.
+Flag values override --config file entries, which override defaults; a
+config key must name a flag and its value must pass that flag's own type and
+choices.  Exit codes: 0 clean, 1 failed checks (or inconclusive under
+--strict), 2 usage, 3 computation error.
 """
 
 from __future__ import annotations
@@ -29,9 +30,9 @@ from .errors import ExcompError
 from .modelspace import ModelSpace, QuadratureConfig, WarpingSpec
 from .harness import FAIL, INCONCLUSIVE, PASS, VerificationReport, _json_safe
 
-# Keys that place or parallelise a run without changing its results: they go
-# to meta.json, so report.json does not depend on them.
-_PLACEMENT_KEYS = ("out", "name", "threads")
+# Keys that place a run without changing its results: they go to meta.json,
+# so report.json does not depend on them.
+_PLACEMENT_KEYS = ("out", "name")
 
 
 class UsageError(ExcompError):
@@ -47,22 +48,20 @@ def _parse_numbers(spec, sep: str, kind, what: str) -> tuple:
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    try:
-        a, b, n = spec.split(":")
-        grid = np.linspace(float(a), float(b), int(n))
-    except ValueError:
-        raise ExcompError(f"grid spec must be a:b:n, got {spec!r}")
-    if len(grid) < 2 or grid[0] <= 0 or grid[-1] <= grid[0]:
+    parts = _parse_numbers(spec, ":", float, "--grid")
+    if len(parts) != 3 or not parts[2].is_integer():
+        raise UsageError(f"--grid must be a:b:n with a whole number n, got {spec!r}")
+    a, b, n = parts
+    if n < 2 or a <= 0 or b <= a:
         raise ExcompError(f"grid bounds must be positive and increasing, got {spec!r}")
-    return grid
+    return np.linspace(a, b, int(n))
 
 
 def _parse_pair(spec: str, what: str) -> tuple[float, float]:
-    try:
-        a, b = spec.split(":")
-        return float(a), float(b)
-    except ValueError:
-        raise ExcompError(f"{what} must be a:b, got {spec!r}")
+    pair = _parse_numbers(spec, ":", float, what)
+    if len(pair) != 2:
+        raise UsageError(f"{what} must be a:b, got {spec!r}")
+    return pair
 
 
 def make_model(dim: int, warp: str, lam: float = math.inf) -> ModelSpace:
@@ -119,7 +118,6 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="JSON file with default flag values")
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--name", default=None, help="run name (subdirectory)")
-    p.add_argument("--threads", type=int, default=None)
     p.add_argument("--strict", action="store_true", default=None,
                    help="inconclusive checks also fail the run")
     p.add_argument("--quad-abs-tol", type=float, default=None)
@@ -130,14 +128,30 @@ _DEFAULTS = {
     "dim": 2, "warp": "r", "lam": math.inf,
     "a": 1.0, "c": 1.0, "cover": None, "res": "128", "refine": None,
     "mesh": None, "format": None, "pole": "0,0,0", "surface": None,
-    "out": None, "name": None, "threads": None, "strict": False,
+    "out": None, "name": None, "strict": False,
     "quad_abs_tol": 1e-10, "quad_rel_tol": 1e-10,
     "grid": None, "capacity": None, "exit_time": None,
     "rho": None, "R": None, "t": None, "R0": None, "truncation": "reflect",
 }
 
 
-def _resolve(args: argparse.Namespace) -> argparse.Namespace:
+def _config_value(action: argparse.Action, key: str, val):
+    """A --config value checked and converted as the flag's own parser would
+    check and convert it on the command line."""
+    if action.nargs == 0:  # a switch such as --strict takes a JSON boolean
+        ok = isinstance(val, bool)
+    else:
+        try:
+            val = action.type(str(val)) if action.type else str(val)
+            ok = action.choices is None or val in action.choices
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            ok = False
+    if not ok:
+        raise UsageError(f"config key {key!r} has an invalid value {val!r}")
+    return val
+
+
+def _resolve(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
     """Layer flag values over --config entries over defaults."""
     merged = dict(_DEFAULTS)
     if getattr(args, "config", None):
@@ -150,15 +164,20 @@ def _resolve(args: argparse.Namespace) -> argparse.Namespace:
             raise UsageError(f"config file {args.config} is not valid JSON: {exc}") from None
         if not isinstance(cfg, dict):
             raise UsageError(f"config file {args.config} must hold a JSON object")
+        subcommands = next(a for a in parser._actions if a.dest == "command").choices
+        actions = {a.dest: a for p in subcommands.values() for a in p._actions}
         for key, val in cfg.items():
-            merged[key.replace("-", "_")] = val
+            key = key.replace("-", "_")
+            if key not in _DEFAULTS:
+                raise UsageError(f"unknown config key {key!r} "
+                                 f"(known: {', '.join(sorted(_DEFAULTS))})")
+            if val is not None:  # null keeps the default
+                merged[key] = _config_value(actions[key], key, val)
     for key, val in vars(args).items():
         if val is not None:
             merged[key] = val
     out = merged.get("out") or os.environ.get("EXCOMP_OUTDIR") or "runs"
     merged["out"] = out
-    if merged.get("threads") is None:
-        merged["threads"] = int(os.environ.get("EXCOMP_THREADS", os.cpu_count() or 1))
     ns = argparse.Namespace(**merged)
     ns.command = args.command
     return ns
@@ -358,7 +377,7 @@ def _cmd_quotients(args) -> int:
     model = make_model(args.dim, args.warp, args.lam)
     mesh = make_surface(args)
     grid = _parse_grid(args.grid or "0.5:3:8")
-    curve = harness.quotient_curves(mesh, model, grid, threads=args.threads, quad=quad)
+    curve = harness.quotient_curves(mesh, model, grid, quad=quad)
     report = VerificationReport([], config=_config_dict(args))
     gates = harness.comparison_gates(model, float(grid[-1]), quad)
     report.extend(harness.gate_verdicts(
@@ -419,8 +438,7 @@ def _cmd_ends(args) -> int:
         raise ExcompError("--R and --t are required")
     curve = None
     if args.grid:
-        curve = harness.quotient_curves(mesh, model, _parse_grid(args.grid),
-                                        threads=args.threads, quad=quad)
+        curve = harness.quotient_curves(mesh, model, _parse_grid(args.grid), quad=quad)
     ends = harness.ends_bound(mesh, model, args.R, args.t, curve=curve, quad=quad)
     report = VerificationReport(list(ends.checks), scalars=ends.to_dict(),
                                 config=_config_dict(args))
@@ -462,7 +480,7 @@ def _cmd_verify(args) -> int:
     R0 = args.R0 if args.R0 is not None else rho
 
     report = VerificationReport([], config=_config_dict(args))
-    curve = harness.quotient_curves(mesh, model, grid, threads=args.threads, quad=quad)
+    curve = harness.quotient_curves(mesh, model, grid, quad=quad)
     report.curves = _curve_payload(curve)
     gates = harness.comparison_gates(model, float(grid[-1]), quad)
     report.extend(harness.gate_verdicts(
@@ -517,7 +535,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _resolve(args)
+        args = _resolve(args, parser)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

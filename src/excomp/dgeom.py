@@ -1,10 +1,11 @@
 """Discrete operators on triangulated immersed surfaces.
 
 Everything is driven by the per-vertex extrinsic distance r: marching-
-triangle clipping between level sets (extrinsic balls and annuli), level
-polyline flux of r, cotangent-Laplacian Dirichlet and Poisson solves
-(capacity, mean exit time), a membrane eigenvalue estimate, and counting of
-ends as unbounded complement components.
+triangle clipping between level sets (extrinsic balls and annuli), ball
+areas that clip only the faces the level cuts, level polyline flux of r,
+cotangent-Laplacian Dirichlet and Poisson solves (capacity, mean exit time),
+a membrane eigenvalue estimate, and counting of ends as unbounded complement
+components.  Clipping is the only path to a solve; ball_area builds no region.
 
 Conventions: level comparisons treat a vertex with r exactly equal to the
 level as lying above it (symbolic perturbation by one ulp), interpolated cut
@@ -170,11 +171,8 @@ def clip(mesh: TriMesh, rho: float, R: float, face_mask=None,
     if rho > 0.0:
         verts, r, faces, parent = _clip_half(verts, r, faces, parent, rho, keep_below=False)
 
-    # drop degenerate fragments produced by cuts through tie vertices
-    if len(faces):
-        areas = _face_areas(verts, faces)
-        keep = areas > 1e-13 * max(areas.mean(), 1e-300)
-        faces, parent = faces[keep], parent[keep]
+    keep = _nondegenerate(_face_areas(verts, faces))
+    faces, parent = faces[keep], parent[keep]
 
     used = np.unique(faces)
     remap = np.full(len(verts), -1, dtype=np.int64)
@@ -183,6 +181,11 @@ def clip(mesh: TriMesh, rho: float, R: float, face_mask=None,
                            np.zeros(len(used), dtype=np.uint8))
     _label_boundary(region)
     return region
+
+
+def _nondegenerate(areas: np.ndarray) -> np.ndarray:
+    """Mask dropping the fragments (under 1e-13 of the mean area) of cuts through ties."""
+    return areas > 1e-13 * max(areas.mean(), 1e-300) if len(areas) else areas > 0
 
 
 def _check_coverage(mesh: TriMesh, R: float, faces: np.ndarray, rho: float = 0.0):
@@ -224,10 +227,21 @@ def _label_boundary(region: ClippedRegion):
     labels[ends[inner]] = LABEL_INNER
 
 
-def region_area(region: ClippedRegion) -> float:
-    if len(region.faces) == 0:
-        raise DomainError("empty region")
-    return region.area()
+def ball_area(mesh: TriMesh, R: float, face_mask=None) -> float:
+    """Area of the extrinsic ball {r <= R}, equal to clip(mesh, 0, R).area()
+    but without building the region: faces wholly below R count whole and
+    only the faces the level R cuts are split."""
+    if not R > 0:
+        raise DomainError(f"ball radius must be positive, got {R!r}")
+    faces = mesh.faces if face_mask is None else mesh.faces[face_mask]
+    _check_coverage(mesh, R, faces)
+    verts, _, faces, _ = _clip_half(mesh.verts, mesh.r, faces, np.zeros(len(faces), np.int64),
+                                    R, keep_below=True)
+    areas = _face_areas(verts, faces)
+    areas = areas[_nondegenerate(areas)]
+    if len(areas) == 0:
+        raise DomainError(f"the ball of radius {R!r} contains no face")
+    return float(areas.sum())
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,7 +115,7 @@ class QuotientCurve:
 
 
 def quotient_curves(mesh: TriMesh, model: ModelSpace, grid, end_mask=None,
-                    threads: int = 1, quad: QuadratureConfig = DEFAULT_QUAD) -> QuotientCurve:
+                    quad: QuadratureConfig = DEFAULT_QUAD) -> QuotientCurve:
     """Sample Vol(D_R)/Vol(B_R) and J(R)/volS(R) over the grid, optionally
     restricted to the faces of one end."""
     if model.m != 2:
@@ -125,18 +124,11 @@ def quotient_curves(mesh: TriMesh, model: ModelSpace, grid, end_mask=None,
     if np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise DomainError("grid must be positive and strictly increasing")
 
-    def one(R: float):
-        area = dgeom.region_area(dgeom.clip(mesh, 0.0, R, face_mask=end_mask))
-        j = dgeom.flux(mesh, R, face_mask=end_mask)
-        return area / model.vol_ball(R, quad), j / model.vol_sphere(R)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, [float(R) for R in grid]))
-    else:
-        results = [one(float(R)) for R in grid]
-    vol = np.array([v for v, _ in results])
-    flx = np.array([f for _, f in results])
+    radii = [float(R) for R in grid]
+    vol = np.array([dgeom.ball_area(mesh, R, face_mask=end_mask) / model.vol_ball(R, quad)
+                    for R in radii])
+    flx = np.array([dgeom.flux(mesh, R, face_mask=end_mask) / model.vol_sphere(R)
+                    for R in radii])
     return QuotientCurve(grid, vol, flx, end_mask,
                          {"mesh": mesh.name, "model_dim": model.m,
                           "warp": model.warp.describe()})
@@ -248,8 +240,8 @@ def verify_euclidean_sandwich(mesh: TriMesh, rho: float, R: float, tol: float = 
     model = ModelSpace(2, WarpingSpec.space_form(0.0))
     cap = dgeom.capacity_discrete(dgeom.clip(mesh, rho, R), truncation=truncation)
     ratio = cap.capacity / model.capacity(rho, R, quad)
-    lower = dgeom.region_area(dgeom.clip(mesh, 0.0, rho)) / model.vol_ball(rho)
-    upper = dgeom.region_area(dgeom.clip(mesh, 0.0, R)) / model.vol_ball(R)
+    lower = dgeom.ball_area(mesh, rho) / model.vol_ball(rho)
+    upper = dgeom.ball_area(mesh, R) / model.vol_ball(R)
     return [
         _leq_check("euclidean.lower", "Vol(D_rho)/(pi rho^2) <= Cap/Cap_flat",
                    lower, ratio, tol, notes=f"rho={rho:.6g}"),
@@ -283,8 +275,7 @@ def exit_time_comparison(mesh: TriMesh, model: ModelSpace, R: float, tol: float 
         notes=f"worst vertex r={region.r[worst]:.6g}, slack {slack:.4g}"))
 
     def quots(radius):
-        area = dgeom.region_area(dgeom.clip(mesh, 0.0, radius))
-        return (area / model.vol_ball(radius, quad),
+        return (dgeom.ball_area(mesh, radius) / model.vol_ball(radius, quad),
                 dgeom.flux(mesh, radius) / model.vol_sphere(radius))
 
     vR, fR = quots(R)
@@ -358,7 +349,7 @@ def ends_bound(mesh: TriMesh, model: ModelSpace, R: float, t: float,
         return EndsReport(R, t, math.nan, ends.count, None, None, checks, ends.warning)
     m = model.m
     coeff = m * model.vol_ball(t, quad) / (model.V0 * t ** m)
-    vol_quot_t = dgeom.region_area(dgeom.clip(mesh, 0.0, t)) / model.vol_ball(t, quad)
+    vol_quot_t = dgeom.ball_area(mesh, t) / model.vol_ball(t, quad)
     bound = (2.0 / (1.0 - R / t)) ** m * coeff * vol_quot_t
     checks.append(_leq_check(
         "ends.bound",

@@ -200,7 +200,7 @@ def _enneper_sandwich_and_ends(mesh):
 
 def _enneper_quotient(mesh):
     reg = clip(mesh, 0.0, 12.0)
-    return dgeom.region_area(reg) / (math.pi * 144.0)
+    return reg.area() / (math.pi * 144.0)
 
 
 def test_criterion_5_enneper_sandwich_and_ends():

@@ -39,6 +39,11 @@ class TestModelCommand:
             run(["model", "--dim"])  # missing value
         assert err.value.code == 2
 
+    def test_threads_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            run(["model", "--threads", "2", "--out", str(tmp_path)])
+        assert err.value.code == 2
+
     def test_computation_error_is_exit_3(self, tmp_path, capsys):
         code = run(["model", "--dim", "2", "--warp", "r", "--capacity", "2:1",
                     "--out", str(tmp_path)])
@@ -76,19 +81,18 @@ class TestQuotients:
         assert csv[0].startswith("R [ambient length],vol_quotient")
         assert len(csv) == 7
 
-    def test_byte_identical_reports(self, tmp_path, monkeypatch):
-        # run placement and thread count stay out of report.json
+    def test_byte_identical_reports(self, tmp_path):
+        # run placement stays out of report.json
         args = ["quotients", "--surface", "plane", "--res", "48", "--cover", "3.2",
                 "--dim", "2", "--warp", "r", "--grid", "0.5:3:5"]
-        monkeypatch.setenv("EXCOMP_THREADS", "1")
         run(args + ["--out", str(tmp_path / "x"), "--name", "a"])
-        monkeypatch.setenv("EXCOMP_THREADS", "2")
         run(args + ["--out", str(tmp_path / "y"), "--name", "rerun"])
         ra = (tmp_path / "x" / "a" / "report.json").read_bytes()
         rb = (tmp_path / "y" / "rerun" / "report.json").read_bytes()
         assert ra == rb
         meta = json.loads((tmp_path / "y" / "rerun" / "meta.json").read_text())
-        assert (meta["out"], meta["name"], meta["threads"]) == (str(tmp_path / "y"), "rerun", 2)
+        assert (meta["out"], meta["name"]) == (str(tmp_path / "y"), "rerun")
+        assert "threads" not in meta
 
 
 class TestVerify:
@@ -205,3 +209,32 @@ class TestValueErrors:
         err = self._usage_error(["model", "--exit-time", "two", "--out", str(tmp_path)],
                                 capsys)
         assert "--exit-time" in err
+
+    def _config_error(self, tmp_path, capsys, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        return self._usage_error(["model", "--config", str(path), "--out", str(tmp_path)],
+                                 capsys)
+
+    @pytest.mark.parametrize("key,value", [("dim", "two"), ("truncation", "never")])
+    def test_config_value_the_flag_rejects(self, tmp_path, capsys, key, value):
+        err = self._config_error(tmp_path, capsys, {key: value})
+        assert f"config key {key!r}" in err
+
+    def test_config_unknown_key(self, tmp_path, capsys):
+        err = self._config_error(tmp_path, capsys, {"foo": 1})
+        assert "unknown config key 'foo'" in err
+
+    def test_config_threads_key(self, tmp_path, capsys):
+        err = self._config_error(tmp_path, capsys, {"threads": 2})
+        assert "unknown config key 'threads'" in err
+
+    @pytest.mark.parametrize("grid", ["1:2:x", "1:2"])
+    def test_malformed_grid(self, tmp_path, capsys, grid):
+        err = self._usage_error(["model", "--grid", grid, "--out", str(tmp_path)], capsys)
+        assert "--grid" in err
+
+    def test_malformed_capacity(self, tmp_path, capsys):
+        err = self._usage_error(["model", "--capacity", "1", "--out", str(tmp_path)],
+                                capsys)
+        assert "--capacity" in err

@@ -7,9 +7,8 @@ from scipy import sparse, special
 
 from excomp import dgeom, surfaces
 from excomp.dgeom import (LABEL_INNER, LABEL_INTERIOR, LABEL_OUTER, LABEL_TRUNCATION,
-                          capacity_discrete, clip, count_ends, end_components,
-                          exit_time_discrete, first_eigenvalue_estimate, flux, region_area,
-                          solve_dirichlet)
+                          ball_area, capacity_discrete, clip, count_ends, end_components,
+                          exit_time_discrete, first_eigenvalue_estimate, flux, solve_dirichlet)
 from excomp.errors import CoverageError, DomainError, TruncationContactError
 from excomp.surfaces import TAG_TRUNCATION, TriMesh, builtin, cotangent_stiffness, tessellate
 
@@ -80,11 +79,11 @@ class TestRadialGradientNorm:
 class TestClip:
     def test_disc_area(self, plane_256):
         reg = clip(plane_256, 0.0, 2.0)
-        assert region_area(reg) == pytest.approx(math.pi * 4.0, rel=5e-3)
+        assert reg.area() == pytest.approx(math.pi * 4.0, rel=5e-3)
 
     def test_annulus_area(self, plane_256):
         reg = clip(plane_256, 1.0, 2.0)
-        assert region_area(reg) == pytest.approx(math.pi * 3.0, rel=5e-3)
+        assert reg.area() == pytest.approx(math.pi * 3.0, rel=5e-3)
 
     def test_boundary_labels(self, plane_256):
         reg = clip(plane_256, 1.0, 2.0)
@@ -141,11 +140,11 @@ class TestClip:
         with pytest.raises(CoverageError):
             clip(mesh, float(np.nextafter(edge, 0.0)), 3.0, face_mask=mask)
         # truncation vertices at or below rho lie outside the band
-        assert region_area(clip(mesh, edge, 3.0, face_mask=mask)) > 0
+        assert clip(mesh, edge, 3.0, face_mask=mask).area() > 0
 
     def test_area_monotone_in_R(self, plane_128):
         radii = np.linspace(0.5, 3.0, 11)
-        areas = [region_area(clip(plane_128, 0.0, float(R))) for R in radii]
+        areas = [clip(plane_128, 0.0, float(R)).area() for R in radii]
         assert all(b >= a - 1e-9 for a, b in zip(areas, areas[1:]))
 
     def test_vertices_inside_band(self, catenoid_96):
@@ -158,7 +157,7 @@ class TestClip:
         mesh = tessellate(builtin("plane", extent=4.0), 64, 64)
         assert np.any(mesh.r == 2.0)
         reg = clip(mesh, 0.0, 2.0)
-        assert region_area(reg) == pytest.approx(math.pi * 4, rel=2e-2)
+        assert reg.area() == pytest.approx(math.pi * 4, rel=2e-2)
         # a cut through a vertex reuses it: no hole, so no truncation label
         assert not reg.has_label(LABEL_TRUNCATION)
         assert exit_time_discrete(reg).max() > 0
@@ -198,9 +197,74 @@ def test_area_additive(request, mesh_name, lo, hi, s, t):
     rho = lo + (hi - lo) * min(s, t)
     R = lo + (hi - lo) * max(s, t)
     assume(R - rho > 1e-3)
-    whole = region_area(clip(mesh, 0.0, R))
-    parts = region_area(clip(mesh, 0.0, rho)) + region_area(clip(mesh, rho, R))
+    whole = clip(mesh, 0.0, R).area()
+    parts = clip(mesh, 0.0, rho).area() + clip(mesh, rho, R).area()
     assert parts == pytest.approx(whole, rel=1e-9)
+
+
+@pytest.fixture(scope="module")
+def helicoid_64():
+    return _permuted_helicoid(64, seed=3)
+
+
+@pytest.mark.parametrize("end", [False, True])
+@pytest.mark.parametrize("mesh_name,ends_at", [("plane_128", 1.0), ("catenoid_96", 2.0),
+                                               ("helicoid_64", 2.0)])
+@given(s=st.floats(0.0, 1.0), snap=st.sampled_from([None, -1, 0, 1]))
+def test_ball_area_matches_clip(request, mesh_name, ends_at, end, s, snap):
+    # radii run past the window: where clip succeeds the areas agree, and
+    # where clip raises, ball_area raises the same error
+    mesh = request.getfixturevalue(mesh_name)
+    mask = end_components(mesh, ends_at).face_masks[0] if end else None
+    R = 1.05 * mesh.max_r() * s
+    if snap is not None:  # a vertex radius, or one ulp to either side of it
+        rv = mesh.r[np.argmin(np.abs(mesh.r - R))]
+        R = np.nextafter(rv, snap * np.inf) if snap else rv
+    R = float(R)
+    try:
+        expected = clip(mesh, 0.0, R, face_mask=mask).area()
+    except CoverageError as exc:
+        with pytest.raises(CoverageError) as err:
+            ball_area(mesh, R, face_mask=mask)
+        assert str(err.value) == str(exc)
+        return
+    except DomainError:
+        with pytest.raises(DomainError):
+            ball_area(mesh, R, face_mask=mask)
+        return
+    assert ball_area(mesh, R, face_mask=mask) == pytest.approx(expected, rel=1e-12)
+
+
+def test_ball_area_errors(catenoid_96):
+    # the nearest truncation vertex of the masked strip lies at r = edge, so
+    # the window leaks from one ulp above edge on, with clip's message
+    mesh = _strip_mesh()
+    trunc = mesh.tags == TAG_TRUNCATION
+    mask = ~(trunc & (mesh.r > 1.2))[mesh.faces].any(axis=1)
+    edge = float(mesh.r[mesh.faces[mask]][trunc[mesh.faces[mask]]].min())
+    above = float(np.nextafter(edge, np.inf))
+    with pytest.raises(CoverageError) as err:
+        ball_area(mesh, above, face_mask=mask)
+    with pytest.raises(CoverageError) as ref:
+        clip(mesh, 0.0, above, face_mask=mask)
+    assert str(err.value) == str(ref.value)
+    assert ball_area(mesh, edge, face_mask=mask) == pytest.approx(
+        clip(mesh, 0.0, edge, face_mask=mask).area(), rel=1e-12)
+    # a ball at or below the smallest vertex radius has no face
+    rmin = float(catenoid_96.r.min())
+    for R in (-1.0, 0.0, 0.5 * rmin, rmin, math.nan):
+        with pytest.raises(DomainError):
+            ball_area(catenoid_96, R)
+
+
+@pytest.mark.parametrize("mesh_name", ["plane_128", "catenoid_96", "helicoid_64"])
+@given(s=st.floats(0.0, 1.0), t=st.floats(0.0, 1.0))
+def test_ball_area_monotone_in_R(request, mesh_name, s, t):
+    mesh = request.getfixturevalue(mesh_name)
+    lo = float(mesh.r.min()) + 1e-3
+    hi = float(mesh.r[mesh.tags == TAG_TRUNCATION].min())
+    small, large = (lo + (hi - lo) * x for x in sorted((s, t)))
+    assert ball_area(mesh, small) <= ball_area(mesh, large) * (1.0 + 1e-12)
 
 
 class TestFlux:
@@ -216,7 +280,7 @@ class TestFlux:
     def test_catenoid_flux_equals_volume_quotient(self, catenoid_96):
         # Euclidean ambient identity at R = 20
         R = 20.0
-        vol_q = region_area(clip(catenoid_96, 0.0, R)) / (math.pi * R * R)
+        vol_q = clip(catenoid_96, 0.0, R).area() / (math.pi * R * R)
         flux_q = flux(catenoid_96, R) / (2 * math.pi * R)
         assert flux_q == pytest.approx(vol_q, rel=1e-2)
 

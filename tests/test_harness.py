@@ -23,13 +23,6 @@ class TestQuotientCurves:
         assert np.allclose(curve.vol_quot, 1.0, atol=5e-3)
         assert np.allclose(curve.flux_quot, 1.0, atol=5e-3)
 
-    def test_threads_reproduce_serial(self, plane_128):
-        grid = np.linspace(0.5, 3, 5)
-        a = harness.quotient_curves(plane_128, flat_model(), grid, threads=1)
-        b = harness.quotient_curves(plane_128, flat_model(), grid, threads=4)
-        assert np.array_equal(a.vol_quot, b.vol_quot)
-        assert np.array_equal(a.flux_quot, b.flux_quot)
-
     def test_model_dimension_gate(self, plane_128):
         with pytest.raises(DomainError):
             harness.quotient_curves(plane_128, ModelSpace(3, WarpingSpec.space_form(0.0)),
