@@ -67,7 +67,10 @@ def _parse_pair(spec: str, what: str) -> tuple[float, float]:
 def make_model(dim: int, warp: str, lam: float = math.inf) -> ModelSpace:
     warp = warp.strip()
     if warp.startswith("b="):
-        spec = WarpingSpec.space_form(float(warp[2:]))
+        b = _parse_numbers(warp[2:], ",", float, "--warp b=<curvature>")
+        if len(b) != 1 or not math.isfinite(b[0]):
+            raise UsageError(f"--warp b=<curvature> needs one finite number, got {warp!r}")
+        spec = WarpingSpec.space_form(b[0])
     elif warp == "r":
         spec = WarpingSpec.space_form(0.0)
     else:
@@ -77,8 +80,8 @@ def make_model(dim: int, warp: str, lam: float = math.inf) -> ModelSpace:
 
 def make_surface(args) -> surfaces.TriMesh:
     pole = _parse_numbers(args.pole, ",", float, "--pole")
-    if len(pole) != 3:
-        raise UsageError(f"--pole must be x,y,z, got {args.pole!r}")
+    if len(pole) != 3 or not all(map(math.isfinite, pole)):
+        raise UsageError(f"--pole must be x,y,z with finite coordinates, got {args.pole!r}")
     if args.mesh:
         if not os.path.exists(args.mesh):
             raise ExcompError(f"mesh file not found: {args.mesh}")

@@ -2,10 +2,15 @@
 
 Everything is driven by the per-vertex extrinsic distance r: marching-
 triangle clipping between level sets (extrinsic balls and annuli), ball
-areas that clip only the faces the level cuts, level polyline flux of r,
-cotangent-Laplacian Dirichlet and Poisson solves (capacity, mean exit time),
-a membrane eigenvalue estimate, and counting of ends as unbounded complement
-components.  Clipping is the only path to a solve; ball_area builds no region.
+areas and level polyline fluxes of r, cotangent-Laplacian Dirichlet and
+Poisson solves (capacity, mean exit time), a membrane eigenvalue estimate,
+and counting of ends as unbounded complement components.  Clipping is the
+only path to a solve.  Ball areas and fluxes come from a radial index of
+the (mesh, face mask), which the mesh keeps until another mask is asked for:
+the faces sorted by their largest vertex radius with prefix sums of their
+areas, so a level R cuts only the faces that straddle it and builds no
+region; ball_area equals clip(mesh, 0, R).area() to within 1e-12 relative
+(the summation order differs).
 
 Conventions: level comparisons treat a vertex with r exactly equal to the
 level as lying above it (symbolic perturbation by one ulp), interpolated cut
@@ -171,7 +176,8 @@ def clip(mesh: TriMesh, rho: float, R: float, face_mask=None,
     if rho > 0.0:
         verts, r, faces, parent = _clip_half(verts, r, faces, parent, rho, keep_below=False)
 
-    keep = _nondegenerate(_face_areas(verts, faces))
+    areas = _face_areas(verts, faces)
+    keep = _nondegenerate(areas, areas.sum(), len(areas))
     faces, parent = faces[keep], parent[keep]
 
     used = np.unique(faces)
@@ -183,9 +189,10 @@ def clip(mesh: TriMesh, rho: float, R: float, face_mask=None,
     return region
 
 
-def _nondegenerate(areas: np.ndarray) -> np.ndarray:
-    """Mask dropping the fragments (under 1e-13 of the mean area) of cuts through ties."""
-    return areas > 1e-13 * max(areas.mean(), 1e-300) if len(areas) else areas > 0
+def _nondegenerate(areas: np.ndarray, total: float, count: int) -> np.ndarray:
+    """Mask dropping the fragments of cuts through ties: those under 1e-13 of
+    the mean area total / count of all the faces the cut left."""
+    return areas > 1e-13 * max(total / max(count, 1), 1e-300)
 
 
 def _check_coverage(mesh: TriMesh, R: float, faces: np.ndarray, rho: float = 0.0):
@@ -195,9 +202,12 @@ def _check_coverage(mesh: TriMesh, R: float, faces: np.ndarray, rho: float = 0.0
     rv = mesh.r[faces[mesh.tags[faces] == TAG_TRUNCATION]]
     rv = rv[(rv > rho) & (rv < R)]
     if len(rv):
-        raise CoverageError(
-            f"truncation boundary of {mesh.name!r} intrudes at r={rv.min():.6g} "
-            f"inside the requested band ({rho:.6g}, {R:.6g})", R)
+        raise _coverage_error(mesh.name, rv.min(), rho, R)
+
+
+def _coverage_error(name: str, r: float, rho: float, R: float) -> CoverageError:
+    return CoverageError(f"truncation boundary of {name!r} intrudes at r={r:.6g} "
+                         f"inside the requested band ({rho:.6g}, {R:.6g})", R)
 
 
 def _unique_edges(faces, n):
@@ -227,25 +237,8 @@ def _label_boundary(region: ClippedRegion):
     labels[ends[inner]] = LABEL_INNER
 
 
-def ball_area(mesh: TriMesh, R: float, face_mask=None) -> float:
-    """Area of the extrinsic ball {r <= R}, equal to clip(mesh, 0, R).area()
-    but without building the region: faces wholly below R count whole and
-    only the faces the level R cuts are split."""
-    if not R > 0:
-        raise DomainError(f"ball radius must be positive, got {R!r}")
-    faces = mesh.faces if face_mask is None else mesh.faces[face_mask]
-    _check_coverage(mesh, R, faces)
-    verts, _, faces, _ = _clip_half(mesh.verts, mesh.r, faces, np.zeros(len(faces), np.int64),
-                                    R, keep_below=True)
-    areas = _face_areas(verts, faces)
-    areas = areas[_nondegenerate(areas)]
-    if len(areas) == 0:
-        raise DomainError(f"the ball of radius {R!r} contains no face")
-    return float(areas.sum())
-
-
 # ---------------------------------------------------------------------------
-# radial gradient and flux
+# radial gradient, ball areas and flux
 
 
 def radial_gradient_norms(verts, faces, pole) -> np.ndarray:
@@ -268,35 +261,102 @@ def radial_gradient_norms(verts, faces, pole) -> np.ndarray:
     return vals
 
 
+class RadialIndex:
+    """The faces of a mesh, or of a face mask, sorted by their largest vertex
+    radius, with prefix sums of their areas.  A level R is answered in
+    O(log F + cut faces): the faces wholly below R count through the prefix
+    sum and only the faces R straddles are cut or marched.  Meshes are
+    immutable, so an index never goes stale."""
+
+    def __init__(self, mesh: TriMesh, face_mask=None):
+        # 32-bit face ids: the mesh keeps its index alive through later solves
+        ids = np.arange(len(mesh.faces), dtype=np.int32)
+        if face_mask is not None:
+            ids = ids[face_mask]
+        faces = mesh.faces[ids]
+        rf = mesh.r[faces.T]  # one row per corner: reductions over rows are fast
+        max_r = rf.max(axis=0)
+        order = np.argsort(max_r)
+        self.verts, self.faces, self.r, self.pole = mesh.verts, mesh.faces, mesh.r, mesh.pole
+        self.name = mesh.name
+        self.ids = ids[order]
+        self.max_r = max_r[order]
+        self.min_r = rf.min(axis=0)[order]
+        # a float64 running sum drifts by up to F ulps; extended precision (where
+        # the platform has it) keeps the prefix sums as accurate as clip's sum
+        below = np.cumsum(_face_areas(self.verts, faces[order]), dtype=np.longdouble)
+        self.area_below = np.concatenate([[0.0], below.astype(float)])
+        self.span = float((self.max_r - self.min_r).max()) if len(ids) else 0.0
+        # only the nearest truncation vertex decides whether a ball leaks
+        rv = rf[mesh.tags[faces.T] == TAG_TRUNCATION]
+        rv = rv[rv > 0]
+        self.truncation_r = float(rv.min()) if len(rv) else math.inf
+
+    def _straddling(self, R: float):
+        """The number of faces wholly below R (a vertex at R counts as above)
+        and the faces R cuts, those with min r < R <= max r."""
+        if not R > 0:  # NaN too, which searchsorted would place at an end
+            raise DomainError(f"level radius must be positive, got {R!r}")
+        if self.truncation_r < R:
+            raise _coverage_error(self.name, self.truncation_r, 0.0, R)
+        k = int(np.searchsorted(self.max_r, R, "left"))
+        # a cut face has max r <= min r + span < R + span; the factor covers
+        # the rounding of max r - min r and of R + span
+        hi = int(np.searchsorted(self.max_r, (R + self.span) * (1.0 + 1e-12), "right"))
+        return k, self.faces[self.ids[k:hi][self.min_r[k:hi] < R]]
+
+    def ball_area(self, R: float) -> float:
+        k, cut = self._straddling(R)
+        used, local = np.unique(cut, return_inverse=True)
+        verts, _, pieces, _ = _clip_half(self.verts[used], self.r[used], local.reshape(-1, 3),
+                                         np.zeros(len(cut), np.int64), R, keep_below=True)
+        areas = _face_areas(verts, pieces)
+        whole = float(self.area_below[k])
+        areas = areas[_nondegenerate(areas, whole + areas.sum(), k + len(areas))]
+        if k + len(areas) == 0:
+            raise DomainError(f"the ball of radius {R!r} contains no face")
+        return whole + float(areas.sum())
+
+    def flux(self, R: float) -> float:
+        _, f = self._straddling(R)
+        fin = self.r[f] >= R
+        odd = fin ^ (fin.sum(axis=1) == 2)[:, None]  # the vertex alone on its side of R
+        f = _roll_rows(f, np.argmax(odd, axis=1))
+        r0, r1, r2 = self.r[f[:, 0]], self.r[f[:, 1]], self.r[f[:, 2]]
+        v0 = self.verts[f[:, 0]]
+        p1 = v0 + ((R - r0) / (r1 - r0))[:, None] * (self.verts[f[:, 1]] - v0)
+        p2 = v0 + ((R - r0) / (r2 - r0))[:, None] * (self.verts[f[:, 2]] - v0)
+        seg = np.linalg.norm(p1 - p2, axis=1)
+        w = radial_gradient_norms(self.verts, f, self.pole)
+        return float((w * seg).sum())
+
+
+def radial_index(mesh: TriMesh, face_mask=None) -> RadialIndex:
+    """The RadialIndex of the mesh's faces, or of those face_mask selects.
+    The mesh keeps the last one built, so a sweep over one mask builds it
+    once and the memory held stays one index however many masks are swept."""
+    if face_mask is None:
+        key = None
+    else:
+        face_mask = np.asarray(face_mask)
+        key = (face_mask.dtype.str, face_mask.shape, face_mask.tobytes())
+    memo = mesh.radial_index_memo
+    if memo is None or memo[0] != key:
+        memo = mesh.radial_index_memo = (key, RadialIndex(mesh, face_mask))
+    return memo[1]
+
+
+def ball_area(mesh: TriMesh, R: float, face_mask=None) -> float:
+    """Area of the extrinsic ball {r <= R}: clip(mesh, 0, R).area() to within
+    1e-12 relative, without building the region."""
+    return radial_index(mesh, face_mask).ball_area(R)
+
+
 def flux(mesh: TriMesh, R: float, face_mask=None) -> float:
     """Flux of the extrinsic distance through the level r = R: the level
     polyline is extracted by marching triangles and |grad r| (per face, by
     ambient projection) is integrated against segment length."""
-    if R <= 0:
-        raise DomainError(f"level radius must be positive, got {R!r}")
-    faces = mesh.faces
-    if face_mask is not None:
-        faces = faces[face_mask]
-    _check_coverage(mesh, R, faces)
-    above = mesh.r >= R
-    fin = above[faces]
-    cnt = fin.sum(axis=1)
-    total = 0.0
-    for count, odd_above in ((1, True), (2, False)):
-        m = cnt == count
-        if not m.any():
-            continue
-        sel = fin[m] if odd_above else ~fin[m]
-        f = _roll_rows(faces[m], np.argmax(sel, axis=1))
-        r0, r1, r2 = mesh.r[f[:, 0]], mesh.r[f[:, 1]], mesh.r[f[:, 2]]
-        t1 = (R - r0) / (r1 - r0)
-        t2 = (R - r0) / (r2 - r0)
-        p1 = mesh.verts[f[:, 0]] + t1[:, None] * (mesh.verts[f[:, 1]] - mesh.verts[f[:, 0]])
-        p2 = mesh.verts[f[:, 0]] + t2[:, None] * (mesh.verts[f[:, 2]] - mesh.verts[f[:, 0]])
-        seg = np.linalg.norm(p1 - p2, axis=1)
-        w = radial_gradient_norms(mesh.verts, f, mesh.pole)
-        total += float((w * seg).sum())
-    return total
+    return radial_index(mesh, face_mask).flux(R)
 
 
 def radial_energy(mesh: TriMesh, region: ClippedRegion) -> float:

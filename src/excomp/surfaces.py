@@ -165,7 +165,8 @@ class TriMesh:
     verts: (n,3) float64; faces: (m,3) int; r[i] = |verts[i] - pole|;
     tags[i] in {interior, outer-truncation, seam}.  Arrays are frozen after
     construction; every interior edge is shared by exactly two consistently
-    oriented triangles.
+    oriented triangles.  radial_index_memo holds the last dgeom.RadialIndex
+    built, with its face-mask key.
     """
 
     def __init__(self, verts, faces, pole=(0.0, 0.0, 0.0), tags=None, name="mesh",
@@ -185,6 +186,7 @@ class TriMesh:
             self._validate()
         for arr in (self.verts, self.faces, self.r, self.tags, self.pole):
             arr.setflags(write=False)
+        self.radial_index_memo = None
 
     def _validate(self):
         f = self.faces

@@ -205,6 +205,19 @@ class TestValueErrors:
                                  "--out", str(tmp_path)], capsys)
         assert "--pole" in err
 
+    @pytest.mark.parametrize("pole", ["0,0,nan", "inf,0,0"])
+    def test_non_finite_pole(self, tmp_path, capsys, pole):
+        err = self._usage_error(["quotients", "--surface", "plane", "--res", "32",
+                                 "--cover", "3", "--grid", "0.5:3:4", "--pole", pole,
+                                 "--dim", "2", "--warp", "r", "--out", str(tmp_path)], capsys)
+        assert "--pole" in err
+
+    @pytest.mark.parametrize("warp", ["b=x", "b=", "b=nan", "b=-inf", "b=1,2"])
+    def test_malformed_space_form_curvature(self, tmp_path, capsys, warp):
+        err = self._usage_error(["model", "--dim", "2", "--warp", warp,
+                                 "--out", str(tmp_path)], capsys)
+        assert "--warp" in err
+
     def test_non_numeric_exit_time(self, tmp_path, capsys):
         err = self._usage_error(["model", "--exit-time", "two", "--out", str(tmp_path)],
                                 capsys)

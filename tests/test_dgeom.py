@@ -267,7 +267,87 @@ def test_ball_area_monotone_in_R(request, mesh_name, s, t):
     assert ball_area(mesh, small) <= ball_area(mesh, large) * (1.0 + 1e-12)
 
 
+def _flux_by_face_scan(mesh, R, faces):
+    """Reference flux: every face is scanned and each face R cuts adds its
+    level segment, interpolated along each edge that changes side, times
+    |grad r| from the face normal."""
+    rf = mesh.r[faces]
+    total = 0.0
+    for face in faces[(rf < R).any(axis=1) & (rf >= R).any(axis=1)]:
+        below = mesh.r[face] < R
+        ends = []
+        for i, j in ((0, 1), (1, 2), (2, 0)):
+            if below[i] != below[j]:
+                a, b = face[i], face[j]
+                t = (R - mesh.r[a]) / (mesh.r[b] - mesh.r[a])
+                ends.append(mesh.verts[a] + t * (mesh.verts[b] - mesh.verts[a]))
+        p = mesh.verts[face]
+        d = p.mean(axis=0) - mesh.pole
+        n = np.cross(p[1] - p[0], p[2] - p[0])
+        cos = float(d @ n) / (np.linalg.norm(d) * np.linalg.norm(n))
+        total += math.sqrt(max(1.0 - cos * cos, 0.0)) * float(np.linalg.norm(ends[0] - ends[1]))
+    return total
+
+
+@pytest.mark.parametrize("end", [False, True])
+@pytest.mark.parametrize("mesh_name,ends_at", [("plane_128", 1.0), ("catenoid_96", 2.0),
+                                               ("helicoid_64", 2.0)])
+@given(s=st.floats(0.0, 1.0), snap=st.sampled_from([None, -1, 0, 1]))
+def test_flux_matches_face_scan(request, mesh_name, ends_at, end, s, snap):
+    mesh = request.getfixturevalue(mesh_name)
+    mask = end_components(mesh, ends_at).face_masks[0] if end else None
+    R = 1.05 * mesh.max_r() * s
+    if snap is not None:  # a vertex radius, or one ulp to either side of it
+        rv = mesh.r[np.argmin(np.abs(mesh.r - R))]
+        R = np.nextafter(rv, snap * np.inf) if snap else rv
+    R = float(R)
+    if not R > 0:
+        with pytest.raises(DomainError):
+            flux(mesh, R, face_mask=mask)
+        return
+    faces = mesh.faces if mask is None else mesh.faces[mask]
+    rt = mesh.r[faces][mesh.tags[faces] == TAG_TRUNCATION]
+    if np.any((rt > 0) & (rt < R)):  # the level crosses the window: clip's error
+        with pytest.raises(CoverageError) as err:
+            flux(mesh, R, face_mask=mask)
+        with pytest.raises(CoverageError) as ref:
+            clip(mesh, 0.0, R, face_mask=mask)
+        assert str(err.value) == str(ref.value)
+        return
+    # abs covers levels within ulps of a vertex, whose segments are rounding-sized
+    assert flux(mesh, R, face_mask=mask) == pytest.approx(
+        _flux_by_face_scan(mesh, R, faces), rel=1e-12, abs=1e-12)
+
+
+def test_radial_index_built_once_per_sweep(monkeypatch):
+    builds = []
+    init = dgeom.RadialIndex.__init__
+
+    def counted(self, mesh, face_mask=None):
+        builds.append(face_mask)
+        init(self, mesh, face_mask)
+
+    monkeypatch.setattr(dgeom.RadialIndex, "__init__", counted)
+    mesh = _strip_mesh()
+    mask = mesh.verts[mesh.faces][:, :, 0].max(axis=1) < 0.5
+    for R in (0.3, 0.6, 0.9):
+        ball_area(mesh, R)
+        flux(mesh, R)
+    assert len(builds) == 1
+    for R in (0.3, 0.6, 0.9):
+        ball_area(mesh, R, face_mask=mask)
+        flux(mesh, R, face_mask=mask.copy())  # an equal mask, not the same array
+    assert len(builds) == 2
+    assert dgeom.radial_index(mesh, mask) is dgeom.radial_index(mesh, mask.copy())
+    assert len(builds) == 2
+
+
 class TestFlux:
+    def test_level_must_be_positive(self, plane_128):
+        for R in (-1.0, 0.0, math.nan):
+            with pytest.raises(DomainError):
+                flux(plane_128, R)
+
     def test_plane_circle(self, plane_256):
         assert flux(plane_256, 2.0) == pytest.approx(4 * math.pi, rel=5e-3)
 
