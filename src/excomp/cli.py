@@ -49,8 +49,9 @@ def _parse_numbers(spec, sep: str, kind, what: str) -> tuple:
 
 def _parse_grid(spec: str) -> np.ndarray:
     parts = _parse_numbers(spec, ":", float, "--grid")
-    if len(parts) != 3 or not parts[2].is_integer():
-        raise UsageError(f"--grid must be a:b:n with a whole number n, got {spec!r}")
+    if len(parts) != 3 or not all(map(math.isfinite, parts)) or not parts[2].is_integer():
+        raise UsageError(f"--grid must be a:b:n with finite a, b and a whole number n, "
+                         f"got {spec!r}")
     a, b, n = parts
     if n < 2 or a <= 0 or b <= a:
         raise ExcompError(f"grid bounds must be positive and increasing, got {spec!r}")
@@ -59,8 +60,8 @@ def _parse_grid(spec: str) -> np.ndarray:
 
 def _parse_pair(spec: str, what: str) -> tuple[float, float]:
     pair = _parse_numbers(spec, ":", float, what)
-    if len(pair) != 2:
-        raise UsageError(f"{what} must be a:b, got {spec!r}")
+    if len(pair) != 2 or not all(map(math.isfinite, pair)):
+        raise UsageError(f"{what} must be a:b with finite a and b, got {spec!r}")
     return pair
 
 

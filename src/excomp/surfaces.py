@@ -9,6 +9,7 @@ edge-manifold, consistently oriented, and immutable once built.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -96,6 +97,9 @@ def builtin(name: str, a: float = 1.0, c: float = 1.0, cover_radius: float | Non
     cover_radius * 1.1 along every truncation edge (so that clipping at
     cover_radius never leaks through the computational window).
     """
+    for key, val in (("a", a), ("c", c), ("cover_radius", cover_radius), ("extent", extent)):
+        if val is not None and not math.isfinite(val):
+            raise DomainError(f"{name} parameter {key} must be finite, got {val!r}")
     if name == "plane":
         L = extent if extent is not None else (_COVER_MARGIN * cover_radius if cover_radius else 8.0)
         return ParamSurface("plane", lambda u, v: (u, v, np.zeros_like(u + v)),
@@ -159,6 +163,9 @@ def _enneper_extent(fn, target: float, n: int = 512) -> float:
     raise DomainError(f"could not find an Enneper extent covering radius {target!r}")
 
 
+_SAVE_ROWS = 4096  # rows per write in TriMesh.save_off
+
+
 class TriMesh:
     """Immersed triangle mesh with per-vertex extrinsic distance.
 
@@ -188,7 +195,11 @@ class TriMesh:
             arr.setflags(write=False)
         self.radial_index_memo = None
 
-    def _validate(self):
+    def _validate(self) -> np.ndarray:
+        """Raise on an out-of-range index, a face with a repeated vertex, an
+        edge of more than two faces and an inconsistent orientation, checked
+        in that order; return the boundary vertex mask (vertices on an edge of
+        one face)."""
         f = self.faces
         n = len(self.verts)
         if f.size and (f.min() < 0 or f.max() >= n):
@@ -197,10 +208,8 @@ class TriMesh:
             raise DomainError("face with repeated vertices")
         # every undirected edge in at most 2 faces; consistent orientation means
         # each directed edge appears at most once
-        directed = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        und = np.sort(directed, axis=1)
-        keys = und[:, 0] * np.int64(n) + und[:, 1]
-        uniq, counts = np.unique(keys, return_counts=True)
+        directed = _directed_edges(f)
+        uniq, counts = _edge_counts(directed, n)
         if np.any(counts > 2):
             bad = uniq[counts > 2]
             edges = [(int(k // n), int(k % n)) for k in bad[:16]]
@@ -211,11 +220,9 @@ class TriMesh:
             bad = duniq[dcounts > 1]
             edges = [(int(k // n), int(k % n)) for k in bad[:16]]
             raise DomainError(f"inconsistently oriented edges: {edges}")
+        return _edge_vertices(uniq[counts == 1], n)
 
     # -- derived quantities -------------------------------------------------
-
-    def recompute_r(self) -> np.ndarray:
-        return np.linalg.norm(self.verts - self.pole, axis=1)
 
     def face_areas(self) -> np.ndarray:
         a = self.verts[self.faces[:, 0]]
@@ -230,25 +237,38 @@ class TriMesh:
         return float(self.r.max())
 
     def boundary_vertex_mask(self) -> np.ndarray:
-        f = self.faces
         n = len(self.verts)
-        und = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
-        keys = und[:, 0] * np.int64(n) + und[:, 1]
-        uniq, counts = np.unique(keys, return_counts=True)
-        boundary = uniq[counts == 1]
-        mask = np.zeros(n, dtype=bool)
-        mask[boundary // n] = True
-        mask[boundary % n] = True
-        return mask
+        uniq, counts = _edge_counts(_directed_edges(self.faces), n)
+        return _edge_vertices(uniq[counts == 1], n)
 
     def save_off(self, path):
         with open(path, "w") as fh:
-            fh.write("OFF\n")
-            fh.write(f"{len(self.verts)} {len(self.faces)} 0\n")
-            for p in self.verts:
-                fh.write(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
-            for t in self.faces:
-                fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+            fh.write(f"OFF\n{len(self.verts)} {len(self.faces)} 0\n")
+            # one formatted write per chunk of rows keeps the text held in memory small
+            for rows, line in ((self.verts, "%r %r %r\n"), (self.faces, "3 %d %d %d\n")):
+                for i in range(0, len(rows), _SAVE_ROWS):
+                    chunk = rows[i:i + _SAVE_ROWS]
+                    fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
+
+
+def _directed_edges(faces) -> np.ndarray:
+    """The three directed edges of every face, as (3m, 2) rows."""
+    return np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+
+
+def _edge_counts(directed, n: int):
+    """Sorted keys lo * n + hi of the undirected edges and their face counts."""
+    lo = np.minimum(directed[:, 0], directed[:, 1])
+    hi = np.maximum(directed[:, 0], directed[:, 1])
+    return np.unique(lo * np.int64(n) + hi, return_counts=True)
+
+
+def _edge_vertices(keys, n: int) -> np.ndarray:
+    """Mask of the n vertices that lie on an edge with one of these keys."""
+    mask = np.zeros(n, dtype=bool)
+    mask[keys // n] = True
+    mask[keys % n] = True
+    return mask
 
 
 def tessellate(surface: ParamSurface, nu: int, nv: int, refine_near=(),
@@ -329,7 +349,7 @@ def _refine_once(surface, verts, faces, tags, uv, pole, radii):
         marked_face |= (lo <= rad) & (hi >= rad)
 
     n = len(verts)
-    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
+    edges = _directed_edges(faces)
     ekeys = np.sort(edges, axis=1)
     ekeys = ekeys[:, 0] * np.int64(n) + ekeys[:, 1]
     split = {}
@@ -372,9 +392,7 @@ def _refine_once(surface, verts, faces, tags, uv, pole, radii):
     mids = surface.points(new_uv[:, 0], new_uv[:, 1]) if len(new_uv) else np.zeros((0, 3))
 
     # midpoint tags: truncation only when the edge lies on the truncation boundary
-    und = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]), axis=1)
-    ukeys = und[:, 0] * np.int64(n) + und[:, 1]
-    uniqk, counts = np.unique(ukeys, return_counts=True)
+    uniqk, counts = _edge_counts(edges, n)
     boundary_keys = set(uniqk[counts == 1].tolist())
     new_tags = []
     for k, idx in split.items():
@@ -417,78 +435,135 @@ def load_mesh(path, fmt: str | None = None, pole=(0.0, 0.0, 0.0)) -> TriMesh:
     """Read an ASCII OFF or OBJ file (positions and faces only).
 
     Polygonal faces are fan-triangulated.  Boundary vertices are tagged as
-    outer-truncation; non-manifold input raises with the offending edges.
+    outer-truncation; non-manifold input raises with the offending edges, and
+    a malformed line or a non-finite coordinate with its line number.
     """
     path = str(path)
     if fmt is None:
         fmt = "obj" if path.lower().endswith(".obj") else "off"
     fmt = fmt.lower()
     if fmt == "off":
-        verts, polys = _read_off(path)
+        verts, corners, sizes = _read_off(path)
     elif fmt == "obj":
-        verts, polys = _read_obj(path)
+        verts, corners, sizes = _read_obj(path)
     else:
         raise DomainError(f"unknown mesh format {fmt!r}")
-    faces = []
+    mesh = TriMesh(verts, _fan(corners, sizes), pole=pole, name=path, validate=False)
+    if not len(mesh.faces):
+        raise DomainError("mesh has no faces")
+    tags = np.where(mesh._validate(), TAG_TRUNCATION, TAG_INTERIOR)
+    return TriMesh(mesh.verts, mesh.faces, pole=pole, tags=tags, name=path, validate=False)
+
+
+def _fan(corners, sizes) -> np.ndarray:
+    """Fan triangles (p[0], p[j], p[j+1]), j = 1 .. k-2, of each polygon p in
+    turn, where the polygons lie back to back in corners, sizes[i] each."""
+    tris = sizes - 2
+    first = np.repeat(np.cumsum(sizes) - sizes, tris)  # where p[0] of each triangle lies
+    j = first + np.arange(len(first)) - np.repeat(np.cumsum(tris) - tris, tris) + 1
+    return np.column_stack([corners[first], corners[j], corners[j + 1]])
+
+
+def _polygon_arrays(polys):
+    """Corners back to back and sizes of (line number, corners) polygons; a
+    polygon of fewer than 3 corners raises with its line number."""
     for lineno, poly in polys:
         if len(poly) < 3:
             raise MeshFormatError(f"face with {len(poly)} vertices", lineno)
-        for k in range(1, len(poly) - 1):
-            faces.append((poly[0], poly[k], poly[k + 1]))
-    mesh = TriMesh(np.array(verts, dtype=float), np.array(faces, dtype=np.int64),
-                   pole=pole, name=path)
-    tags = np.zeros(len(verts), dtype=np.uint8)
-    tags[mesh.boundary_vertex_mask()] = TAG_TRUNCATION
-    return TriMesh(mesh.verts, mesh.faces, pole=pole, tags=tags, name=path)
+    try:
+        corners = np.array([i for _, poly in polys for i in poly], dtype=np.int64)
+    except OverflowError:
+        raise DomainError("face index out of range") from None
+    return corners, np.array([len(poly) for _, poly in polys], dtype=np.int64)
 
 
 def _read_off(path):
+    """Vertices, polygon corners back to back, and polygon sizes of an OFF
+    file.  The blocks are parsed whole where they can be (_off_blocks); else
+    the line parser reads them and names the line of the first fault."""
     with open(path) as fh:
-        lines = fh.readlines()
-    idx = 0
+        lineno = 0
 
-    def next_data_line():
-        nonlocal idx
-        while idx < len(lines):
-            stripped = lines[idx].split("#", 1)[0].strip()
-            idx += 1
-            if stripped:
-                return stripped, idx
-        return None, idx
+        def next_data_line():
+            nonlocal lineno
+            for raw in iter(fh.readline, ""):
+                lineno += 1
+                stripped = raw.split("#", 1)[0].strip()
+                if stripped:
+                    return stripped
+            return None
 
-    header, lineno = next_data_line()
-    if header is None or header.upper() != "OFF":
-        raise MeshFormatError("missing OFF header", lineno if header else 1)
-    counts, lineno = next_data_line()
-    try:
-        nv, nf = int(counts.split()[0]), int(counts.split()[1])
-    except (ValueError, IndexError):
-        raise MeshFormatError(f"malformed count line {counts!r}", lineno)
-    verts = []
-    for _ in range(nv):
-        line, lineno = next_data_line()
-        if line is None:
-            raise MeshFormatError("unexpected end of file in vertex block", lineno)
-        parts = line.split()
+        header = next_data_line()
+        if header is None or header.upper() != "OFF":
+            raise MeshFormatError("missing OFF header", lineno if header else 1)
+        counts = next_data_line()
         try:
-            verts.append((float(parts[0]), float(parts[1]), float(parts[2])))
-        except (ValueError, IndexError):
-            raise MeshFormatError(f"malformed vertex {line!r}", lineno)
-    polys = []
-    for _ in range(nf):
-        line, lineno = next_data_line()
-        if line is None:
-            raise MeshFormatError("unexpected end of file in face block", lineno)
-        parts = line.split()
+            nv, nf = int(counts.split()[0]), int(counts.split()[1])
+        except (AttributeError, ValueError, IndexError):
+            raise MeshFormatError(f"malformed count line {counts!r}", lineno)
+        if fh.seekable():  # a pipe is read once, by the line parser
+            start = fh.tell()
+            blocks = _off_blocks(fh, nv, nf)
+            if blocks is not None:
+                return blocks
+            fh.seek(start)
+        verts = []
+        for _ in range(nv):
+            line = next_data_line()
+            if line is None:
+                raise MeshFormatError("unexpected end of file in vertex block", lineno)
+            verts.append(_vertex(line.split(), line, lineno))
+        polys = []
+        for _ in range(nf):
+            line = next_data_line()
+            if line is None:
+                raise MeshFormatError("unexpected end of file in face block", lineno)
+            parts = line.split()
+            try:
+                k = int(parts[0])
+                poly = [int(x) for x in parts[1:1 + k]]
+                if len(poly) != k:
+                    raise ValueError
+            except ValueError:
+                raise MeshFormatError(f"malformed face {line!r}", lineno)
+            polys.append((lineno, poly))
+    return (np.array(verts, dtype=np.float64), *_polygon_arrays(polys))
+
+
+def _off_blocks(fh, nv: int, nf: int):
+    """The vertex and face blocks that follow the count line, each parsed by
+    one numpy call, as _read_off returns them; None unless every vertex is
+    finite and every face has the same number k >= 3 of corners.  Columns past
+    the coordinates or corners (colours) are dropped, as the line parser
+    drops them."""
+    with warnings.catch_warnings():
+        # numpy notes each blank or comment line inside a block; they are skipped
+        warnings.simplefilter("ignore", UserWarning)
         try:
-            k = int(parts[0])
-            poly = [int(x) for x in parts[1:1 + k]]
-            if len(poly) != k:
-                raise ValueError
+            verts = np.loadtxt(fh, np.float64, max_rows=nv, comments="#", ndmin=2)
+            polys = np.loadtxt(fh, np.int64, max_rows=nf, comments="#", ndmin=2)
         except ValueError:
-            raise MeshFormatError(f"malformed face {line!r}", lineno)
-        polys.append((lineno, poly))
-    return verts, polys
+            return None
+    if verts.shape[0] != nv or verts.shape[1] < 3 or polys.shape[0] != nf or nf == 0:
+        return None
+    k = int(polys[0, 0])
+    if k < 3 or polys.shape[1] < 1 + k or np.any(polys[:, 0] != k):
+        return None
+    verts = verts[:, :3]
+    if not np.isfinite(verts).all():
+        return None
+    return verts, polys[:, 1:1 + k].ravel(), np.full(nf, k)
+
+
+def _vertex(parts, line: str, lineno: int) -> tuple:
+    """The first three of parts as finite floats, or a MeshFormatError."""
+    try:
+        vert = (float(parts[0]), float(parts[1]), float(parts[2]))
+    except (ValueError, IndexError):
+        raise MeshFormatError(f"malformed vertex {line!r}", lineno)
+    if not all(map(math.isfinite, vert)):
+        raise MeshFormatError(f"non-finite vertex {line!r}", lineno)
+    return vert
 
 
 def _read_obj(path):
@@ -501,10 +576,7 @@ def _read_obj(path):
                 continue
             parts = line.split()
             if parts[0] == "v":
-                try:
-                    verts.append((float(parts[1]), float(parts[2]), float(parts[3])))
-                except (ValueError, IndexError):
-                    raise MeshFormatError(f"malformed vertex {line!r}", lineno)
+                verts.append(_vertex(parts[1:], line, lineno))
             elif parts[0] == "f":
                 poly = []
                 for tok in parts[1:]:
@@ -514,7 +586,7 @@ def _read_obj(path):
                         raise MeshFormatError(f"malformed face token {tok!r}", lineno)
                     poly.append(idx - 1 if idx > 0 else len(verts) + idx)
                 polys.append((lineno, poly))
-    return verts, polys
+    return (np.array(verts, dtype=np.float64), *_polygon_arrays(polys))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -60,6 +61,27 @@ class TestSurfaceCommand:
         assert sidecar["max_radius"] >= 4.0
         assert sidecar["minimality_residual_p95"] < 0.05
         assert (tmp_path / "cat" / "mesh.off").exists()
+
+    @pytest.mark.parametrize("flags", [["--a", "inf"], ["--cover", "inf"], ["--a=-inf"],
+                                       ["--cover", "nan"]])
+    def test_non_finite_parameter_is_exit_3(self, tmp_path, capsys, flags):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["surface", "--surface", "catenoid", "--res", "32", "--cover", "3",
+                        *flags, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "must be finite" in err
+
+    def test_non_finite_vertex_is_exit_3(self, tmp_path, capsys):
+        mesh = tmp_path / "nan.off"
+        mesh.write_text("OFF\n4 2 0\n0 0 0\n1 0 nan\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2 3\n")
+        code = run(["quotients", "--mesh", str(mesh), "--grid", "0.2:0.9:4",
+                    "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "error: line 4: non-finite vertex '1 0 nan'\n"
 
     def test_ingest_roundtrip(self, tmp_path):
         run(["surface", "--surface", "plane", "--res", "16", "--cover", "2",
@@ -246,6 +268,15 @@ class TestValueErrors:
     def test_malformed_grid(self, tmp_path, capsys, grid):
         err = self._usage_error(["model", "--grid", grid, "--out", str(tmp_path)], capsys)
         assert "--grid" in err
+
+    @pytest.mark.parametrize("flag,value", [("--grid", "1:inf:5"), ("--grid", "nan:2:5"),
+                                            ("--capacity", "1:inf")])
+    def test_non_finite_grid_or_capacity(self, tmp_path, capsys, flag, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self._usage_error(["model", "--dim", "2", "--warp", "r", flag, value,
+                                     "--out", str(tmp_path)], capsys)
+        assert flag in err and "finite" in err
 
     def test_malformed_capacity(self, tmp_path, capsys):
         err = self._usage_error(["model", "--capacity", "1", "--out", str(tmp_path)],

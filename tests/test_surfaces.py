@@ -1,11 +1,19 @@
+import io
 import math
+import os
+import tempfile
+import threading
+import warnings
+from contextlib import redirect_stderr
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from excomp import surfaces
-from excomp.errors import DomainError, MeshFormatError, NonManifoldError
-from excomp.surfaces import (TAG_TRUNCATION, builtin, load_mesh, minimality_residual,
+from excomp.errors import DomainError, ExcompError, MeshFormatError, NonManifoldError
+from excomp.surfaces import (TAG_TRUNCATION, TriMesh, builtin, load_mesh, minimality_residual,
                              tessellate)
 
 
@@ -35,6 +43,15 @@ class TestBuiltins:
         with pytest.raises(DomainError):
             builtin("catenoid", a=-1.0)
 
+    @pytest.mark.parametrize("key", ["a", "c", "cover_radius", "extent"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("name", ["catenoid", "helicoid"])
+    def test_non_finite_params(self, name, key, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"{key} must be finite"):
+                builtin(name, **{key: value})
+
     def test_coverage_sized_windows(self):
         for name in ("plane", "catenoid", "helicoid", "enneper"):
             s = builtin(name, cover_radius=5.0)
@@ -62,7 +79,8 @@ class TestTessellate:
             tessellate(builtin("plane"), 4, 64)
 
     def test_r_recomputable_bit_identical(self, plane_128):
-        assert np.array_equal(plane_128.r, plane_128.recompute_r())
+        assert np.array_equal(plane_128.r,
+                              np.linalg.norm(plane_128.verts - plane_128.pole, axis=1))
 
     def test_truncation_tags_on_rectangle_edges(self):
         mesh = tessellate(builtin("plane", extent=2.0), 16, 16)
@@ -93,6 +111,95 @@ class TestTessellate:
         surfaces.TriMesh(verts, faces)  # consistent
         with pytest.raises(DomainError):
             surfaces.TriMesh(verts, np.array([[0, 1, 2], [1, 2, 3]]))
+
+
+# OFF text for the block parse against the line parser: a small grid of quads
+# written as triangles, quads or a mix, in assorted float forms, with comments,
+# blank lines, colour columns and, sometimes, one corrupted line
+
+_FLOAT_FORMS = (repr, "%.17g".__mod__, "%.4g".__mod__, "%.6e".__mod__, "%.3E".__mod__)
+_COMMENTS = ("", "# comment", "#", "   # indented 1 2 3", "#3 0 1 2")
+_FAULTS = ("nan vertex", "bad token", "short face", "short vertices", "digon", "float colour",
+           "truncated")
+
+
+@st.composite
+def _off_texts(draw):
+    nu, nv = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    idx = np.arange((nu + 1) * (nv + 1)).reshape(nu + 1, nv + 1)
+    quads = np.stack([idx[:-1, :-1], idx[1:, :-1], idx[1:, 1:], idx[:-1, 1:]],
+                     axis=-1).reshape(-1, 4).tolist()
+    shape = draw(st.sampled_from(["triangles", "quads", "mixed"]))
+    polys = []
+    for a, b, c, d in quads:
+        if shape == "triangles" or (shape == "mixed" and draw(st.booleans())):
+            polys += [[a, b, c], [a, c, d]]
+        else:
+            polys.append([a, b, c, d])
+    value = st.floats(-1e6, 1e6) | st.sampled_from([-0.0, 0.0, 5e-324, 1e-300, 1e5])
+    sep = st.sampled_from([" ", "  ", "\t"])
+    colours = draw(st.sampled_from(["none", "uniform", "ragged"]))
+    width = draw(st.integers(1, 3))
+
+    def extra():
+        n = {"none": 0, "uniform": width, "ragged": draw(st.integers(0, 3))}[colours]
+        return [str(draw(st.integers(0, 255))) for _ in range(n)]
+
+    lines = [draw(st.sampled_from(_COMMENTS)) for _ in range(draw(st.integers(0, 2)))]
+    lines += ["OFF"] + [draw(st.sampled_from(_COMMENTS)) for _ in range(draw(st.integers(0, 2)))]
+    lines.append(f"{idx.size} {len(polys)} 0")
+    rows = [[draw(st.sampled_from(_FLOAT_FORMS))(draw(value)) for _ in range(3)] + extra()
+            for _ in range(idx.size)]
+    rows += [[str(len(poly))] + [str(i) for i in poly] + extra() for poly in polys]
+    fault = draw(st.none() | st.sampled_from(_FAULTS))
+    if fault == "nan vertex":
+        vertex = rows[draw(st.integers(0, idx.size - 1))]
+        vertex[draw(st.integers(0, 2))] = draw(st.sampled_from(["nan", "-inf", "1e999"]))
+    elif fault == "bad token":
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, 2))] = "1.0.0"
+    elif fault == "short face":
+        rows[-1] = rows[-1][:3]
+    elif fault == "short vertices":
+        rows[:idx.size] = [tokens[:2] for tokens in rows[:idx.size]]
+    elif fault == "digon":
+        rows[-1] = ["2"] + rows[-1][1:3]
+    elif fault == "float colour":
+        rows[-1].append("0.5")
+    elif fault == "truncated":
+        rows = rows[:draw(st.integers(0, len(rows) - 1))]
+    for tokens in rows:
+        inline = draw(st.sampled_from(_COMMENTS))
+        lines += [draw(st.sampled_from(_COMMENTS)) for _ in range(draw(st.integers(0, 1)))]
+        lines.append(draw(sep).join(tokens) + (" " + inline if inline else ""))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+
+
+def _line_parser_mesh(path):
+    """The mesh of an OFF file read by the line parser alone, fanned polygon
+    by polygon and tagged from its own edge count: the reference for the
+    block parse, the array fan and the tags taken from validation."""
+    with mock.patch.object(surfaces, "_off_blocks", return_value=None):
+        verts, corners, sizes = surfaces._read_off(path)
+    faces, start = [], 0
+    for k in sizes.tolist():
+        poly = corners[start:start + k].tolist()
+        faces += [(poly[0], poly[j], poly[j + 1]) for j in range(1, k - 1)]
+        start += k
+    mesh = TriMesh(verts, np.array(faces, dtype=np.int64).reshape(-1, 3))
+    f = mesh.faces
+    und = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
+    edges, counts = np.unique(und, axis=0, return_counts=True)
+    tags = np.zeros(len(verts), dtype=np.uint8)
+    tags[edges[counts == 1].ravel()] = TAG_TRUNCATION
+    return TriMesh(mesh.verts, mesh.faces, tags=tags)
+
+
+def _outcome(load, path):
+    """The mesh load gives, or the type and message of its error."""
+    try:
+        return load(path)
+    except ExcompError as exc:
+        return type(exc), str(exc)
 
 
 class TestLoadMesh:
@@ -130,6 +237,90 @@ class TestLoadMesh:
         p.write_text("4 2 0\n")
         with pytest.raises(MeshFormatError):
             load_mesh(p)
+
+    @pytest.mark.parametrize("name,text,lineno", [
+        ("nan.off", "OFF\n3 1 0\n0 0 0\n# a comment\n1 0 nan\n0 1 0\n3 0 1 2\n", 5),
+        ("inf.off", "OFF\n3 1 0\n0 0 0\n1 0 0\n0 1e999 0\n3 0 1 2\n", 5),
+        ("nan.obj", "v 0 0 0\nv 1 0 0\nv 0 -inf 0\nf 1 2 3\n", 3),
+    ])
+    def test_non_finite_vertex_reports_line(self, tmp_path, name, text, lineno):
+        p = tmp_path / name
+        p.write_text(text)
+        with pytest.raises(MeshFormatError, match="non-finite vertex") as err:
+            load_mesh(p)
+        assert err.value.lineno == lineno
+
+    def test_plain_blocks_skip_line_parser(self, tmp_path):
+        # uniform blocks, with comments and blank lines inside, are parsed whole
+        p = tmp_path / "quads.off"
+        p.write_text("# header\nOFF\n6 2 0\n0 0 0\n1 0 0 # inline\n2 0 0\n\n"
+                     "# between\n2 1 0\n1 1 0\n0 1 0\n4 0 1 4 5 9 9\n# x\n4 1 2 3 4 9 9\n")
+        with mock.patch.object(surfaces, "_polygon_arrays", side_effect=AssertionError), \
+                warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mesh = load_mesh(p)
+        assert mesh.faces.tolist() == [[0, 1, 4], [0, 4, 5], [1, 2, 3], [1, 3, 4]]
+        assert np.array_equal(mesh.verts[4], [1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("text,error,match", [
+        ("OFF\n", MeshFormatError, "malformed count line None"),
+        ("OFF\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 99999999999999999999999\n",
+         DomainError, "face index out of range"),
+        ("OFF\n3 0 0\n0 0 0\n1 0 0\n0 1 0\n", DomainError, "no faces"),
+    ])
+    def test_degenerate_files_raise(self, tmp_path, text, error, match):
+        p = tmp_path / "degenerate.off"
+        p.write_text(text)
+        with pytest.raises(error, match=match):
+            load_mesh(p)
+
+    def test_mixed_sizes_in_even_columns(self, tmp_path):
+        # a triangle with a colour column beside a quad: same width, not one block
+        p = tmp_path / "mixed.off"
+        p.write_text("OFF\n5 2 0\n0 0 0\n1 0 0\n2 0 0\n2 1 0\n1 1 0\n"
+                     "3 0 1 4 7\n4 1 2 3 4\n")
+        assert load_mesh(p).faces.tolist() == [[0, 1, 4], [1, 2, 3], [1, 3, 4]]
+
+    def test_two_column_vertices_report_line(self, tmp_path):
+        p = tmp_path / "flat.off"
+        p.write_text("OFF\n3 1 0\n0 0\n1 0\n0 1\n3 0 1 2\n")
+        with pytest.raises(MeshFormatError, match="malformed vertex") as err:
+            load_mesh(p)
+        assert err.value.lineno == 3
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_reads_from_a_pipe(self, tmp_path):
+        p = tmp_path / "square.off"
+        os.mkfifo(p)
+        writer = threading.Thread(target=p.write_text, args=(
+            "OFF\n4 2 0\n0 0 0\n1 0 0\n1 1 0\n0 1 0\n3 0 1 2\n3 0 2 3\n",), daemon=True)
+        writer.start()
+        try:
+            mesh = load_mesh(p)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert mesh.faces.tolist() == [[0, 1, 2], [0, 2, 3]]
+
+    @given(_off_texts())
+    def test_block_parse_matches_line_parser(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "mesh.off")
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
+            expected = _outcome(_line_parser_mesh, path)
+            with warnings.catch_warnings(record=True) as caught, \
+                    redirect_stderr(io.StringIO()) as err:
+                warnings.simplefilter("always")
+                got = _outcome(load_mesh, path)
+        assert not caught and err.getvalue() == ""
+        if isinstance(expected, TriMesh):
+            assert isinstance(got, TriMesh), got
+            assert got.verts.tobytes() == expected.verts.tobytes()  # bit for bit, -0.0 too
+            assert np.array_equal(got.faces, expected.faces)
+            assert np.array_equal(got.tags, expected.tags)
+        else:
+            assert got == expected
 
     def test_pole_offset(self, tmp_path):
         p = tmp_path / "square.off"
@@ -175,7 +366,31 @@ class TestMinimalityResidual:
         assert fine < coarse / 1.8
 
 
+def _save_off_per_row(mesh, path):
+    """The per-row OFF writer save_off replaced: the reference for its bytes."""
+    with open(path, "w") as fh:
+        fh.write("OFF\n")
+        fh.write(f"{len(mesh.verts)} {len(mesh.faces)} 0\n")
+        for p in mesh.verts:
+            fh.write(f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}\n")
+        for t in mesh.faces:
+            fh.write(f"3 {t[0]} {t[1]} {t[2]}\n")
+
+
 class TestSaveOff:
+    def test_bytes_match_per_row_writer(self, tmp_path):
+        # more rows than one chunk, awkward values at the ends of the chunks
+        base = tessellate(builtin("plane", extent=2.0), 64, 64)
+        verts = base.verts * np.random.default_rng(7).lognormal(0.0, 20.0, base.verts.shape)
+        awkward = [-0.0, 1e-300, 1e17, 5e-324, -5e-324, 1e150, 0.1, -1e-7]
+        for row in (0, 4095, 4096, len(verts) - 1):
+            verts[row] = np.random.default_rng(row).choice(awkward, 3)
+        mesh = TriMesh(verts, base.faces)
+        mesh.save_off(tmp_path / "chunked.off")
+        _save_off_per_row(mesh, tmp_path / "per_row.off")
+        assert ((tmp_path / "chunked.off").read_bytes()
+                == (tmp_path / "per_row.off").read_bytes())
+
     def test_roundtrip(self, tmp_path):
         mesh = tessellate(builtin("plane", extent=2.0), 8, 8)
         path = tmp_path / "out.off"
