@@ -8,9 +8,9 @@ from .errors import (CoverageError, DomainError, EvalDomainError, ExcompError,
 from .modelspace import ModelSpace, QuadratureConfig, WarpingSpec
 from .surfaces import ParamSurface, TriMesh, builtin, load_mesh, minimality_residual, tessellate
 from .dgeom import (ClippedRegion, SparseSPDSystem, assemble_laplacian, ball_area,
-                    capacity_discrete, clip, count_ends, end_components, exit_time_discrete,
+                    capacity_discrete, clip, end_components, exit_time_discrete,
                     first_eigenvalue_estimate, flux, solve_dirichlet)
-from .harness import (Check, EndsReport, QuotientCurve, ToneReport, VerificationReport,
+from .harness import (Check, EndsReport, QuotientCurve, Study, ToneReport, VerificationReport,
                       comparison_gates, ends_bound, exit_time_comparison, gate_verdicts,
                       quotient_curves, tone_report, verify_capacity_sandwich,
                       verify_euclidean_sandwich, verify_isoperimetric, volume_flux_tail)

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dgeom, harness, surfaces
+from . import harness, surfaces
 from .errors import ExcompError
 from .modelspace import ModelSpace, QuadratureConfig, WarpingSpec
 from .harness import FAIL, INCONCLUSIVE, PASS, VerificationReport, _json_safe
@@ -118,6 +118,22 @@ def _surface_flags(p: argparse.ArgumentParser):
     p.add_argument("--pole", default=None, help="pole position x,y,z")
 
 
+def _finite_float(flag: str):
+    """The argparse type of a radius flag: a float that must be finite."""
+    def parse(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be a finite number, got {text!r}")
+        return value
+    parse.__name__ = "float"  # argparse's message for a value that is no number
+    return parse
+
+
+def _radius_flags(p: argparse.ArgumentParser, *flags: str):
+    for flag in flags:
+        p.add_argument(flag, type=_finite_float(flag), default=None)
+
+
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="JSON file with default flag values")
     p.add_argument("--out", default=None, help="output directory")
@@ -148,7 +164,7 @@ def _config_value(action: argparse.Action, key: str, val):
         try:
             val = action.type(str(val)) if action.type else str(val)
             ok = action.choices is None or val in action.choices
-        except (TypeError, ValueError, argparse.ArgumentTypeError):
+        except (TypeError, ValueError, argparse.ArgumentTypeError, UsageError):
             ok = False
     if not ok:
         raise UsageError(f"config key {key!r} has an invalid value {val!r}")
@@ -216,39 +232,34 @@ def build_parser() -> argparse.ArgumentParser:
     _surface_flags(p)
     _model_flags(p)
     _common_flags(p)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--R", type=float, default=None)
+    _radius_flags(p, "--rho", "--R")
     p.add_argument("--truncation", choices=("reflect", "error"), default=None)
 
     p = sub.add_parser("exit-time", help="discrete vs model mean exit time of a ball")
     _surface_flags(p)
     _model_flags(p)
     _common_flags(p)
-    p.add_argument("--R", type=float, default=None)
+    _radius_flags(p, "--R")
 
     p = sub.add_parser("ends", help="end count against the volume bound")
     _surface_flags(p)
     _model_flags(p)
     _common_flags(p)
-    p.add_argument("--R", type=float, default=None)
-    p.add_argument("--t", type=float, default=None)
+    _radius_flags(p, "--R", "--t")
     p.add_argument("--grid", default=None)
 
     p = sub.add_parser("tone", help="fundamental tone bounds (model, optionally mesh)")
     _surface_flags(p)
     _model_flags(p)
     _common_flags(p)
-    p.add_argument("--R0", type=float, default=None)
+    _radius_flags(p, "--R0")
     p.add_argument("--grid", default=None)
 
     p = sub.add_parser("verify", help="full comparison suite on one surface")
     _surface_flags(p)
     _model_flags(p)
     _common_flags(p)
-    p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--R", type=float, default=None)
-    p.add_argument("--t", type=float, default=None)
-    p.add_argument("--R0", type=float, default=None)
+    _radius_flags(p, "--rho", "--R", "--t", "--R0")
     p.add_argument("--grid", default=None)
     p.add_argument("--truncation", choices=("reflect", "error"), default=None)
     return parser
@@ -375,105 +386,92 @@ def _curve_payload(curve: harness.QuotientCurve) -> dict:
     }
 
 
-def _cmd_quotients(args) -> int:
-    started = time.perf_counter()
-    quad = _quad(args)
-    model = make_model(args.dim, args.warp, args.lam)
-    mesh = make_surface(args)
-    grid = _parse_grid(args.grid or "0.5:3:8")
-    curve = harness.quotient_curves(mesh, model, grid, quad=quad)
-    report = VerificationReport([], config=_config_dict(args))
-    gates = harness.comparison_gates(model, float(grid[-1]), quad)
-    report.extend(harness.gate_verdicts(
-        gates, harness.verify_isoperimetric(curve) + [harness.volume_flux_tail(curve)]))
+def _study_command(body, mesh_optional: bool = False):
+    """A subcommand over one `harness.Study` of the model and mesh the flags
+    name.  `body(args, study, report)` adds its checks, scalars and curves to
+    the report and returns a line to print after the checks, or None."""
+    def run(args) -> int:
+        started = time.perf_counter()
+        quad = _quad(args)
+        model = make_model(args.dim, args.warp, args.lam)
+        mesh = make_surface(args) if args.surface or args.mesh or not mesh_optional else None
+        report = VerificationReport([], config=_config_dict(args))
+        closing = body(args, harness.Study(mesh, model, quad), report)
+        _write_outputs(args, report, mesh, started)
+        _print_checks(report)
+        if closing:
+            print(closing)
+        return _exit_code(args, report)
+    return run
+
+
+def _quotient_checks(study: harness.Study, grid, report: VerificationReport):
+    """The quotient curves over the grid, their gated isoperimetric and tail
+    checks, and the curves payload, added to the report."""
+    curve = harness.quotient_curves(study.mesh, study.model, grid, quad=study.quad)
     report.curves = _curve_payload(curve)
-    report.scalars = {"w_volume_estimate": curve.w_volume_estimate(),
-                      "w_flux_estimate": curve.w_flux_estimate(),
-                      "suprema_stable": curve.stable()}
-    _write_outputs(args, report, mesh, started)
-    _print_checks(report)
-    return _exit_code(args, report)
+    report.extend(harness.gate_verdicts(
+        harness.comparison_gates(study, float(grid[-1])),
+        harness.verify_isoperimetric(curve) + [harness.volume_flux_tail(curve)]))
+    return curve
 
 
-def _cmd_capacity(args) -> int:
-    started = time.perf_counter()
-    quad = _quad(args)
-    model = make_model(args.dim, args.warp, args.lam)
-    mesh = make_surface(args)
+def _curve_scalars(curve: harness.QuotientCurve) -> dict:
+    return {"w_volume_estimate": curve.w_volume_estimate(),
+            "w_flux_estimate": curve.w_flux_estimate(),
+            "suprema_stable": curve.stable()}
+
+
+def _cmd_quotients(args, study, report):
+    curve = _quotient_checks(study, _parse_grid(args.grid or "0.5:3:8"), report)
+    report.scalars = _curve_scalars(curve)
+
+
+def _cmd_capacity(args, study, report):
     if args.rho is None or args.R is None:
         raise ExcompError("--rho and --R are required")
-    report = VerificationReport([], config=_config_dict(args))
     report.extend(harness.verify_capacity_sandwich(
-        mesh, model, args.rho, args.R, truncation=args.truncation, quad=quad))
-    cap = dgeom.capacity_discrete(dgeom.clip(mesh, args.rho, args.R),
-                                  truncation=args.truncation)
+        study, args.rho, args.R, truncation=args.truncation))
+    cap = study.capacity(args.rho, args.R, args.truncation)
+    model_cap = study.model.capacity(args.rho, args.R, study.quad)
     report.scalars = {
         "capacity_discrete": cap.capacity,
         "effective_resistance": cap.effective_resistance,
-        "capacity_model": model.capacity(args.rho, args.R, quad),
+        "capacity_model": model_cap,
     }
-    _write_outputs(args, report, mesh, started)
-    _print_checks(report)
-    print(f"capacity: discrete {cap.capacity:.6g}, model "
-          f"{report.scalars['capacity_model']:.6g}")
-    return _exit_code(args, report)
+    return f"capacity: discrete {cap.capacity:.6g}, model {model_cap:.6g}"
 
 
-def _cmd_exit_time(args) -> int:
-    started = time.perf_counter()
-    quad = _quad(args)
-    model = make_model(args.dim, args.warp, args.lam)
-    mesh = make_surface(args)
+def _cmd_exit_time(args, study, report):
     if args.R is None:
         raise ExcompError("--R is required")
-    report = VerificationReport([], config=_config_dict(args))
-    report.extend(harness.exit_time_comparison(mesh, model, args.R, quad=quad))
-    _write_outputs(args, report, mesh, started)
-    _print_checks(report)
-    return _exit_code(args, report)
+    report.extend(harness.exit_time_comparison(study, args.R))
 
 
-def _cmd_ends(args) -> int:
-    started = time.perf_counter()
-    quad = _quad(args)
-    model = make_model(args.dim, args.warp, args.lam)
-    mesh = make_surface(args)
+def _cmd_ends(args, study, report):
     if args.R is None or args.t is None:
         raise ExcompError("--R and --t are required")
     curve = None
     if args.grid:
-        curve = harness.quotient_curves(mesh, model, _parse_grid(args.grid), quad=quad)
-    ends = harness.ends_bound(mesh, model, args.R, args.t, curve=curve, quad=quad)
-    report = VerificationReport(list(ends.checks), scalars=ends.to_dict(),
-                                config=_config_dict(args))
-    if curve is not None:
+        curve = harness.quotient_curves(study.mesh, study.model, _parse_grid(args.grid),
+                                        quad=study.quad)
         report.curves = _curve_payload(curve)
-    _write_outputs(args, report, mesh, started)
-    _print_checks(report)
-    print(f"ends: count {ends.count}, bound {ends.bound:.6g}")
-    return _exit_code(args, report)
+    ends = harness.ends_bound(study, args.R, args.t, curve=curve)
+    report.extend(ends.checks)
+    report.scalars = ends.to_dict()
+    return f"ends: count {ends.count}, bound {ends.bound:.6g}"
 
 
-def _cmd_tone(args) -> int:
-    started = time.perf_counter()
-    quad = _quad(args)
-    model = make_model(args.dim, args.warp, args.lam)
-    mesh = make_surface(args) if (args.surface or args.mesh) else None
+def _cmd_tone(args, study, report):
     grid = _parse_grid(args.grid or "0.5:30:100")
-    tone = harness.tone_report(mesh, model, args.R0 or float(grid[0]), grid, quad=quad)
-    report = VerificationReport(list(tone.checks), scalars=tone.to_dict(),
-                                config=_config_dict(args))
-    _write_outputs(args, report, mesh, started)
-    _print_checks(report)
-    print(f"tone: lower {tone.lower:.6g}, upper {tone.upper:.6g}")
-    return _exit_code(args, report)
+    tone = harness.tone_report(study, args.R0 or float(grid[0]), grid)
+    report.extend(tone.checks)
+    report.scalars = tone.to_dict()
+    return f"tone: lower {tone.lower:.6g}, upper {tone.upper:.6g}"
 
 
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
-    quad = _quad(args)
-    model = make_model(args.dim, args.warp, args.lam)
-    mesh = make_surface(args)
+def _cmd_verify(args, study, report):
+    mesh = study.mesh
     window = mesh.r[mesh.tags == surfaces.TAG_TRUNCATION]
     reach = float(window.min()) if len(window) else mesh.max_r()
     grid = _parse_grid(args.grid) if args.grid else np.linspace(
@@ -481,37 +479,22 @@ def _cmd_verify(args) -> int:
     rho = args.rho if args.rho is not None else float(grid[0])
     R = args.R if args.R is not None else float(grid[len(grid) // 2])
     t = args.t if args.t is not None else float(grid[-1])
-    R0 = args.R0 if args.R0 is not None else rho
+    R0 = args.R0 if args.R0 is not None and args.R0 > 0 else rho
 
-    report = VerificationReport([], config=_config_dict(args))
-    curve = harness.quotient_curves(mesh, model, grid, quad=quad)
-    report.curves = _curve_payload(curve)
-    gates = harness.comparison_gates(model, float(grid[-1]), quad)
-    report.extend(harness.gate_verdicts(
-        gates, harness.verify_isoperimetric(curve) + [harness.volume_flux_tail(curve)]))
-    report.extend(harness.verify_capacity_sandwich(
-        mesh, model, rho, R, truncation=args.truncation, quad=quad))
+    curve = _quotient_checks(study, grid, report)
+    report.extend(harness.verify_capacity_sandwich(study, rho, R, truncation=args.truncation))
     if args.surface:  # builtin surfaces are immersed in Euclidean 3-space
         report.extend(harness.verify_euclidean_sandwich(
-            mesh, rho, R, truncation=args.truncation, quad=quad))
-    report.extend(harness.exit_time_comparison(mesh, model, R, quad=quad))
-    ends = harness.ends_bound(mesh, model, R0 if R0 > 0 else rho, t, curve=curve, quad=quad)
+            study, rho, R, truncation=args.truncation))
+    report.extend(harness.exit_time_comparison(study, R))
+    ends = harness.ends_bound(study, R0, t, curve=curve)
     report.extend(ends.checks)
-    tone = harness.tone_report(mesh, model, R0 if R0 > 0 else rho, grid, quad=quad)
+    tone = harness.tone_report(study, R0, grid)
     report.extend(tone.checks)
-    report.scalars = {
-        "w_volume_estimate": curve.w_volume_estimate(),
-        "w_flux_estimate": curve.w_flux_estimate(),
-        "suprema_stable": curve.stable(),
-        "ends": ends.to_dict(),
-        "tone": tone.to_dict(),
-    }
-    _write_outputs(args, report, mesh, started)
-    _print_checks(report)
+    report.scalars = {**_curve_scalars(curve), "ends": ends.to_dict(), "tone": tone.to_dict()}
     counts = report.counts()
-    print(f"summary: {counts[PASS]} pass, {counts[FAIL]} fail, "
-          f"{counts[INCONCLUSIVE]} inconclusive")
-    return _exit_code(args, report)
+    return (f"summary: {counts[PASS]} pass, {counts[FAIL]} fail, "
+            f"{counts[INCONCLUSIVE]} inconclusive")
 
 
 def _config_dict(args) -> dict:
@@ -526,20 +509,19 @@ def _config_dict(args) -> dict:
 _COMMANDS = {
     "model": _cmd_model,
     "surface": _cmd_surface,
-    "quotients": _cmd_quotients,
-    "capacity": _cmd_capacity,
-    "exit-time": _cmd_exit_time,
-    "ends": _cmd_ends,
-    "tone": _cmd_tone,
-    "verify": _cmd_verify,
+    "quotients": _study_command(_cmd_quotients),
+    "capacity": _study_command(_cmd_capacity),
+    "exit-time": _study_command(_cmd_exit_time),
+    "ends": _study_command(_cmd_ends),
+    "tone": _study_command(_cmd_tone, mesh_optional=True),
+    "verify": _study_command(_cmd_verify),
 }
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        args = _resolve(args, parser)
+        args = _resolve(parser.parse_args(argv), parser)
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -553,7 +553,3 @@ def end_components(mesh: TriMesh, R: float) -> EndsResult:
             mask[np.flatnonzero(keep)[face_label == comp]] = True
             masks.append(mask)
     return EndsResult(len(masks), masks, warning)
-
-
-def count_ends(mesh: TriMesh, R: float) -> int:
-    return end_components(mesh, R).count

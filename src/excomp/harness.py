@@ -10,6 +10,10 @@ Every check records both numeric sides, the tolerance it was judged at, and
 a verdict in {pass, fail, inconclusive}; hypothesis gates (balance from
 below, sign of w', ambient curvature bound) are evaluated first and a failed
 gate yields inconclusive, never pass.
+
+The checks read their mesh, model and quadrature from a `Study`, which
+computes each gate, annulus capacity and end split once per run, however
+many checks read it.
 """
 
 from __future__ import annotations
@@ -91,8 +95,6 @@ class QuotientCurve:
     grid: np.ndarray
     vol_quot: np.ndarray
     flux_quot: np.ndarray
-    end_mask: np.ndarray | None = None
-    provenance: dict = field(default_factory=dict)
 
     def w_volume_estimate(self) -> float:
         return float(self.vol_quot.max())
@@ -108,10 +110,6 @@ class QuotientCurve:
         if len(window) < 2:
             return False
         return float(window.max() - window.min()) <= tol * float(abs(window.max()))
-
-    def rows(self):
-        for i in range(len(self.grid)):
-            yield (float(self.grid[i]), float(self.vol_quot[i]), float(self.flux_quot[i]))
 
 
 def quotient_curves(mesh: TriMesh, model: ModelSpace, grid, end_mask=None,
@@ -129,9 +127,7 @@ def quotient_curves(mesh: TriMesh, model: ModelSpace, grid, end_mask=None,
                     for R in radii])
     flx = np.array([dgeom.flux(mesh, R, face_mask=end_mask) / model.vol_sphere(R)
                     for R in radii])
-    return QuotientCurve(grid, vol, flx, end_mask,
-                         {"mesh": mesh.name, "model_dim": model.m,
-                          "warp": model.warp.describe()})
+    return QuotientCurve(grid, vol, flx)
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +158,10 @@ def verify_isoperimetric(curve: QuotientCurve, tol: float = 0.01,
     return checks
 
 
-def _curvature_gate(model: ModelSpace, radii) -> Check:
+def _curvature_gate(model: ModelSpace, R: float) -> Check:
     """Euclidean ambient: the radial curvature bound needs -w''/w >= 0."""
-    vals = [-model.warp.d2w(float(r)) / model.warp.w(float(r)) for r in radii]
+    vals = [-model.warp.d2w(float(r)) / model.warp.w(float(r))
+            for r in np.linspace(R / 64.0, R, 64)]
     ok = min(vals) >= -1e-9
     return _gate_check(
         "gate.curvature_bound",
@@ -193,33 +190,65 @@ def _monotone_w_gate(model: ModelSpace, R: float, strict: bool = False) -> Check
                        ok, notes=f"min w' over samples: {float(dw.min()):.6g}")
 
 
-def comparison_gates(model: ModelSpace, R: float,
-                     quad: QuadratureConfig = DEFAULT_QUAD,
-                     monotone: bool = True) -> list[Check]:
+@dataclass(eq=False)
+class Study:
+    """One run's mesh (None for a model-only tone report), model and
+    quadrature.  Each gate, annulus capacity and end split is computed on
+    first use and memoised in a dict keyed by its arguments; only results
+    are kept (`Check`, `CapacityResult`, `EndsResult`), never a region."""
+
+    mesh: TriMesh | None
+    model: ModelSpace
+    quad: QuadratureConfig = DEFAULT_QUAD
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def _once(self, key: tuple, compute):
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+    def curvature_gate(self, R: float) -> Check:
+        return self._once(("curvature", R), lambda: _curvature_gate(self.model, R))
+
+    def balance_gate(self, R: float) -> Check:
+        return self._once(("balance", R), lambda: _balance_gate(self.model, R, self.quad))
+
+    def monotone_gate(self, R: float, strict: bool = False) -> Check:
+        return self._once(("monotone", R, strict),
+                          lambda: _monotone_w_gate(self.model, R, strict))
+
+    def capacity(self, rho: float, R: float,
+                 truncation: str = "reflect") -> dgeom.CapacityResult:
+        """Discrete capacity of the extrinsic annulus rho < r < R."""
+        return self._once(("capacity", rho, R, truncation), lambda: dgeom.capacity_discrete(
+            dgeom.clip(self.mesh, rho, R), truncation=truncation))
+
+    def ends(self, R: float) -> dgeom.EndsResult:
+        """Components of {r > R} that reach the truncation boundary."""
+        return self._once(("ends", R), lambda: dgeom.end_components(self.mesh, R))
+
+
+def comparison_gates(study: Study, R: float, monotone: bool = True) -> list[Check]:
     """Hypotheses shared by the comparison theorems for a Euclidean
     immersion: curvature bound, balance from below, optionally w' >= 0."""
-    gates = [
-        _curvature_gate(model, np.linspace(R / 64.0, R, 64)),
-        _balance_gate(model, R, quad),
-    ]
+    gates = [study.curvature_gate(R), study.balance_gate(R)]
     if monotone:
-        gates.append(_monotone_w_gate(model, R))
+        gates.append(study.monotone_gate(R))
     return gates
 
 
-def verify_capacity_sandwich(mesh: TriMesh, model: ModelSpace, rho: float, R: float,
-                             tol: float = 0.03, truncation: str = "reflect",
-                             quad: QuadratureConfig = DEFAULT_QUAD) -> list[Check]:
+def verify_capacity_sandwich(study: Study, rho: float, R: float, tol: float = 0.03,
+                             truncation: str = "reflect") -> list[Check]:
     """Flux quotient at rho <= capacity quotient <= flux quotient at R,
     gated on the model hypotheses for each side."""
-    gates = comparison_gates(model, R, quad)
+    gates = comparison_gates(study, R)
     if any(g.verdict == INCONCLUSIVE for g in gates):
         return gate_verdicts(gates, [Check(
             "capacity.sandwich", "capacity quotient sandwiched by flux quotients",
             math.nan, math.nan, math.nan, tol, INCONCLUSIVE)])
     checks = list(gates)
-    cap = dgeom.capacity_discrete(dgeom.clip(mesh, rho, R), truncation=truncation)
-    ratio = cap.capacity / model.capacity(rho, R, quad)
+    model, mesh = study.model, study.mesh
+    ratio = study.capacity(rho, R, truncation).capacity / model.capacity(rho, R, study.quad)
     lower = dgeom.flux(mesh, rho) / model.vol_sphere(rho)
     upper = dgeom.flux(mesh, R) / model.vol_sphere(R)
     checks.append(_leq_check(
@@ -231,17 +260,15 @@ def verify_capacity_sandwich(mesh: TriMesh, model: ModelSpace, rho: float, R: fl
     return checks
 
 
-def verify_euclidean_sandwich(mesh: TriMesh, rho: float, R: float, tol: float = 0.03,
-                              truncation: str = "reflect",
-                              quad: QuadratureConfig = DEFAULT_QUAD) -> list[Check]:
+def verify_euclidean_sandwich(study: Study, rho: float, R: float, tol: float = 0.03,
+                              truncation: str = "reflect") -> list[Check]:
     """Volume-quotient sandwich for the capacity against the flat plane
-    model (Euclidean ambient, m = 2)."""
+    model (Euclidean ambient, m = 2), whatever the study's model."""
     from .modelspace import WarpingSpec
     model = ModelSpace(2, WarpingSpec.space_form(0.0))
-    cap = dgeom.capacity_discrete(dgeom.clip(mesh, rho, R), truncation=truncation)
-    ratio = cap.capacity / model.capacity(rho, R, quad)
-    lower = dgeom.ball_area(mesh, rho) / model.vol_ball(rho)
-    upper = dgeom.ball_area(mesh, R) / model.vol_ball(R)
+    ratio = study.capacity(rho, R, truncation).capacity / model.capacity(rho, R, study.quad)
+    lower = dgeom.ball_area(study.mesh, rho) / model.vol_ball(rho)
+    upper = dgeom.ball_area(study.mesh, R) / model.vol_ball(R)
     return [
         _leq_check("euclidean.lower", "Vol(D_rho)/(pi rho^2) <= Cap/Cap_flat",
                    lower, ratio, tol, notes=f"rho={rho:.6g}"),
@@ -250,17 +277,17 @@ def verify_euclidean_sandwich(mesh: TriMesh, rho: float, R: float, tol: float = 
     ]
 
 
-def exit_time_comparison(mesh: TriMesh, model: ModelSpace, R: float, tol: float = 0.02,
-                         quad: QuadratureConfig = DEFAULT_QUAD) -> list[Check]:
+def exit_time_comparison(study: Study, R: float, tol: float = 0.02) -> list[Check]:
     """Discrete mean exit time dominates the transplanted model exit time;
     near-equality is additionally required when the quotients are flat
     (stability proxy for the equality case)."""
-    gates = comparison_gates(model, R, quad, monotone=False)
+    gates = comparison_gates(study, R, monotone=False)
     if any(g.verdict == INCONCLUSIVE for g in gates):
         return gate_verdicts(gates, [Check(
             "exit_time.domination", "E_P >= E_w(r) pointwise",
             math.nan, math.nan, math.nan, tol, INCONCLUSIVE)])
     checks = list(gates)
+    mesh, model, quad = study.mesh, study.model, study.quad
     region = dgeom.clip(mesh, 0.0, R)
     field = dgeom.exit_time_discrete(region)
     ew = model.mean_exit_profile(R, region.r)
@@ -322,18 +349,18 @@ class EndsReport:
         }
 
 
-def ends_bound(mesh: TriMesh, model: ModelSpace, R: float, t: float,
-               curve: QuotientCurve | None = None,
-               quad: QuadratureConfig = DEFAULT_QUAD) -> EndsReport:
+def ends_bound(study: Study, R: float, t: float,
+               curve: QuotientCurve | None = None) -> EndsReport:
     """Upper bound (2/(1-R/t))^m * (int_0^t w^(m-1) / (t^m/m)) * volume
     quotient at t, compared against the discrete end count at R; also the
     asymptotic form 2^m * C_w * Vol_w when the coefficient is finite."""
     if not t > R:
         raise DomainError(f"need t > R, got R={R!r}, t={t!r}")
+    mesh, model, quad = study.mesh, study.model, study.quad
     gates = [
-        _curvature_gate(model, np.linspace(t / 64.0, t, 64)),
-        _balance_gate(model, t, quad),
-        _monotone_w_gate(model, t, strict=True),
+        study.curvature_gate(t),
+        study.balance_gate(t),
+        study.monotone_gate(t, strict=True),
         _gate_check(
             "gate.nonpositive_model_curvature",
             "-w''/w <= 0 beyond R (flat-or-negative model curvature)",
@@ -341,7 +368,7 @@ def ends_bound(mesh: TriMesh, model: ModelSpace, R: float, t: float,
                 for s in np.linspace(R * 1.001, t, 64)) <= 1e-9),
     ]
     checks = list(gates)
-    ends = dgeom.end_components(mesh, R)
+    ends = study.ends(R)
     if any(g.verdict == INCONCLUSIVE for g in gates):
         checks = gate_verdicts(gates, [Check(
             "ends.bound", "end count within the volume bound",
@@ -393,23 +420,22 @@ class ToneReport:
         }
 
 
-def tone_report(mesh: TriMesh | None, model: ModelSpace, R0: float, grid,
-                eigen_grid=None, quad: QuadratureConfig = DEFAULT_QUAD) -> ToneReport:
+def tone_report(study: Study, R0: float, grid, eigen_grid=None) -> ToneReport:
     """Two-sided fundamental-tone report: the model upper limit scaled by the
     flux/volume factor of the best end, the Cheeger lower bound 1/(4 L^2),
     and (with a mesh) the trend of discrete first eigenvalues."""
+    mesh, model, quad = study.mesh, study.model, study.quad
     grid = np.asarray(grid, dtype=float)
-    gates = [_balance_gate(model, float(grid[-1]), quad)]
-    if mesh is not None:
-        # the discrete trend compares a Euclidean immersion to the model
-        gates.insert(0, _curvature_gate(model, np.linspace(grid[-1] / 64.0, grid[-1], 64)))
+    # with a mesh, the discrete trend compares a Euclidean immersion to the model
+    gates = [study.curvature_gate(float(grid[-1]))] if mesh is not None else []
+    gates.append(study.balance_gate(float(grid[-1])))
     checks = list(gates)
     gated = any(g.verdict == INCONCLUSIVE for g in gates)
     tone = model.tone_upper_limit(grid, quad)
     cheeger = model.cheeger_bound(grid, quad)
     factors = []
     if mesh is not None:
-        ends = dgeom.end_components(mesh, R0)
+        ends = study.ends(R0)
         sub = grid[grid > R0 * 1.05]
         if len(sub) < 2:
             raise DomainError("grid must extend beyond R0 for end-restricted quotients")
@@ -488,9 +514,6 @@ class VerificationReport:
         for c in self.checks:
             out[c.verdict] += 1
         return out
-
-    def failed(self) -> bool:
-        return any(c.verdict == FAIL for c in self.checks)
 
     def to_json(self) -> str:
         payload = {

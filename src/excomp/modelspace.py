@@ -610,14 +610,6 @@ class ModelSpace:
             return EndsCoefficient(grid, samples, _INF, True, monotone)
         return EndsCoefficient(grid, samples, float(np.nanmax(window)), False, monotone)
 
-    def q_linear_bound(self, grid, quad: QuadratureConfig = DEFAULT_QUAD) -> bool:
-        """Whether q(s) <= s holds on the grid (needs nondecreasing w)."""
-        grid = _validated_grid(grid, self.warp.lam)
-        if not np.all(self.warp.dw_array(grid) >= -1e-12):
-            raise DomainError("q <= s check requires w' >= 0 on the grid")
-        q = np.array([self.iso_quotient(float(r), quad) for r in grid])
-        return bool(np.all(q <= grid + 1e-12))
-
 
 def _validated_grid(grid, lam: float) -> np.ndarray:
     arr = np.asarray(grid, dtype=float)

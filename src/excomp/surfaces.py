@@ -442,12 +442,13 @@ def load_mesh(path, fmt: str | None = None, pole=(0.0, 0.0, 0.0)) -> TriMesh:
     if fmt is None:
         fmt = "obj" if path.lower().endswith(".obj") else "off"
     fmt = fmt.lower()
-    if fmt == "off":
-        verts, corners, sizes = _read_off(path)
-    elif fmt == "obj":
-        verts, corners, sizes = _read_obj(path)
-    else:
+    readers = {"off": _read_off, "obj": _read_obj}
+    if fmt not in readers:
         raise DomainError(f"unknown mesh format {fmt!r}")
+    try:
+        verts, corners, sizes = readers[fmt](path)
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"mesh file {path} is not UTF-8 text ({exc.reason})") from None
     mesh = TriMesh(verts, _fan(corners, sizes), pole=pole, name=path, validate=False)
     if not len(mesh.faces):
         raise DomainError("mesh has no faces")
@@ -481,7 +482,7 @@ def _read_off(path):
     """Vertices, polygon corners back to back, and polygon sizes of an OFF
     file.  The blocks are parsed whole where they can be (_off_blocks); else
     the line parser reads them and names the line of the first fault."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         lineno = 0
 
         def next_data_line():
@@ -569,7 +570,7 @@ def _vertex(parts, line: str, lineno: int) -> tuple:
 def _read_obj(path):
     verts = []
     polys = []
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from excomp import builtin, clip, count_ends, dgeom, harness, tessellate
-from excomp.harness import FAIL, INCONCLUSIVE, PASS, QuotientCurve
+from excomp import builtin, clip, dgeom, end_components, harness, tessellate
+from excomp.harness import FAIL, INCONCLUSIVE, PASS, QuotientCurve, Study
 from excomp.modelspace import ModelSpace, WarpingSpec
 
 
@@ -164,7 +164,7 @@ def _catenoid_suite(mesh):
     assert (E - Ew).min() >= -0.02 * Ew.max(), "exit-time domination failed"
 
     # (e) two ends; finite-radius and asymptotic bounds dominate the count
-    report = harness.ends_bound(mesh, model, 2.0, 20.0, curve=curve)
+    report = harness.ends_bound(Study(mesh, model), 2.0, 20.0, curve=curve)
     assert report.count == 2, f"end count {report.count}"
     assert report.bound >= 2.0
     assert report.asymptotic_bound is not None
@@ -193,9 +193,9 @@ ENNEPER_QUOT_12 = 2.5775
 
 
 def _enneper_sandwich_and_ends(mesh):
-    checks = harness.verify_euclidean_sandwich(mesh, 1.0, 5.0, tol=0.03)
+    checks = harness.verify_euclidean_sandwich(Study(mesh, flat(2)), 1.0, 5.0, tol=0.03)
     assert all(c.verdict == PASS for c in checks), "Euclidean sandwich failed"
-    assert count_ends(mesh, 3.0) == 1
+    assert end_components(mesh, 3.0).count == 1
 
 
 def _enneper_quotient(mesh):
@@ -272,7 +272,7 @@ def test_criterion_8_negative_controls(plane_128):
         checks = harness.verify_isoperimetric(QuotientCurve(grid, vol, flx))
         assert any(c.verdict == FAIL for c in checks), "tampered curve must fail"
 
-        gated = harness.verify_capacity_sandwich(plane_128, hyp(2), 1.0, 2.0)
+        gated = harness.verify_capacity_sandwich(Study(plane_128, hyp(2)), 1.0, 2.0)
         assert any(c.verdict == INCONCLUSIVE for c in gated)
         assert all(c.verdict != FAIL for c in gated)
         assert all(c.verdict != PASS or c.check_id.startswith("gate.")

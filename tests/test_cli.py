@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from excomp import dgeom, harness
 from excomp.cli import main, make_model
 
 
@@ -83,6 +84,20 @@ class TestSurfaceCommand:
         assert code == 3
         assert err == "error: line 4: non-finite vertex '1 0 nan'\n"
 
+    @pytest.mark.parametrize("name,text", [
+        ("latin.off", b"OFF\n# caf\xe9\n3 1 0\n0 0 0\n1 0 0\n0 1 0\n3 0 1 2\n"),
+        ("latin.obj", b"# caf\xe9\nv 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 3\n"),
+    ], ids=["off", "obj"])
+    def test_non_utf8_mesh_is_exit_3(self, tmp_path, capsys, name, text):
+        mesh = tmp_path / name
+        mesh.write_bytes(text)
+        code = run(["surface", "--mesh", str(mesh), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(mesh) in err
+
     def test_ingest_roundtrip(self, tmp_path):
         run(["surface", "--surface", "plane", "--res", "16", "--cover", "2",
              "--out", str(tmp_path), "--name", "p"])
@@ -140,6 +155,45 @@ class TestVerify:
         assert report["summary"]["fail"] == 0
         assert (tmp_path / "ok" / "mesh.off").exists()
         assert (tmp_path / "ok" / "meta.json").exists()
+
+
+class TestOncePerRun:
+    """Each capacity solve, end split and gate radius of a run is computed
+    once, however many checks read it."""
+
+    @staticmethod
+    def _count(monkeypatch, module, name) -> list:
+        calls = []
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_verify(self, tmp_path, monkeypatch):
+        solves = self._count(monkeypatch, dgeom, "capacity_discrete")
+        ends = self._count(monkeypatch, dgeom, "end_components")
+        balance = self._count(monkeypatch, harness, "_balance_gate")
+        code = run(["verify", "--surface", "catenoid", "--a", "1", "--res", "64",
+                    "--cover", "12", "--dim", "2", "--warp", "r", "--grid", "2:10:5",
+                    "--rho", "1.5", "--R", "6", "--t", "9", "--R0", "2",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        assert len(solves) == 1
+        assert len(ends) == 1
+        # five gate sets read three radii: grid[-1] twice, R twice, t once
+        assert sorted(args[1] for args in balance) == [6.0, 9.0, 10.0]
+
+    def test_capacity(self, tmp_path, monkeypatch):
+        solves = self._count(monkeypatch, dgeom, "capacity_discrete")
+        code = run(["capacity", "--surface", "plane", "--res", "64", "--cover", "3.2",
+                    "--dim", "2", "--warp", "r", "--rho", "1.0", "--R", "2.0",
+                    "--out", str(tmp_path)])
+        assert code == 0
+        assert len(solves) == 1
 
 
 class TestConfigPrecedence:
@@ -269,14 +323,35 @@ class TestValueErrors:
         err = self._usage_error(["model", "--grid", grid, "--out", str(tmp_path)], capsys)
         assert "--grid" in err
 
-    @pytest.mark.parametrize("flag,value", [("--grid", "1:inf:5"), ("--grid", "nan:2:5"),
-                                            ("--capacity", "1:inf")])
-    def test_non_finite_grid_or_capacity(self, tmp_path, capsys, flag, value):
+    @pytest.mark.parametrize("command,flag,value", [
+        pytest.param("model", "--grid", "1:inf:5", id="--grid-1:inf:5"),
+        pytest.param("model", "--grid", "nan:2:5", id="--grid-nan:2:5"),
+        pytest.param("model", "--capacity", "1:inf", id="--capacity-1:inf"),
+        pytest.param("capacity", "--rho", "nan", id="capacity--rho-nan"),
+        pytest.param("capacity", "--R", "inf", id="capacity--R-inf"),
+        pytest.param("exit-time", "--R", "nan", id="exit-time--R-nan"),
+        pytest.param("ends", "--t", "inf", id="ends--t-inf"),
+        pytest.param("tone", "--R0", "-inf", id="tone--R0--inf"),
+        pytest.param("verify", "--R0", "nan", id="verify--R0-nan"),
+    ])
+    def test_non_finite_grid_or_capacity(self, tmp_path, capsys, command, flag, value):
+        mesh = [] if command == "model" else ["--surface", "plane", "--res", "16",
+                                              "--cover", "2"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            err = self._usage_error(["model", "--dim", "2", "--warp", "r", flag, value,
-                                     "--out", str(tmp_path)], capsys)
+            err = self._usage_error([command, *mesh, "--dim", "2", "--warp", "r",
+                                     f"{flag}={value}", "--out", str(tmp_path)], capsys)
         assert flag in err and "finite" in err
+
+    def test_non_finite_config_radius(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"t": Infinity}')
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = self._usage_error(["ends", "--config", str(path), "--surface", "plane",
+                                     "--res", "16", "--cover", "2", "--R", "1",
+                                     "--out", str(tmp_path)], capsys)
+        assert "config key 't'" in err
 
     def test_malformed_capacity(self, tmp_path, capsys):
         err = self._usage_error(["model", "--capacity", "1", "--out", str(tmp_path)],

@@ -7,7 +7,7 @@ from scipy import sparse, special
 
 from excomp import dgeom, surfaces
 from excomp.dgeom import (LABEL_INNER, LABEL_INTERIOR, LABEL_OUTER, LABEL_TRUNCATION,
-                          ball_area, capacity_discrete, clip, count_ends, end_components,
+                          ball_area, capacity_discrete, clip, end_components,
                           exit_time_discrete, first_eigenvalue_estimate, flux, solve_dirichlet)
 from excomp.errors import CoverageError, DomainError, TruncationContactError
 from excomp.surfaces import TAG_TRUNCATION, TriMesh, builtin, cotangent_stiffness, tessellate
@@ -518,13 +518,13 @@ class TestEigenvalue:
 
 class TestEnds:
     def test_plane_one_end(self, plane_128):
-        assert count_ends(plane_128, 1.0) == 1
+        assert end_components(plane_128, 1.0).count == 1
 
     def test_catenoid_two_ends(self, catenoid_96):
-        assert count_ends(catenoid_96, 3.0) == 2
+        assert end_components(catenoid_96, 3.0).count == 2
 
     def test_enneper_one_end(self, enneper_192):
-        assert count_ends(enneper_192, 3.0) == 1
+        assert end_components(enneper_192, 3.0).count == 1
 
     def test_coverage_warning(self, plane_128):
         res = end_components(plane_128, 3.0)  # window reaches ~4.5 < 6

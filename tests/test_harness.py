@@ -5,7 +5,7 @@ import pytest
 
 from excomp import harness
 from excomp.errors import DomainError
-from excomp.harness import FAIL, INCONCLUSIVE, PASS, QuotientCurve
+from excomp.harness import FAIL, INCONCLUSIVE, PASS, QuotientCurve, Study
 from excomp.modelspace import ModelSpace, WarpingSpec
 
 
@@ -35,6 +35,20 @@ class TestQuotientCurves:
         assert curve.vol_quot[-1] == pytest.approx(1.9485, rel=0.02)
 
 
+class TestStudy:
+    def test_capacity_computed_once(self, plane_128):
+        study = Study(plane_128, flat_model())
+        cap = study.capacity(1.0, 2.0, "reflect")
+        assert study.capacity(1.0, 2.0, "reflect") is cap
+        assert study.capacity(1.0, 2.5, "reflect") is not cap
+
+    def test_gates_shared_between_checks(self, plane_128):
+        study = Study(plane_128, flat_model())
+        capacity = harness.verify_capacity_sandwich(study, 1.0, 2.0)
+        exit_time = harness.exit_time_comparison(study, 2.0)
+        assert capacity[0] is exit_time[0] and capacity[1] is exit_time[1]
+
+
 class TestVerifyIsoperimetric:
     def test_plane_passes_with_tiny_margins(self, plane_128):
         curve = harness.quotient_curves(plane_128, flat_model(), np.linspace(0.5, 3, 6))
@@ -56,7 +70,7 @@ class TestVerifyIsoperimetric:
 
 class TestCapacitySandwich:
     def test_plane_flat_model_passes(self, plane_256):
-        checks = harness.verify_capacity_sandwich(plane_256, flat_model(), 1.0, math.e)
+        checks = harness.verify_capacity_sandwich(Study(plane_256, flat_model()), 1.0, math.e)
         verdicts = {c.check_id: c.verdict for c in checks}
         assert verdicts["capacity.lower"] == PASS
         assert verdicts["capacity.upper"] == PASS
@@ -64,36 +78,36 @@ class TestCapacitySandwich:
     def test_hyperbolic_model_gated_inconclusive(self, plane_128):
         # K_N = 0 > -w''/w = -1: the curvature hypothesis fails, so the
         # check must be inconclusive, never pass
-        checks = harness.verify_capacity_sandwich(plane_128, sinh_model(), 1.0, 2.0)
+        checks = harness.verify_capacity_sandwich(Study(plane_128, sinh_model()), 1.0, 2.0)
         verdicts = {c.check_id: c.verdict for c in checks}
         assert verdicts["gate.curvature_bound"] == INCONCLUSIVE
         assert verdicts["capacity.sandwich"] == INCONCLUSIVE
         assert all(c.verdict != FAIL for c in checks)
 
     def test_catenoid_ratio_between_flux_quotients(self, catenoid_192):
-        checks = harness.verify_capacity_sandwich(catenoid_192, flat_model(), 1.5, 6.0)
+        checks = harness.verify_capacity_sandwich(Study(catenoid_192, flat_model()), 1.5, 6.0)
         assert all(c.verdict == PASS for c in checks)
 
 
 class TestEuclideanSandwich:
     def test_plane(self, plane_256):
-        checks = harness.verify_euclidean_sandwich(plane_256, 1.0, math.e)
+        checks = harness.verify_euclidean_sandwich(Study(plane_256, flat_model()), 1.0, math.e)
         assert all(c.verdict == PASS for c in checks)
 
     def test_catenoid(self, catenoid_192):
-        checks = harness.verify_euclidean_sandwich(catenoid_192, 1.5, 8.0)
+        checks = harness.verify_euclidean_sandwich(Study(catenoid_192, flat_model()), 1.5, 8.0)
         assert all(c.verdict == PASS for c in checks)
 
 
 class TestExitTimeComparison:
     def test_plane_equality_case(self, plane_256):
-        checks = harness.exit_time_comparison(plane_256, flat_model(), 2.0)
+        checks = harness.exit_time_comparison(Study(plane_256, flat_model()), 2.0)
         verdicts = {c.check_id: c.verdict for c in checks}
         assert verdicts["exit_time.domination"] == PASS
         assert verdicts["exit_time.equality_case"] == PASS
 
     def test_catenoid_domination(self, catenoid_192):
-        checks = harness.exit_time_comparison(catenoid_192, flat_model(), 6.0)
+        checks = harness.exit_time_comparison(Study(catenoid_192, flat_model()), 6.0)
         verdicts = {c.check_id: c.verdict for c in checks}
         assert verdicts["exit_time.domination"] == PASS
         # growing quotients: the equality proxy must not trigger
@@ -103,7 +117,7 @@ class TestExitTimeComparison:
 class TestEndsBound:
     def test_plane_formula_value(self, plane_128):
         # (2/(1 - R/t))^2 with R=1, t=10 and quotients at 1
-        report = harness.ends_bound(plane_128, flat_model(), 1.0, 3.0)
+        report = harness.ends_bound(Study(plane_128, flat_model()), 1.0, 3.0)
         assert report.count == 1
         bound_check = [c for c in report.checks if c.check_id == "ends.bound"][0]
         assert bound_check.verdict == PASS
@@ -112,7 +126,7 @@ class TestEndsBound:
 
     def test_catenoid(self, catenoid_96):
         curve = harness.quotient_curves(catenoid_96, flat_model(), np.linspace(2, 20, 10))
-        report = harness.ends_bound(catenoid_96, flat_model(), 2.0, 20.0, curve=curve)
+        report = harness.ends_bound(Study(catenoid_96, flat_model()), 2.0, 20.0, curve=curve)
         assert report.count == 2
         assert report.bound >= 2.0
         assert report.asymptotic_bound == pytest.approx(4.0 * 1.0 * curve.w_volume_estimate(),
@@ -123,29 +137,29 @@ class TestEndsBound:
     def test_gate_failure_inconclusive(self, plane_128):
         # w = sin has w' < 0 past pi/2: hypothesis gate must trip
         model = ModelSpace(2, WarpingSpec.custom("sin(r)", lam=math.pi))
-        report = harness.ends_bound(plane_128, model, 1.0, 3.0)
+        report = harness.ends_bound(Study(plane_128, model), 1.0, 3.0)
         assert any(c.verdict == INCONCLUSIVE for c in report.checks)
         assert all(c.verdict != FAIL for c in report.checks)
 
     def test_needs_t_beyond_R(self, plane_128):
         with pytest.raises(DomainError):
-            harness.ends_bound(plane_128, flat_model(), 2.0, 2.0)
+            harness.ends_bound(Study(plane_128, flat_model()), 2.0, 2.0)
 
 
 class TestToneReport:
     def test_model_only_sinh(self):
-        report = harness.tone_report(None, sinh_model(), 1.0, np.linspace(0.5, 30, 100))
+        report = harness.tone_report(Study(None, sinh_model()), 1.0, np.linspace(0.5, 30, 100))
         assert report.upper == pytest.approx(1.0, abs=1e-3)
         assert report.lower == pytest.approx(0.25, abs=1e-6)
         assert report.end_factor == 1.0
 
     def test_model_only_flat(self):
-        report = harness.tone_report(None, flat_model(), 1.0, np.linspace(0.5, 30, 100))
+        report = harness.tone_report(Study(None, flat_model()), 1.0, np.linspace(0.5, 30, 100))
         assert report.upper == 0.0
         assert report.lower == 0.0
 
     def test_catenoid_flat(self, catenoid_96):
-        report = harness.tone_report(catenoid_96, flat_model(), 2.0,
+        report = harness.tone_report(Study(catenoid_96, flat_model()), 2.0,
                                      np.linspace(2, 20, 10))
         assert report.upper == 0.0
         assert report.lower == 0.0

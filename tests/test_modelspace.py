@@ -315,23 +315,6 @@ class TestEndsCoefficient:
         assert res.reported_limsup < 0.05
 
 
-class TestQLinearBound:
-    def test_flat(self):
-        assert flat(2).q_linear_bound(np.linspace(0.1, 20, 50))
-
-    def test_sinh(self):
-        assert hyperbolic().q_linear_bound(np.linspace(0.1, 20, 50))
-
-    def test_sin_inside_first_quarter(self):
-        ms = ModelSpace(2, WarpingSpec.custom("sin(r)", lam=math.pi))
-        assert ms.q_linear_bound(np.linspace(0.05, math.pi / 2 - 0.01, 40))
-
-    def test_requires_monotone(self):
-        ms = ModelSpace(2, WarpingSpec.custom("sin(r)", lam=math.pi))
-        with pytest.raises(DomainError):
-            ms.q_linear_bound(np.linspace(0.05, 3.0, 40))
-
-
 class TestQuadratureConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
