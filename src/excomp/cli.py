@@ -47,6 +47,9 @@ def _parse_numbers(spec, sep: str, kind, what: str) -> tuple:
                          f"{sep!r}, got {spec!r}") from None
 
 
+_MAX_GRID = 10 ** 6  # radii per --grid; np.linspace of 1e308 radii raises ValueError
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     parts = _parse_numbers(spec, ":", float, "--grid")
     if len(parts) != 3 or not all(map(math.isfinite, parts)) or not parts[2].is_integer():
@@ -55,23 +58,25 @@ def _parse_grid(spec: str) -> np.ndarray:
     a, b, n = parts
     if n < 2 or a <= 0 or b <= a:
         raise ExcompError(f"grid bounds must be positive and increasing, got {spec!r}")
+    if n > _MAX_GRID:
+        raise ExcompError(f"grid of {n:.6g} radii is more than {_MAX_GRID}, got {spec!r}")
     return np.linspace(a, b, int(n))
 
 
-def _parse_pair(spec: str, what: str) -> tuple[float, float]:
-    pair = _parse_numbers(spec, ":", float, what)
-    if len(pair) != 2 or not all(map(math.isfinite, pair)):
-        raise UsageError(f"{what} must be a:b with finite a and b, got {spec!r}")
-    return pair
+def _parse_finite(spec, sep: str, what: str, form: str, counts=None) -> tuple:
+    """The numbers of spec, separated by sep: each finite, and as many as
+    one of counts names (any number when counts is None)."""
+    parts = _parse_numbers(spec, sep, float, what)
+    if (counts is not None and len(parts) not in counts) or not all(map(math.isfinite, parts)):
+        raise UsageError(f"{what} must be {form} with every number finite, got {spec!r}")
+    return parts
 
 
 def make_model(dim: int, warp: str, lam: float = math.inf) -> ModelSpace:
     warp = warp.strip()
     if warp.startswith("b="):
-        b = _parse_numbers(warp[2:], ",", float, "--warp b=<curvature>")
-        if len(b) != 1 or not math.isfinite(b[0]):
-            raise UsageError(f"--warp b=<curvature> needs one finite number, got {warp!r}")
-        spec = WarpingSpec.space_form(b[0])
+        b, = _parse_finite(warp[2:], ",", "--warp b=<curvature>", "one number", (1,))
+        spec = WarpingSpec.space_form(b)
     elif warp == "r":
         spec = WarpingSpec.space_form(0.0)
     else:
@@ -80,9 +85,7 @@ def make_model(dim: int, warp: str, lam: float = math.inf) -> ModelSpace:
 
 
 def make_surface(args) -> surfaces.TriMesh:
-    pole = _parse_numbers(args.pole, ",", float, "--pole")
-    if len(pole) != 3 or not all(map(math.isfinite, pole)):
-        raise UsageError(f"--pole must be x,y,z with finite coordinates, got {args.pole!r}")
+    pole = _parse_finite(args.pole, ",", "--pole", "x,y,z", (3,))
     if args.mesh:
         if not os.path.exists(args.mesh):
             raise ExcompError(f"mesh file not found: {args.mesh}")
@@ -93,7 +96,8 @@ def make_surface(args) -> surfaces.TriMesh:
     nu = res[0]
     nv = res[1] if len(res) > 1 else nu
     surf = surfaces.builtin(args.surface, a=args.a, c=args.c, cover_radius=args.cover)
-    refine = _parse_numbers(args.refine, ",", float, "--refine") if args.refine else ()
+    refine = (() if args.refine is None
+              else _parse_finite(args.refine, ",", "--refine", "a comma list of radii"))
     return surfaces.tessellate(surf, nu, nv, refine_near=refine, pole=pole)
 
 
@@ -119,7 +123,7 @@ def _surface_flags(p: argparse.ArgumentParser):
 
 
 def _finite_float(flag: str):
-    """The argparse type of a radius flag: a float that must be finite."""
+    """The argparse type of a flag that takes one finite float."""
     def parse(text: str) -> float:
         value = float(text)
         if not math.isfinite(value):
@@ -140,8 +144,8 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--name", default=None, help="run name (subdirectory)")
     p.add_argument("--strict", action="store_true", default=None,
                    help="inconclusive checks also fail the run")
-    p.add_argument("--quad-abs-tol", type=float, default=None)
-    p.add_argument("--quad-rel-tol", type=float, default=None)
+    for flag in ("--quad-abs-tol", "--quad-rel-tol"):
+        p.add_argument(flag, type=_finite_float(flag), default=None)
 
 
 _DEFAULTS = {
@@ -333,13 +337,12 @@ def _cmd_model(args) -> int:
         scalars["cheeger"] = model.cheeger_bound(grid, quad).to_dict()
         scalars["ends_coefficient"] = model.ends_coefficient(grid, quad).to_dict()
     if args.capacity:
-        rho, R = _parse_pair(args.capacity, "--capacity")
+        rho, R = _parse_finite(args.capacity, ":", "--capacity", "rho:R", (2,))
         scalars["capacity"] = model.capacity(rho, R, quad)
         print(f"capacity({rho}, {R}) = {scalars['capacity']:.6g}")
-    if args.exit_time:
-        parts = _parse_numbers(args.exit_time, ":", float, "--exit-time")
-        R = parts[0]
-        r = parts[1] if len(parts) > 1 else 0.0
+    if args.exit_time is not None:
+        R, *start = _parse_finite(args.exit_time, ":", "--exit-time", "R or R:r", (1, 2))
+        r = start[0] if start else 0.0
         scalars["exit_time"] = model.mean_exit(R, r, quad)
         print(f"mean_exit({R}, start={r}) = {scalars['exit_time']:.6g}")
     report = VerificationReport([], scalars=scalars, config=_config_dict(args))
@@ -528,6 +531,9 @@ def main(argv=None) -> int:
         return 2
     except ExcompError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except ArithmeticError as exc:  # a float overflow or division by zero
+        print(f"error: numeric {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
 

@@ -32,15 +32,13 @@ from scipy import sparse
 from scipy.sparse.linalg import cg, splu
 
 from .errors import (CoverageError, DomainError, SolveError, TruncationContactError)
-from .surfaces import (TAG_TRUNCATION, TriMesh, barycentric_mass, cotangent_stiffness)
+from .surfaces import (TAG_TRUNCATION, TriMesh, _edge_counts, cotangent_laplacian, edge_keys,
+                       face_areas)
 
 LABEL_INTERIOR = 0
 LABEL_INNER = 1
 LABEL_OUTER = 2
 LABEL_TRUNCATION = 3
-
-LABEL_NAMES = {LABEL_INTERIOR: "interior", LABEL_INNER: "inner level set",
-               LABEL_OUTER: "outer level set", LABEL_TRUNCATION: "truncation"}
 
 
 @dataclass(eq=False)
@@ -59,19 +57,13 @@ class ClippedRegion:
     parent_face: np.ndarray
     rho: float
     R: float
-    parent_name: str
     vertex_label: np.ndarray
 
     def area(self) -> float:
-        return float(_face_areas(self.verts, self.faces).sum())
+        return float(face_areas(self.verts, self.faces).sum())
 
     def has_label(self, label: int) -> bool:
         return bool(np.any(self.vertex_label == label))
-
-
-def _face_areas(verts, faces) -> np.ndarray:
-    a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
 
 
 def _roll_rows(rows: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -85,11 +77,9 @@ def _interp_edges(verts, r, pairs, level):
     end itself when the crossing lies within 1e-12 of it in the edge
     parameter (so a cut through a vertex leaves no zero-area fragment).
     Returns (new points, vertex index per row of pairs)."""
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
-    hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    keys = lo * np.int64(len(verts)) + hi
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    i, j = lo[first], hi[first]
+    n = len(verts)
+    keys, inverse = np.unique(edge_keys(pairs, n), return_inverse=True)
+    i, j = keys // n, keys % n
     t = np.clip((level - r[i]) / (r[j] - r[i]), 0.0, 1.0)
     new = (t > 1e-12) & (t < 1.0 - 1e-12)
     ids = np.where(t <= 1e-12, i, j)
@@ -176,14 +166,14 @@ def clip(mesh: TriMesh, rho: float, R: float, face_mask=None,
     if rho > 0.0:
         verts, r, faces, parent = _clip_half(verts, r, faces, parent, rho, keep_below=False)
 
-    areas = _face_areas(verts, faces)
+    areas = face_areas(verts, faces)
     keep = _nondegenerate(areas, areas.sum(), len(areas))
     faces, parent = faces[keep], parent[keep]
 
     used = np.unique(faces)
     remap = np.full(len(verts), -1, dtype=np.int64)
     remap[used] = np.arange(len(used))
-    region = ClippedRegion(verts[used], remap[faces], r[used], parent, rho, R, mesh.name,
+    region = ClippedRegion(verts[used], remap[faces], r[used], parent, rho, R,
                            np.zeros(len(used), dtype=np.uint8))
     _label_boundary(region)
     return region
@@ -210,22 +200,13 @@ def _coverage_error(name: str, r: float, rho: float, R: float) -> CoverageError:
                          f"inside the requested band ({rho:.6g}, {R:.6g})", R)
 
 
-def _unique_edges(faces, n):
-    """Undirected edges of the faces as index arrays (i < j), with the
-    number of faces sharing each edge."""
-    und = np.sort(np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]]),
-                  axis=1)
-    keys, counts = np.unique(und[:, 0] * np.int64(n) + und[:, 1], return_counts=True)
-    return keys // n, keys % n, counts
-
-
 def _label_boundary(region: ClippedRegion):
     """Label the ends of each boundary edge: inner (both ends on r = rho,
     rho > 0), else outer (both on r = R), else truncation.  Level labels win
     over truncation at corner vertices."""
     if len(region.faces) == 0:
         raise DomainError("clip produced an empty region")
-    i, j, counts = _unique_edges(region.faces, len(region.verts))
+    i, j, counts = _edge_counts(region.faces, len(region.verts))
     ends = np.column_stack([i, j])[counts == 1]
     rv = region.r[ends]
     inner = (region.rho > 0) & np.all(
@@ -284,7 +265,7 @@ class RadialIndex:
         self.min_r = rf.min(axis=0)[order]
         # a float64 running sum drifts by up to F ulps; extended precision (where
         # the platform has it) keeps the prefix sums as accurate as clip's sum
-        below = np.cumsum(_face_areas(self.verts, faces[order]), dtype=np.longdouble)
+        below = np.cumsum(face_areas(self.verts, faces[order]), dtype=np.longdouble)
         self.area_below = np.concatenate([[0.0], below.astype(float)])
         self.span = float((self.max_r - self.min_r).max()) if len(ids) else 0.0
         # only the nearest truncation vertex decides whether a ball leaks
@@ -310,7 +291,7 @@ class RadialIndex:
         used, local = np.unique(cut, return_inverse=True)
         verts, _, pieces, _ = _clip_half(self.verts[used], self.r[used], local.reshape(-1, 3),
                                          np.zeros(len(cut), np.int64), R, keep_below=True)
-        areas = _face_areas(verts, pieces)
+        areas = face_areas(verts, pieces)
         whole = float(self.area_below[k])
         areas = areas[_nondegenerate(areas, whole + areas.sum(), k + len(areas))]
         if k + len(areas) == 0:
@@ -362,7 +343,7 @@ def flux(mesh: TriMesh, R: float, face_mask=None) -> float:
 def radial_energy(mesh: TriMesh, region: ClippedRegion) -> float:
     """Integral of |grad r|^2 over the region (per-face ambient projection)."""
     w = radial_gradient_norms(mesh.verts, mesh.faces[region.parent_face], mesh.pole)
-    areas = _face_areas(region.verts, region.faces)
+    areas = face_areas(region.verts, region.faces)
     return float((w * w * areas).sum())
 
 
@@ -392,8 +373,7 @@ def assemble_laplacian(region: ClippedRegion, boundary_spec: dict) -> SparseSPDS
     unknown = set(boundary_spec) - {"inner", "outer", "truncation"}
     if unknown:
         raise DomainError(f"unknown boundary labels {sorted(unknown)}")
-    K, _ = cotangent_stiffness(region.verts, region.faces, clamp=True)
-    mass = barycentric_mass(region.verts, region.faces)
+    K, mass = cotangent_laplacian(region.verts, region.faces, clamp=True)
     code = {"inner": LABEL_INNER, "outer": LABEL_OUTER, "truncation": LABEL_TRUNCATION}
     cons = []
     vals = []
@@ -509,7 +489,7 @@ def first_eigenvalue_estimate(region: ClippedRegion, tol: float = 1e-8,
 
 
 def _mean_edge_length(region: ClippedRegion) -> float:
-    i, j, _ = _unique_edges(region.faces, len(region.verts))
+    i, j, _ = _edge_counts(region.faces, len(region.verts))
     return float(np.linalg.norm(region.verts[i] - region.verts[j], axis=1).mean())
 
 

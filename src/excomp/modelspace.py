@@ -26,6 +26,7 @@ from . import wexpr
 from .errors import DomainError, EvalDomainError, QuadratureError
 
 _INF = float("inf")
+_REL_TOL_FLOOR = float(50 * np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,12 @@ class QuadratureConfig:
     tail_max: float = 1e4  # top of the geometric ladder probing integrals to infinity
 
     def __post_init__(self):
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise DomainError("quadrature tolerances must be positive")
+        # quadpack rejects a relative tolerance of 50 eps or less when, as in
+        # the tail integrals, there is no absolute one
+        if not (0 < self.abs_tol < math.inf and _REL_TOL_FLOOR < self.rel_tol < math.inf):
+            raise DomainError(f"quadrature tolerances must be finite with abs_tol > 0 and "
+                              f"rel_tol > 50 eps = {_REL_TOL_FLOOR!r}, got "
+                              f"abs_tol={self.abs_tol!r}, rel_tol={self.rel_tol!r}")
         if self.max_subdivisions < 10:
             raise DomainError("max_subdivisions must be at least 10")
         if self.tail_max <= 1:
@@ -85,9 +90,11 @@ def _pow_sat(x: float, n: int) -> float:
 
 
 def _log_tanh(x: float) -> float:
-    # ln tanh x = log1p(-e^(-2x)) - log1p(e^(-2x)); accurate for large x
+    # ln tanh x = ln(1 - e) - log1p(e), e = e^(-2x); ln(1 - e) is log1p(-e) for
+    # large x and ln(-expm1(-2x)) for small x, where 1 - e would cancel
     e = math.exp(-2.0 * x)
-    return math.log1p(-e) - math.log1p(e)
+    head = math.log1p(-e) if x > 0.5 else math.log(-math.expm1(-2.0 * x))
+    return head - math.log1p(e)
 
 
 def _coth_minus_one(x: float) -> float:

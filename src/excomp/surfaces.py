@@ -22,8 +22,6 @@ TAG_INTERIOR = 0
 TAG_TRUNCATION = 1
 TAG_SEAM = 2
 
-TAG_NAMES = {TAG_INTERIOR: "interior", TAG_TRUNCATION: "outer-truncation", TAG_SEAM: "seam"}
-
 
 @dataclass(frozen=True)
 class ParamSurface:
@@ -146,18 +144,11 @@ def builtin(name: str, a: float = 1.0, c: float = 1.0, cover_radius: float | Non
     raise DomainError(f"unknown builtin surface {name!r}; have {BUILTIN_NAMES}")
 
 
-def _enneper_extent(fn, target: float, n: int = 512) -> float:
+def _enneper_extent(fn, target: float) -> float:
     # grow the square until every boundary point is at least `target` away
     E = 1.0
     for _ in range(200):
-        ts = np.linspace(-E, E, n)
-        const = np.full(n, E)
-        best = math.inf
-        for U, V in ((ts, const), (ts, -const), (const, ts), (-const, ts)):
-            x, y, z = fn(U, V)
-            best = min(best, float(np.sqrt(np.asarray(x) ** 2 + np.asarray(y) ** 2
-                                           + np.asarray(z) ** 2).min()))
-        if best >= target:
+        if ParamSurface("enneper", fn, -E, E, -E, E).boundary_min_radius() >= target:
             return E
         E *= 1.08
     raise DomainError(f"could not find an Enneper extent covering radius {target!r}")
@@ -208,38 +199,30 @@ class TriMesh:
             raise DomainError("face with repeated vertices")
         # every undirected edge in at most 2 faces; consistent orientation means
         # each directed edge appears at most once
-        directed = _directed_edges(f)
-        uniq, counts = _edge_counts(directed, n)
+        i, j, counts = _edge_counts(f, n)
         if np.any(counts > 2):
-            bad = uniq[counts > 2]
-            edges = [(int(k // n), int(k % n)) for k in bad[:16]]
-            raise NonManifoldError(edges)
+            raise NonManifoldError(list(zip(i[counts > 2][:16].tolist(),
+                                            j[counts > 2][:16].tolist())))
+        directed = _directed_edges(f)
         dkeys = directed[:, 0] * np.int64(n) + directed[:, 1]
         duniq, dcounts = np.unique(dkeys, return_counts=True)
         if np.any(dcounts > 1):
             bad = duniq[dcounts > 1]
             edges = [(int(k // n), int(k % n)) for k in bad[:16]]
             raise DomainError(f"inconsistently oriented edges: {edges}")
-        return _edge_vertices(uniq[counts == 1], n)
+        return _edge_vertices(i[counts == 1], j[counts == 1], n)
 
     # -- derived quantities -------------------------------------------------
 
-    def face_areas(self) -> np.ndarray:
-        a = self.verts[self.faces[:, 0]]
-        b = self.verts[self.faces[:, 1]]
-        c = self.verts[self.faces[:, 2]]
-        return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
-
     def area(self) -> float:
-        return float(self.face_areas().sum())
+        return float(face_areas(self.verts, self.faces).sum())
 
     def max_r(self) -> float:
         return float(self.r.max())
 
     def boundary_vertex_mask(self) -> np.ndarray:
-        n = len(self.verts)
-        uniq, counts = _edge_counts(_directed_edges(self.faces), n)
-        return _edge_vertices(uniq[counts == 1], n)
+        i, j, counts = _edge_counts(self.faces, len(self.verts))
+        return _edge_vertices(i[counts == 1], j[counts == 1], len(self.verts))
 
     def save_off(self, path):
         with open(path, "w") as fh:
@@ -251,23 +234,37 @@ class TriMesh:
                     fh.write((line * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
+def face_areas(verts, faces) -> np.ndarray:
+    """Area of each triangle."""
+    a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
+    return 0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1)
+
+
 def _directed_edges(faces) -> np.ndarray:
     """The three directed edges of every face, as (3m, 2) rows."""
     return np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
 
 
-def _edge_counts(directed, n: int):
-    """Sorted keys lo * n + hi of the undirected edges and their face counts."""
-    lo = np.minimum(directed[:, 0], directed[:, 1])
-    hi = np.maximum(directed[:, 0], directed[:, 1])
-    return np.unique(lo * np.int64(n) + hi, return_counts=True)
+def edge_keys(pairs, n: int) -> np.ndarray:
+    """Key lo * n + hi of the undirected edge of each vertex pair, lo < hi;
+    lo = key // n and hi = key % n."""
+    lo = np.minimum(pairs[:, 0], pairs[:, 1])
+    hi = np.maximum(pairs[:, 0], pairs[:, 1])
+    return lo * np.int64(n) + hi
 
 
-def _edge_vertices(keys, n: int) -> np.ndarray:
-    """Mask of the n vertices that lie on an edge with one of these keys."""
+def _edge_counts(faces, n: int):
+    """The undirected edges (i, j), i < j, of the faces in key order, and the
+    number of faces that share each."""
+    keys, counts = np.unique(edge_keys(_directed_edges(faces), n), return_counts=True)
+    return keys // n, keys % n, counts
+
+
+def _edge_vertices(i, j, n: int) -> np.ndarray:
+    """Mask of the n vertices that lie on one of the edges (i, j)."""
     mask = np.zeros(n, dtype=bool)
-    mask[keys // n] = True
-    mask[keys % n] = True
+    mask[i] = True
+    mask[j] = True
     return mask
 
 
@@ -322,7 +319,7 @@ def tessellate(surface: ParamSurface, nu: int, nv: int, refine_near=(),
 
     mesh = TriMesh(verts, faces, pole=pole, tags=tags, name=surface.name)
 
-    areas = mesh.face_areas()
+    areas = face_areas(mesh.verts, mesh.faces)
     tiny = areas < 1e-14 * areas.mean()
     if tiny.any():
         idx = np.flatnonzero(tiny)[:8]
@@ -340,91 +337,71 @@ def tessellate(surface: ParamSurface, nu: int, nv: int, refine_near=(),
     return mesh
 
 
+# The children of a face, as rows of corners into (a, b, c, m01, m12, m20), its
+# corners and edge midpoints, by kind: 0 kept, 1-3 bisected through the edge
+# 0-1, 1-2 or 2-0, 4 split in four; rows past _CHILD_COUNT[kind] are unused.
+_CHILDREN = np.array([
+    [[0, 1, 2], [0, 1, 2], [0, 1, 2], [0, 1, 2]],
+    [[0, 3, 2], [3, 1, 2], [0, 1, 2], [0, 1, 2]],
+    [[0, 1, 4], [0, 4, 2], [0, 1, 2], [0, 1, 2]],
+    [[0, 1, 5], [5, 1, 2], [0, 1, 2], [0, 1, 2]],
+    [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]],
+])
+_CHILD_COUNT = np.array([1, 2, 2, 2, 4])
+
+
 def _refine_once(surface, verts, faces, tags, uv, pole, radii):
+    """Split in four each face whose radius range meets a radius, and each
+    face with two or more split edges, in rounds until none is left; bisect
+    each other face through its one split edge, if it has one.  Midpoints are
+    numbered by promotion round, then by edge key; children follow in face
+    order."""
     r = np.linalg.norm(verts - pole, axis=1)
     fr = r[faces]
     lo, hi = fr.min(axis=1), fr.max(axis=1)
-    marked_face = np.zeros(len(faces), dtype=bool)
+    marked = np.zeros(len(faces), dtype=bool)
     for rad in radii:
-        marked_face |= (lo <= rad) & (hi >= rad)
+        marked |= (lo <= rad) & (hi >= rad)
 
     n = len(verts)
-    edges = _directed_edges(faces)
-    ekeys = np.sort(edges, axis=1)
-    ekeys = ekeys[:, 0] * np.int64(n) + ekeys[:, 1]
-    split = {}
+    keys, edge, counts = np.unique(edge_keys(_directed_edges(faces), n),
+                                   return_inverse=True, return_counts=True)
+    edge = edge.reshape(3, -1).T  # edge ids of each face: 0-1, 1-2, 2-0
+    never = len(faces)
+    split_round = np.full(len(keys), never)
+    new, rnd = marked, 0
+    while new.any():
+        marked = marked | new
+        fresh = edge[new].ravel()
+        split_round[fresh] = np.minimum(split_round[fresh], rnd)
+        new = ((split_round[edge] <= rnd).sum(axis=1) >= 2) & ~marked
+        rnd += 1
+    split = np.argsort(split_round, kind="stable")[:np.count_nonzero(split_round < never)]
+    mid = np.full(len(keys), -1)
+    mid[split] = n + np.arange(len(split))
 
-    def mark_edges_of(face_mask):
-        for k in np.unique(ekeys.reshape(3, -1)[:, face_mask]):
-            split[int(k)] = None
+    i, j = keys[split] // n, keys[split] % n
+    a, b = uv[i], uv[j]
+    for axis, period, periodic in ((0, surface.u1 - surface.u0, surface.periodic_u),
+                                   (1, surface.v1 - surface.v0, surface.periodic_v)):
+        if periodic:  # an edge across the seam: shift its lower end up a period
+            wraps = np.abs(a[:, axis] - b[:, axis]) > period / 2
+            below = a[:, axis] < b[:, axis]
+            a[wraps & below, axis] += period
+            b[wraps & ~below, axis] += period
+    new_uv = 0.5 * (a + b)
+    # a midpoint is truncation only when its edge lies on the truncation boundary
+    trunc = (counts[split] == 1) & (tags[i] == TAG_TRUNCATION) & (tags[j] == TAG_TRUNCATION)
 
-    mark_edges_of(marked_face)
-    # propagate: a face with 2+ split edges becomes fully split
-    face_ekeys = ekeys.reshape(3, -1).T
-    while True:
-        counts = np.isin(face_ekeys, np.fromiter(split.keys(), dtype=np.int64)).sum(axis=1)
-        promote = (counts >= 2) & ~marked_face
-        if not promote.any():
-            break
-        marked_face |= promote
-        mark_edges_of(promote)
-
-    period_u = surface.u1 - surface.u0 if surface.periodic_u else None
-    period_v = surface.v1 - surface.v0 if surface.periodic_v else None
-
-    new_uv = []
-    for k in split:
-        i, j = int(k // n), int(k % n)
-        a, b = uv[i].copy(), uv[j].copy()
-        if period_u is not None and abs(a[0] - b[0]) > period_u / 2:
-            if a[0] < b[0]:
-                a[0] += period_u
-            else:
-                b[0] += period_u
-        if period_v is not None and abs(a[1] - b[1]) > period_v / 2:
-            if a[1] < b[1]:
-                a[1] += period_v
-            else:
-                b[1] += period_v
-        split[k] = n + len(new_uv)
-        new_uv.append(0.5 * (a + b))
-    new_uv = np.array(new_uv).reshape(-1, 2)
-    mids = surface.points(new_uv[:, 0], new_uv[:, 1]) if len(new_uv) else np.zeros((0, 3))
-
-    # midpoint tags: truncation only when the edge lies on the truncation boundary
-    uniqk, counts = _edge_counts(edges, n)
-    boundary_keys = set(uniqk[counts == 1].tolist())
-    new_tags = []
-    for k, idx in split.items():
-        i, j = int(k // n), int(k % n)
-        if k in boundary_keys and tags[i] == TAG_TRUNCATION and tags[j] == TAG_TRUNCATION:
-            new_tags.append(TAG_TRUNCATION)
-        else:
-            new_tags.append(TAG_INTERIOR)
-
-    out = []
-    for fidx, tri in enumerate(faces):
-        ks = [int(x) for x in face_ekeys[fidx]]
-        m01, m12, m20 = (split.get(ks[0]), split.get(ks[1]), split.get(ks[2]))
-        a, b, c = (int(x) for x in tri)
-        if marked_face[fidx]:
-            out += [(a, m01, m20), (m01, b, m12), (m20, m12, c), (m01, m12, m20)]
-        else:
-            present = [m is not None for m in (m01, m12, m20)]
-            if not any(present):
-                out.append((a, b, c))
-            else:
-                # green bisection through the single split edge
-                if m01 is not None:
-                    out += [(a, m01, c), (m01, b, c)]
-                elif m12 is not None:
-                    out += [(a, b, m12), (a, m12, c)]
-                else:
-                    out += [(a, b, m20), (m20, b, c)]
-    verts = np.concatenate([verts, mids])
-    uv = np.concatenate([uv, new_uv])
-    tags = np.concatenate([tags, np.array(new_tags, dtype=np.uint8)])
-    return verts, np.array(out, dtype=np.int64), tags, uv
+    face_mid = mid[edge]
+    corners = np.column_stack([faces, face_mid])
+    has_mid = face_mid >= 0
+    kind = np.where(marked, 4, np.argmax(has_mid, axis=1) + has_mid.any(axis=1))
+    children = corners[np.arange(len(faces))[:, None, None], _CHILDREN[kind]]
+    return (np.concatenate([verts, surface.points(new_uv[:, 0], new_uv[:, 1])]),
+            children[np.arange(4) < _CHILD_COUNT[kind][:, None]],
+            np.concatenate([tags, np.where(trunc, TAG_TRUNCATION, TAG_INTERIOR).astype(np.uint8)]),
+            np.concatenate([uv, new_uv]))
 
 
 # ---------------------------------------------------------------------------
@@ -603,8 +580,7 @@ def minimality_residual(mesh: TriMesh, percentile: float = 95.0) -> float:
     surface tends to 0 under refinement.  Returns the given percentile over
     interior vertices.
     """
-    K, _ = cotangent_stiffness(mesh.verts, mesh.faces, clamp=False)
-    mass = barycentric_mass(mesh.verts, mesh.faces)
+    K, mass = cotangent_laplacian(mesh.verts, mesh.faces, clamp=False)
     lap = np.column_stack([K @ mesh.verts[:, k] for k in range(3)])
     with np.errstate(divide="ignore", invalid="ignore"):
         hn = np.linalg.norm(lap, axis=1) / mass
@@ -614,8 +590,9 @@ def minimality_residual(mesh: TriMesh, percentile: float = 95.0) -> float:
     return float(np.percentile(hn[interior], percentile))
 
 
-def cotangent_stiffness(verts, faces, clamp: bool = True):
-    """Cotangent-weight stiffness matrix (CSR) and the per-edge weight COO.
+def cotangent_laplacian(verts, faces, clamp: bool = True):
+    """Cotangent-weight stiffness matrix (CSR) and barycentric lumped mass,
+    a third of each incident face's area per vertex.
 
     With clamp=True negative edge weights are zeroed, which keeps the matrix
     an M-matrix so discrete solutions obey the maximum principle.
@@ -623,6 +600,9 @@ def cotangent_stiffness(verts, faces, clamp: bool = True):
     v = np.asarray(verts, float)
     f = np.asarray(faces)
     n = len(v)
+    # the mass first, so its temporaries are gone before the stiffness's are
+    # made (peak memory); summed over all first corners, then second, then third
+    mass = np.bincount(f.T.ravel(), np.tile(face_areas(v, f) / 3.0, 3), minlength=n)
     p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
     # cot of the angle at each corner = dot of adjacent edges / twice area
     cots = np.empty((len(f), 3))
@@ -642,16 +622,4 @@ def cotangent_stiffness(verts, faces, clamp: bool = True):
         W.data = np.maximum(W.data, 0.0)
     diag = np.asarray(W.sum(axis=1)).ravel()
     K = sparse.diags(diag) - W
-    return K.tocsr(), W
-
-
-def barycentric_mass(verts, faces) -> np.ndarray:
-    v = np.asarray(verts, float)
-    f = np.asarray(faces)
-    areas = 0.5 * np.linalg.norm(
-        np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]]), axis=1)
-    mass = np.zeros(len(v))
-    np.add.at(mass, f[:, 0], areas / 3.0)
-    np.add.at(mass, f[:, 1], areas / 3.0)
-    np.add.at(mass, f[:, 2], areas / 3.0)
-    return mass
+    return K.tocsr(), mass

@@ -1,7 +1,11 @@
+import contextlib
+import io
 import json
+import tempfile
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from excomp import dgeom, harness
 from excomp.cli import main, make_model
@@ -51,6 +55,34 @@ class TestModelCommand:
                     "--out", str(tmp_path)])
         assert code == 3
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--dim", "400"],
+        ["--warp", "b=-1", "--grid", "1:1000:3"],
+        ["--warp", "b=-1", "--exit-time", "1000"],
+        ["--warp", "sinh(r)", "--capacity", "2:1e308"],
+        ["--grid", "1:2:1e308"],
+    ], ids=["dim-400", "b=-1-grid", "b=-1-exit-time", "sinh-capacity", "grid-1e308-radii"])
+    def test_numeric_overflow_is_exit_3(self, tmp_path, capsys, flags):
+        code = run(["model", *flags, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [["--quad-rel-tol", "1e-300"], ["--quad-abs-tol", "0"],
+                                       ["--quad-abs-tol", "-1"]])
+    def test_quadrature_tolerance_out_of_range_is_exit_3(self, tmp_path, capsys, flags):
+        code = run(["model", "--warp", "sinh(r)", "--capacity", "1:2", *flags,
+                    "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: quadrature tolerances") and err.count("\n") == 1
+
+    def test_exit_time_start_radius(self, tmp_path, capsys):
+        run(["model", "--exit-time", "2", "--out", str(tmp_path)])
+        assert "mean_exit(2.0, start=0.0) = 1" in capsys.readouterr().out
+        run(["model", "--exit-time", "2:1", "--out", str(tmp_path)])
+        assert "mean_exit(2.0, start=1.0) = 0.75" in capsys.readouterr().out
 
 
 class TestSurfaceCommand:
@@ -357,3 +389,72 @@ class TestValueErrors:
         err = self._usage_error(["model", "--capacity", "1", "--out", str(tmp_path)],
                                 capsys)
         assert "--capacity" in err
+
+    @pytest.mark.parametrize("value", ["nan", "1,inf", "1,x", "", "2,"])
+    def test_malformed_refine(self, tmp_path, capsys, value):
+        err = self._usage_error(["surface", "--surface", "plane", "--res", "16", "--cover", "2",
+                                 f"--refine={value}", "--out", str(tmp_path)], capsys)
+        assert "--refine" in err
+
+    @pytest.mark.parametrize("value", ["2:0.5:9", "nan", "2:inf", ""])
+    def test_malformed_exit_time(self, tmp_path, capsys, value):
+        err = self._usage_error(["model", f"--exit-time={value}", "--out", str(tmp_path)],
+                                capsys)
+        assert "--exit-time" in err
+
+    @pytest.mark.parametrize("flag", ["--quad-abs-tol", "--quad-rel-tol"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_quadrature_tolerance(self, tmp_path, capsys, flag, value):
+        err = self._usage_error(["model", "--warp", "sinh(r)", "--capacity", "1:2",
+                                 f"{flag}={value}", "--out", str(tmp_path)], capsys)
+        assert flag in err and "finite" in err
+
+    def test_non_finite_config_tolerance(self, tmp_path, capsys):
+        err = self._config_error(tmp_path, capsys, {"quad_rel_tol": float("nan")})
+        assert "config key 'quad_rel_tol'" in err
+
+
+# Edge tokens, and one plain value, for every numeric flag of `excomp model`;
+# --grid, --capacity and --exit-time join two or three of them with ':'
+_TOKENS = ("0", "-1", "1e-300", "1e3", "1e308", "nan", "inf", "", "junk", "2")
+
+
+def _joined(count):
+    return st.lists(st.sampled_from(_TOKENS), min_size=count, max_size=count).map(":".join)
+
+
+_MODEL_FLAGS = {
+    "--dim": st.sampled_from(_TOKENS + ("3",)),
+    "--warp": st.sampled_from(("r", "sinh(r)")) | st.sampled_from(_TOKENS).map("b={}".format),
+    "--lambda": st.sampled_from(_TOKENS),
+    "--quad-abs-tol": st.sampled_from(_TOKENS),
+    "--quad-rel-tol": st.sampled_from(_TOKENS),
+    "--grid": _joined(3),
+    "--capacity": _joined(2),
+    "--exit-time": st.sampled_from(_TOKENS) | _joined(2),
+}
+
+
+# up to three flags a run, so that most runs get past the usage checks
+_FLAG_SETS = st.lists(st.sampled_from(sorted(_MODEL_FLAGS)), max_size=3, unique=True).flatmap(
+    lambda names: st.fixed_dictionaries({name: _MODEL_FLAGS[name] for name in names}))
+
+
+@settings(max_examples=300)
+@given(_FLAG_SETS)
+def test_model_flags_keep_the_exit_contract(flags):
+    """Exit 0, 2 (usage) or 3 (computation); never a traceback, and a nonzero
+    exit prints exactly one error line."""
+    argv = ["model"] + [f"{flag}={value}" for flag, value in flags.items()]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv + ["--out", out])
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    if code:
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)

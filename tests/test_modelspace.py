@@ -164,6 +164,11 @@ class TestCapacity:
         assert custom("sinh(r)").capacity(1.0, 2.0) == pytest.approx(
             hyperbolic().capacity(1.0, 2.0), rel=1e-9)
 
+    @pytest.mark.parametrize("b", [-1e-300, -1e-24, -1e-12])
+    def test_faint_hyperbolic_tends_to_flat(self, b):
+        # ln tanh(s r / 2) where e^(-s r) rounds to or near 1
+        assert hyperbolic(b=b).capacity(1.0, math.e) == pytest.approx(2 * math.pi, rel=1e-9)
+
     def test_preconditions(self):
         with pytest.raises(DomainError):
             flat().capacity(2.0, 1.0)
@@ -321,3 +326,18 @@ class TestQuadratureConfig:
             QuadratureConfig(abs_tol=0.0)
         with pytest.raises(DomainError):
             QuadratureConfig(rel_tol=-1.0)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"abs_tol": math.nan}, {"rel_tol": math.nan}, {"abs_tol": math.inf},
+        {"rel_tol": math.inf}, {"rel_tol": 1e-300}, {"rel_tol": 50 * np.finfo(float).eps},
+    ])
+    def test_non_finite_or_below_quadpack_floor(self, kwargs):
+        with pytest.raises(DomainError, match="quadrature tolerances"):
+            QuadratureConfig(**kwargs)
+
+    def test_smallest_relative_tolerance_integrates(self):
+        quad = QuadratureConfig(rel_tol=51 * np.finfo(float).eps)
+        assert hyperbolic().capacity(1.0, 2.0, quad) == pytest.approx(12.576548463051132,
+                                                                     rel=1e-12)
+        tone = hyperbolic().tone_upper_limit(np.linspace(0.5, 4, 5), quad)  # tail integrals
+        assert len(tone.samples) == 5
