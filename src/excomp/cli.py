@@ -105,7 +105,9 @@ def _model_flags(p: argparse.ArgumentParser):
     p.add_argument("--dim", type=int, default=None, help="model dimension m >= 2")
     p.add_argument("--warp", default=None,
                    help="warping function: expression in r, or b=<curvature>")
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
+    p.add_argument("--lambda", dest="lam", default=None,
+                   type=_checked_float("--lambda", "a finite number or inf",
+                                       lambda value: math.isfinite(value) or value == math.inf),
                    help="domain bound for custom warping functions (default: infinity)")
 
 
@@ -122,12 +124,12 @@ def _surface_flags(p: argparse.ArgumentParser):
     p.add_argument("--pole", default=None, help="pole position x,y,z")
 
 
-def _finite_float(flag: str):
-    """The argparse type of a flag that takes one finite float."""
+def _checked_float(flag: str, what: str = "a finite number", ok=math.isfinite):
+    """The argparse type of a flag that takes one float for which ok holds."""
     def parse(text: str) -> float:
         value = float(text)
-        if not math.isfinite(value):
-            raise UsageError(f"{flag} must be a finite number, got {text!r}")
+        if not ok(value):
+            raise UsageError(f"{flag} must be {what}, got {text!r}")
         return value
     parse.__name__ = "float"  # argparse's message for a value that is no number
     return parse
@@ -135,7 +137,7 @@ def _finite_float(flag: str):
 
 def _radius_flags(p: argparse.ArgumentParser, *flags: str):
     for flag in flags:
-        p.add_argument(flag, type=_finite_float(flag), default=None)
+        p.add_argument(flag, type=_checked_float(flag), default=None)
 
 
 def _common_flags(p: argparse.ArgumentParser):
@@ -145,7 +147,7 @@ def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--strict", action="store_true", default=None,
                    help="inconclusive checks also fail the run")
     for flag in ("--quad-abs-tol", "--quad-rel-tol"):
-        p.add_argument(flag, type=_finite_float(flag), default=None)
+        p.add_argument(flag, type=_checked_float(flag), default=None)
 
 
 _DEFAULTS = {
@@ -327,16 +329,15 @@ def _cmd_model(args) -> int:
     started = time.perf_counter()
     quad = _quad(args)
     model = make_model(args.dim, args.warp, args.lam)
+    grid = _parse_grid("0.5:30:100" if args.grid is None else args.grid)
     scalars: dict = {"dim": model.m, "warp": model.warp.describe(), "V0": model.V0}
     if math.isinf(model.warp.lam):
         parab = model.parabolicity(quad)
         scalars["parabolicity"] = parab.to_dict()
-        grid_spec = args.grid or "0.5:30:100"
-        grid = _parse_grid(grid_spec)
         scalars["tone"] = model.tone_upper_limit(grid, quad).to_dict()
         scalars["cheeger"] = model.cheeger_bound(grid, quad).to_dict()
         scalars["ends_coefficient"] = model.ends_coefficient(grid, quad).to_dict()
-    if args.capacity:
+    if args.capacity is not None:
         rho, R = _parse_finite(args.capacity, ":", "--capacity", "rho:R", (2,))
         scalars["capacity"] = model.capacity(rho, R, quad)
         print(f"capacity({rho}, {R}) = {scalars['capacity']:.6g}")
@@ -345,11 +346,11 @@ def _cmd_model(args) -> int:
         r = start[0] if start else 0.0
         scalars["exit_time"] = model.mean_exit(R, r, quad)
         print(f"mean_exit({R}, start={r}) = {scalars['exit_time']:.6g}")
-    report = VerificationReport([], scalars=scalars, config=_config_dict(args))
-    rundir = _write_outputs(args, report, started=started)
-    if args.grid:
-        grid = _parse_grid(args.grid)
-        lines = ["r [length],w [length],eta [1/length],volS [length^(m-1)],"
+    # the table is computed before any output is written, so that a radius out
+    # of range leaves no report behind
+    table = None
+    if args.grid is not None:
+        table = ["r [length],w [length],eta [1/length],volS [length^(m-1)],"
                  "volB [length^m],q [length],q_eta [1]"]
         for r in grid:
             r = float(r)
@@ -358,8 +359,11 @@ def _cmd_model(args) -> int:
             vs = model.vol_sphere(r)
             vb = model.vol_ball(r, quad)
             q = vb / vs
-            lines.append(f"{r!r},{w!r},{eta!r},{vs!r},{vb!r},{q!r},{q * eta!r}")
-        (rundir / "model.csv").write_text("\n".join(lines) + "\n")
+            table.append(f"{r!r},{w!r},{eta!r},{vs!r},{vb!r},{q!r},{q * eta!r}")
+    report = VerificationReport([], scalars=scalars, config=_config_dict(args))
+    rundir = _write_outputs(args, report, started=started)
+    if table is not None:
+        (rundir / "model.csv").write_text("\n".join(table) + "\n")
     print(json.dumps(_json_safe(scalars), sort_keys=True, indent=2))
     return 0
 
@@ -426,7 +430,8 @@ def _curve_scalars(curve: harness.QuotientCurve) -> dict:
 
 
 def _cmd_quotients(args, study, report):
-    curve = _quotient_checks(study, _parse_grid(args.grid or "0.5:3:8"), report)
+    grid = _parse_grid("0.5:3:8" if args.grid is None else args.grid)
+    curve = _quotient_checks(study, grid, report)
     report.scalars = _curve_scalars(curve)
 
 
@@ -455,7 +460,7 @@ def _cmd_ends(args, study, report):
     if args.R is None or args.t is None:
         raise ExcompError("--R and --t are required")
     curve = None
-    if args.grid:
+    if args.grid is not None:
         curve = harness.quotient_curves(study.mesh, study.model, _parse_grid(args.grid),
                                         quad=study.quad)
         report.curves = _curve_payload(curve)
@@ -466,7 +471,7 @@ def _cmd_ends(args, study, report):
 
 
 def _cmd_tone(args, study, report):
-    grid = _parse_grid(args.grid or "0.5:30:100")
+    grid = _parse_grid("0.5:30:100" if args.grid is None else args.grid)
     tone = harness.tone_report(study, args.R0 or float(grid[0]), grid)
     report.extend(tone.checks)
     report.scalars = tone.to_dict()
@@ -477,7 +482,7 @@ def _cmd_verify(args, study, report):
     mesh = study.mesh
     window = mesh.r[mesh.tags == surfaces.TAG_TRUNCATION]
     reach = float(window.min()) if len(window) else mesh.max_r()
-    grid = _parse_grid(args.grid) if args.grid else np.linspace(
+    grid = _parse_grid(args.grid) if args.grid is not None else np.linspace(
         reach / 20.0, reach * 0.95, 10)
     rho = args.rho if args.rho is not None else float(grid[0])
     R = args.R if args.R is not None else float(grid[len(grid) // 2])
@@ -525,7 +530,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = _resolve(parser.parse_args(argv), parser)
-        return _COMMANDS[args.command](args)
+        # a numpy overflow or invalid operation raises FloatingPointError, an
+        # ArithmeticError, instead of warning and carrying on with inf or NaN
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

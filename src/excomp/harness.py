@@ -183,7 +183,7 @@ def _balance_gate(model: ModelSpace, R: float,
 
 def _monotone_w_gate(model: ModelSpace, R: float, strict: bool = False) -> Check:
     rs = np.linspace(R / 256.0, R, 256)
-    dw = model.warp.dw_array(rs)
+    dw = np.array([model.warp.dw(float(r)) for r in rs])
     ok = bool(np.all(dw > 0)) if strict else bool(np.all(dw >= -1e-12))
     relation = "w' > 0" if strict else "w' >= 0"
     return _gate_check("gate.w_monotone", f"warping function satisfies {relation}",
@@ -420,7 +420,7 @@ class ToneReport:
         }
 
 
-def tone_report(study: Study, R0: float, grid, eigen_grid=None) -> ToneReport:
+def tone_report(study: Study, R0: float, grid) -> ToneReport:
     """Two-sided fundamental-tone report: the model upper limit scaled by the
     flux/volume factor of the best end, the Cheeger lower bound 1/(4 L^2),
     and (with a mesh) the trend of discrete first eigenvalues."""
@@ -458,9 +458,7 @@ def tone_report(study: Study, R0: float, grid, eigen_grid=None) -> ToneReport:
             notes=f"factor {factor:.6g} * limit {tone.reported_limsup:.6g}"))
     eigenvalues = []
     if mesh is not None:
-        radii = eigen_grid if eigen_grid is not None else np.linspace(
-            grid[0] + (grid[-1] - grid[0]) * 0.25, grid[-1], 4)
-        for R in radii:
+        for R in np.linspace(grid[0] + (grid[-1] - grid[0]) * 0.25, grid[-1], 4):
             eigenvalues.append((float(R), dgeom.first_eigenvalue_estimate(
                 dgeom.clip(mesh, 0.0, float(R)))))
         lams = np.array([lam for _, lam in eigenvalues])

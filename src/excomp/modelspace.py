@@ -8,9 +8,11 @@ curvature eta = w'/w, annulus capacity, the radial harmonic potential, the
 mean exit time, conformal type by tail resistance, and the asymptotic
 quantities feeding the tone and ends bounds.
 
-Space forms (curvature b) use closed-form antiderivatives, written in
-cancellation-safe form so the deep tails stay accurate; parsed warping
-functions always go through adaptive quadrature.
+Every warping function, space form or parsed, evaluates w, w' and w''
+through wexpr expressions.  Only the integrals tell them apart: space forms
+(curvature b) use closed-form antiderivatives, written in cancellation-safe
+form so the deep tails stay accurate, where they exist; everything else goes
+through adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy import integrate
@@ -27,6 +30,8 @@ from .errors import DomainError, EvalDomainError, QuadratureError
 
 _INF = float("inf")
 _REL_TOL_FLOOR = float(50 * np.finfo(float).eps)
+_MAX_SUBDIVISIONS = 200  # quadpack's interval limit
+_TAIL_MAX = 1e4  # top of the geometric ladder probing integrals to infinity
 
 
 @dataclass(frozen=True)
@@ -35,8 +40,6 @@ class QuadratureConfig:
 
     abs_tol: float = 1e-10
     rel_tol: float = 1e-10
-    max_subdivisions: int = 200
-    tail_max: float = 1e4  # top of the geometric ladder probing integrals to infinity
 
     def __post_init__(self):
         # quadpack rejects a relative tolerance of 50 eps or less when, as in
@@ -45,10 +48,6 @@ class QuadratureConfig:
             raise DomainError(f"quadrature tolerances must be finite with abs_tol > 0 and "
                               f"rel_tol > 50 eps = {_REL_TOL_FLOOR!r}, got "
                               f"abs_tol={self.abs_tol!r}, rel_tol={self.rel_tol!r}")
-        if self.max_subdivisions < 10:
-            raise DomainError("max_subdivisions must be at least 10")
-        if self.tail_max <= 1:
-            raise DomainError("tail_max must exceed 1")
 
 
 DEFAULT_QUAD = QuadratureConfig()
@@ -58,7 +57,7 @@ def _quad(f, a, b, cfg: QuadratureConfig) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(
-            f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=cfg.max_subdivisions
+            f, a, b, epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=_MAX_SUBDIVISIONS
         )
     if not math.isfinite(val):
         raise QuadratureError(f"integral over [{a}, {b}] did not evaluate to a finite value")
@@ -73,7 +72,7 @@ def _quad_tail(f, t: float, cfg: QuadratureConfig) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(f, t, _INF, epsabs=0.0, epsrel=cfg.rel_tol,
-                                  limit=cfg.max_subdivisions)
+                                  limit=_MAX_SUBDIVISIONS)
     if not math.isfinite(val):
         raise QuadratureError(f"tail integral from {t} did not evaluate to a finite value")
     if val != 0.0 and err > 1e3 * abs(val) * cfg.rel_tol:
@@ -106,10 +105,13 @@ def _coth_minus_one(x: float) -> float:
 class WarpingSpec:
     """A warping function with its first two derivatives and domain bound.
 
-    kind is 'space_form' (constant curvature b, closed forms available) or
-    'custom' (parsed expression, differentiated symbolically).  Construction
-    validates w(0)=0 and w'(0)=1 to 1e-8 and that w stays positive on a
-    sample of (0, Lambda).
+    kind is 'space_form' (constant curvature b, closed-form integrals
+    available) or 'custom' (parsed expression, differentiated symbolically).
+    Either way w, w' and w'' are three wexpr trees built here: a space form's
+    are written out by hand, r, 1, 0 for b = 0 and, with a = sqrt|b|,
+    sin(a*r)/a, cos(a*r), (-b)*w (sinh and cosh for b < 0).  Construction
+    validates w(0)=0 and w'(0)=1 to 1e-8 and that a custom w stays positive
+    on a sample of (0, Lambda).
     """
 
     __slots__ = ("kind", "b", "lam", "expr", "_d1", "_d2", "_sqrt_abs_b", "source")
@@ -117,15 +119,22 @@ class WarpingSpec:
     def __init__(self, kind, b=None, expr=None, lam=_INF, source=None):
         self.kind = kind
         self.b = b
-        self.expr = expr
         self.lam = float(lam)
         self.source = source
         self._sqrt_abs_b = math.sqrt(abs(b)) if b else 0.0
         if kind == "custom":
+            self.expr = expr
             self._d1 = wexpr.differentiate(expr)
             self._d2 = wexpr.differentiate(self._d1)
+        elif b == 0:
+            self.expr = wexpr.R
+            self._d1, self._d2 = wexpr.Num(Fraction(1)), wexpr.Num(Fraction(0))
         else:
-            self._d1 = self._d2 = None
+            a = wexpr.Num(Fraction(self._sqrt_abs_b))
+            ar = wexpr.BinOp("*", a, wexpr.R)
+            self.expr = wexpr.BinOp("/", wexpr.Call("sinh" if b < 0 else "sin", ar), a)
+            self._d1 = wexpr.Call("cosh" if b < 0 else "cos", ar)
+            self._d2 = wexpr.BinOp("*", wexpr.Num(Fraction(-b)), self.expr)
         self._validate()
 
     @classmethod
@@ -135,10 +144,8 @@ class WarpingSpec:
         return cls("space_form", b=b, lam=lam, source=f"b={b!r}")
 
     @classmethod
-    def custom(cls, source, lam: float = _INF) -> "WarpingSpec":
-        expr = wexpr.parse(source) if isinstance(source, str) else source
-        text = source if isinstance(source, str) else wexpr.to_string(source)
-        return cls("custom", expr=expr, lam=lam, source=text)
+    def custom(cls, source: str, lam: float = _INF) -> "WarpingSpec":
+        return cls("custom", expr=wexpr.parse(source), lam=lam, source=source)
 
     def _validate(self):
         if not (self.lam > 0):
@@ -166,57 +173,13 @@ class WarpingSpec:
     # pointwise values -----------------------------------------------------
 
     def w(self, r: float) -> float:
-        if self.kind == "space_form":
-            a = self._sqrt_abs_b
-            if self.b == 0:
-                return r
-            if self.b < 0:
-                try:
-                    return math.sinh(a * r) / a
-                except OverflowError:
-                    return _INF
-            return math.sin(a * r) / a
         return wexpr.evaluate(self.expr, r)
 
     def dw(self, r: float) -> float:
-        if self.kind == "space_form":
-            a = self._sqrt_abs_b
-            if self.b == 0:
-                return 1.0
-            if self.b < 0:
-                try:
-                    return math.cosh(a * r)
-                except OverflowError:
-                    return _INF
-            return math.cos(a * r)
         return wexpr.evaluate(self._d1, r)
 
     def d2w(self, r: float) -> float:
-        if self.kind == "space_form":
-            if self.b == 0:
-                return 0.0
-            return -self.b * self.w(r)
         return wexpr.evaluate(self._d2, r)
-
-    def w_array(self, rs: np.ndarray) -> np.ndarray:
-        rs = np.asarray(rs, dtype=float)
-        if self.kind == "space_form":
-            a = self._sqrt_abs_b
-            if self.b == 0:
-                return rs.copy()
-            with np.errstate(over="ignore"):
-                return np.sinh(a * rs) / a if self.b < 0 else np.sin(a * rs) / a
-        return np.array([wexpr.evaluate(self.expr, float(r)) for r in rs.ravel()]).reshape(rs.shape)
-
-    def dw_array(self, rs: np.ndarray) -> np.ndarray:
-        rs = np.asarray(rs, dtype=float)
-        if self.kind == "space_form":
-            a = self._sqrt_abs_b
-            if self.b == 0:
-                return np.ones_like(rs)
-            with np.errstate(over="ignore"):
-                return np.cosh(a * rs) if self.b < 0 else np.cos(a * rs)
-        return np.array([wexpr.evaluate(self._d1, float(r)) for r in rs.ravel()]).reshape(rs.shape)
 
     def describe(self) -> str:
         return self.source if self.source is not None else self.kind
@@ -228,11 +191,8 @@ class WarpingSpec:
 @dataclass(eq=False)
 class BalanceResult:
     below: bool
-    above: bool
     worst_below_r: float
     worst_below_margin: float  # min over grid of q*eta - 1/m
-    worst_above_r: float
-    worst_above_margin: float  # min over grid of 1/(m-1) - q*eta
 
 
 @dataclass(eq=False)
@@ -384,16 +344,11 @@ class ModelSpace:
         grid = _validated_grid(grid, self.warp.lam)
         qe = np.array([self.iso_quotient(float(r), quad) * self.eta(float(r)) for r in grid])
         below_margin = qe - 1.0 / self.m
-        above_margin = 1.0 / (self.m - 1) - qe
         ib = int(np.argmin(below_margin))
-        ia = int(np.argmin(above_margin))
         return BalanceResult(
             below=bool(below_margin[ib] >= -1e-12),
-            above=bool(above_margin[ia] >= -1e-12),
             worst_below_r=float(grid[ib]),
             worst_below_margin=float(below_margin[ib]),
-            worst_above_r=float(grid[ia]),
-            worst_above_margin=float(above_margin[ia]),
         )
 
     # -- resistance integrals (1 / sphere volume) --------------------------
@@ -423,13 +378,12 @@ class ModelSpace:
         closed = self._resistance_closed(a, b)
         if closed is not None:
             return closed
-        m, V0 = self.m, self.V0
+        return _quad(self._inverse_sphere, a, b, quad)
 
-        def f(s):
-            ws = _pow_sat(self.warp.w(s), m - 1)
-            return 1.0 / (V0 * ws) if ws > 0 and math.isfinite(ws) else 0.0
-
-        return _quad(f, a, b, quad)
+    def _inverse_sphere(self, s: float) -> float:
+        """The resistance integrand 1/volS(s), 0 where volS is 0 or infinite."""
+        ws = _pow_sat(self.warp.w(s), self.m - 1)
+        return 1.0 / (self.V0 * ws) if ws > 0 and math.isfinite(ws) else 0.0
 
     def _resistance_tail(self, t: float, quad: QuadratureConfig) -> float:
         """Integral of ds / volS(s) over [t, infinity)."""
@@ -446,13 +400,7 @@ class ModelSpace:
                     return -_log_tanh(s * t / 2.0) / V0
                 if m == 3:
                     return s * _coth_minus_one(s * t) / V0
-        m, V0 = self.m, self.V0
-
-        def f(s):
-            ws = _pow_sat(self.warp.w(s), m - 1)
-            return 1.0 / (V0 * ws) if ws > 0 and math.isfinite(ws) else 0.0
-
-        return _quad_tail(f, t, quad)
+        return _quad_tail(self._inverse_sphere, t, quad)
 
     # -- capacity, potential, exit time ------------------------------------
 
@@ -498,7 +446,7 @@ class ModelSpace:
         if self.warp.kind == "space_form" and self.warp.b == 0:
             return (R * R - np.minimum(rs, R) ** 2) / (2.0 * self.m)
         t = np.linspace(0.0, R, samples)
-        wt = self.warp.w_array(t)
+        wt = np.array([self.warp.w(float(s)) for s in t])
         sphere = self.V0 * wt ** (self.m - 1)
         ball = integrate.cumulative_trapezoid(sphere, t, initial=0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -521,7 +469,7 @@ class ModelSpace:
             raise DomainError("conformal-type probe requires Lambda = infinity")
         ladder = []
         top = 10.0
-        while top <= quad.tail_max * (1 + 1e-9):
+        while top <= _TAIL_MAX * (1 + 1e-9):
             ladder.append(top)
             top *= 10.0
         incs = []
@@ -606,7 +554,7 @@ class ModelSpace:
             raise DomainError("ends coefficient is an asymptotic quantity; "
                               "it needs Lambda = infinity")
         grid = _validated_grid(grid, self.warp.lam)
-        monotone = bool(np.all(self.warp.dw_array(grid) >= -1e-12))
+        monotone = all(self.warp.dw(float(r)) >= -1e-12 for r in grid)
         samples = np.empty_like(grid)
         for i, t in enumerate(grid):
             ball = self.vol_ball(float(t), quad)

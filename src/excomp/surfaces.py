@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -39,7 +39,6 @@ class ParamSurface:
     v1: float
     periodic_u: bool = False
     periodic_v: bool = False
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if not (self.u1 > self.u0 and self.v1 > self.v0):
@@ -101,7 +100,7 @@ def builtin(name: str, a: float = 1.0, c: float = 1.0, cover_radius: float | Non
     if name == "plane":
         L = extent if extent is not None else (_COVER_MARGIN * cover_radius if cover_radius else 8.0)
         return ParamSurface("plane", lambda u, v: (u, v, np.zeros_like(u + v)),
-                            -L, L, -L, L, params={"extent": L})
+                            -L, L, -L, L)
     if name == "catenoid":
         if a <= 0:
             raise DomainError(f"catenoid neck radius must be positive, got {a!r}")
@@ -116,7 +115,7 @@ def builtin(name: str, a: float = 1.0, c: float = 1.0, cover_radius: float | Non
             return (a * np.cosh(v) * np.cos(u), a * np.cosh(v) * np.sin(u), a * v)
 
         return ParamSurface("catenoid", cat, 0.0, 2 * math.pi, -v1, v1,
-                            periodic_u=True, params={"a": a, "v1": v1})
+                            periodic_u=True)
     if name == "helicoid":
         if c <= 0:
             raise DomainError(f"helicoid pitch must be positive, got {c!r}")
@@ -129,7 +128,7 @@ def builtin(name: str, a: float = 1.0, c: float = 1.0, cover_radius: float | Non
         def heli(u, v):
             return (v * np.cos(u), v * np.sin(u), c * u)
 
-        return ParamSurface("helicoid", heli, -U, U, -V, V, params={"c": c, "U": U, "V": V})
+        return ParamSurface("helicoid", heli, -U, U, -V, V)
     if name == "enneper":
         def enn(u, v):
             return (u - u ** 3 / 3 + u * v * v, -v + v ** 3 / 3 - v * u * u, u * u - v * v)
@@ -140,7 +139,7 @@ def builtin(name: str, a: float = 1.0, c: float = 1.0, cover_radius: float | Non
             E = _enneper_extent(enn, _COVER_MARGIN * cover_radius)
         else:
             E = 2.0
-        return ParamSurface("enneper", enn, -E, E, -E, E, params={"extent": E})
+        return ParamSurface("enneper", enn, -E, E, -E, E)
     raise DomainError(f"unknown builtin surface {name!r}; have {BUILTIN_NAMES}")
 
 

@@ -10,6 +10,8 @@ Differentiation is exact and stays inside the same grammar (the power rule
 only ever shifts the rational exponent), so second derivatives are obtained
 by differentiating twice.  Only literal arithmetic is constant-folded; no
 other simplification is attempted, and correctness is checked by evaluation.
+Evaluation is the one path by which the model side reads w, w' and w'': the
+space forms build their three trees from the node classes directly.
 """
 
 from __future__ import annotations
@@ -29,9 +31,6 @@ class Expr:
     """Immutable expression node; safe to share between threads."""
 
     __slots__ = ()
-
-    def __str__(self) -> str:
-        return to_string(self)
 
 
 @dataclass(frozen=True)
@@ -75,10 +74,6 @@ R = Var()
 
 # ---------------------------------------------------------------------------
 # smart constructors: fold literal arithmetic, keep everything else verbatim
-
-def num(value) -> Num:
-    return Num(Fraction(value))
-
 
 def add(a: Expr, b: Expr) -> Expr:
     if isinstance(a, Num) and isinstance(b, Num):
@@ -144,12 +139,6 @@ def neg(a: Expr) -> Expr:
     if isinstance(a, Neg):
         return a.arg
     return Neg(a)
-
-
-def call(func: str, arg: Expr) -> Expr:
-    if func not in FUNCTIONS:
-        raise ValueError(f"unknown function {func!r}")
-    return Call(func, arg)
 
 
 def const_value(e: Expr) -> Fraction | None:
@@ -481,57 +470,3 @@ def evaluate(e: Expr, r: float) -> float:
     if isinstance(e, Call):
         return _eval_call(e.func, evaluate(e.arg, r))
     raise TypeError(f"cannot evaluate {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# printing (round-trips through parse)
-
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(e: Expr) -> int:
-    if isinstance(e, Num):
-        if e.value < 0:
-            return _LEVEL_NEG
-        return _LEVEL_ATOM if e.value.denominator == 1 else _LEVEL_MUL
-    if isinstance(e, (Var, Call)):
-        return _LEVEL_ATOM
-    if isinstance(e, Neg):
-        return _LEVEL_NEG
-    if isinstance(e, Pow):
-        return _LEVEL_POW
-    return _LEVEL_ADD if e.op in "+-" else _LEVEL_MUL
-
-
-def _wrap(e: Expr, minimum: int) -> str:
-    s = to_string(e)
-    return f"({s})" if _level(e) < minimum else s
-
-
-def to_string(e: Expr) -> str:
-    if isinstance(e, Num):
-        v = e.value
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    if isinstance(e, Var):
-        return "r"
-    if isinstance(e, Neg):
-        return "-" + _wrap(e.arg, _LEVEL_NEG)
-    if isinstance(e, Call):
-        return f"{e.func}({to_string(e.arg)})"
-    if isinstance(e, Pow):
-        base = _wrap(e.base, _LEVEL_ATOM)
-        c = e.exponent
-        if c.denominator == 1 and c >= 0:
-            return f"{base}^{c.numerator}"
-        return f"{base}^({to_string(Num(c))})"
-    if isinstance(e, BinOp):
-        if e.op == "+":
-            return f"{_wrap(e.left, _LEVEL_ADD)} + {_wrap(e.right, _LEVEL_ADD + 1)}"
-        if e.op == "-":
-            return f"{_wrap(e.left, _LEVEL_ADD)} - {_wrap(e.right, _LEVEL_ADD + 1)}"
-        if e.op == "*":
-            return f"{_wrap(e.left, _LEVEL_MUL)}*{_wrap(e.right, _LEVEL_MUL + 1)}"
-        return f"{_wrap(e.left, _LEVEL_MUL)}/{_wrap(e.right, _LEVEL_MUL + 1)}"
-    raise TypeError(f"cannot print {e!r}")

@@ -3,6 +3,7 @@ import io
 import json
 import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -78,6 +79,13 @@ class TestModelCommand:
         assert code == 3
         assert err.startswith("error: quadrature tolerances") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("grid,code", [("", 2), ("1:5:3", 3)])
+    def test_bad_grid_with_finite_lambda_writes_nothing(self, tmp_path, capsys, grid, code):
+        assert run(["model", "--warp", "sin(r)", "--lambda", "3.14", f"--grid={grid}",
+                    "--out", str(tmp_path), "--name", "m"]) == code
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "m").exists()
+
     def test_exit_time_start_radius(self, tmp_path, capsys):
         run(["model", "--exit-time", "2", "--out", str(tmp_path)])
         assert "mean_exit(2.0, start=0.0) = 1" in capsys.readouterr().out
@@ -129,6 +137,18 @@ class TestSurfaceCommand:
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(mesh) in err
+
+    @pytest.mark.parametrize("command,flags", [
+        ("surface", ["--surface", "helicoid", "--cover", "1e308"]),
+        ("surface", ["--surface", "catenoid", "--a", "1e308"]),
+        ("quotients", ["--surface", "plane", "--cover", "1e308"]),
+    ], ids=["helicoid-cover", "catenoid-a", "quotients-plane-cover"])
+    def test_huge_parameter_is_exit_3(self, tmp_path, capsys, command, flags):
+        code = run([command, "--res", "16", *flags, "--out", str(tmp_path), "--name", "h"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "h" / "mesh.off").exists()
 
     def test_ingest_roundtrip(self, tmp_path):
         run(["surface", "--surface", "plane", "--res", "16", "--cover", "2",
@@ -285,6 +305,9 @@ class TestOtherSubcommands:
         assert code == 3
 
 
+_PLANE = ["--surface", "plane", "--res", "16", "--cover", "2"]
+
+
 class TestValueErrors:
     """Values that do not parse are usage errors: exit 2, one error line."""
 
@@ -375,6 +398,38 @@ class TestValueErrors:
                                      f"{flag}={value}", "--out", str(tmp_path)], capsys)
         assert flag in err and "finite" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["model", "--grid="],
+        ["model", "--capacity="],
+        ["quotients", *_PLANE, "--grid="],
+        ["ends", *_PLANE, "--R", "1", "--t", "1.5", "--grid="],
+        ["tone", *_PLANE, "--grid="],
+        ["verify", *_PLANE, "--grid="],
+    ], ids=["model-grid", "model-capacity", "quotients", "ends", "tone", "verify"])
+    def test_empty_grid_or_capacity(self, tmp_path, capsys, argv):
+        err = self._usage_error([*argv, "--out", str(tmp_path)], capsys)
+        assert argv[-1][:-1] in err
+
+    @pytest.mark.parametrize("key", ["grid", "capacity"])
+    def test_empty_config_grid_or_capacity(self, tmp_path, capsys, key):
+        err = self._config_error(tmp_path, capsys, {key: ""})
+        assert f"--{key}" in err
+
+    @pytest.mark.parametrize("warp", ["r", "sinh(r)"])
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_lambda_nan_or_minus_inf(self, tmp_path, capsys, warp, value):
+        err = self._usage_error(["model", "--warp", warp, f"--lambda={value}",
+                                 "--out", str(tmp_path)], capsys)
+        assert "--lambda" in err
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_lambda_nan_or_minus_inf_in_config(self, tmp_path, capsys, value):
+        err = self._config_error(tmp_path, capsys, {"lam": value})
+        assert "config key 'lam'" in err
+
+    def test_lambda_inf_is_the_default(self, tmp_path):
+        assert run(["model", "--warp", "sinh(r)", "--lambda=inf", "--out", str(tmp_path)]) == 0
+
     def test_non_finite_config_radius(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text('{"t": Infinity}')
@@ -457,4 +512,55 @@ def test_model_flags_keep_the_exit_contract(flags):
     assert code in (0, 2, 3), (argv, err)
     assert "Traceback" not in err
     if code:
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+
+
+# Every numeric flag of the mesh subcommands; each run starts from values that
+# get it through (--R, --t and --rho are required where a command uses them)
+# and draws up to three flags over them
+_MESH_COMMANDS = {
+    "quotients": ([], ("--grid",)),
+    "capacity": (["--rho", "1", "--R", "2"], ("--rho", "--R")),
+    "exit-time": (["--R", "2"], ("--R",)),
+    "ends": (["--R", "1", "--t", "3"], ("--R", "--t", "--grid")),
+    "tone": (["--grid", "0.5:3:8"], ("--R0", "--grid")),
+    "verify": ([], ("--rho", "--R", "--t", "--R0", "--grid")),
+}
+_MODEL_SIDE = ("--dim", "--warp", "--lambda", "--quad-abs-tol", "--quad-rel-tol")
+_MESH_FLAGS = {
+    **{flag: _MODEL_FLAGS[flag] for flag in _MODEL_SIDE + ("--grid",)},
+    **{flag: st.sampled_from(_TOKENS + ("1", "3")) for flag in ("--rho", "--R", "--t", "--R0")},
+}
+
+
+def _mesh_runs(command):
+    base, own = _MESH_COMMANDS[command]
+    names = st.lists(st.sampled_from(sorted(_MODEL_SIDE + own)), max_size=3, unique=True)
+    flags = names.flatmap(
+        lambda chosen: st.fixed_dictionaries({name: _MESH_FLAGS[name] for name in chosen}))
+    return flags.map(lambda drawn: (command, base, drawn))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(sorted(_MESH_COMMANDS)).flatmap(_mesh_runs))
+def test_mesh_flags_keep_the_exit_contract(run_spec):
+    """Exit 0, 1 only with a failed check in report.json, 2 (usage) or 3
+    (computation); never a traceback, and exit 2 or 3 prints one error line."""
+    command, base, flags = run_spec
+    argv = ([command, "--surface", "plane", "--res", "16", "--cover", "4", *base]
+            + [f"{flag}={value}" for flag, value in flags.items()])
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv + ["--out", out, "--name", "run"])
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+        report = Path(out) / "run" / "report.json"
+        failed = report.exists() and json.loads(report.read_text())["summary"]["fail"] > 0
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    assert (code == 1) == failed or code in (2, 3), (argv, err)
+    if code in (2, 3):
         assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)

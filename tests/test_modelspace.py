@@ -27,6 +27,28 @@ class TestWarpingSpec:
             assert w.w(0.0) == 0.0
             assert w.dw(0.0) == 1.0
 
+    @pytest.mark.parametrize("b", [0.0, 1.0, -1.0, -0.3, 4.0])
+    def test_space_form_values_are_the_closed_forms_bit_for_bit(self, b):
+        def saturating(f, x):
+            try:
+                return f(x)
+            except OverflowError:
+                return math.inf
+
+        w = WarpingSpec.space_form(b)
+        a = math.sqrt(abs(b))
+        rs = np.concatenate([[0.0], np.geomspace(1e-300, 1e300, 601), np.linspace(0, 1e3, 1001)])
+        for r in map(float, rs):
+            if b == 0:
+                want = (r, 1.0, 0.0)
+            elif b < 0:
+                w_r = saturating(math.sinh, a * r) / a
+                want = (w_r, saturating(math.cosh, a * r), -b * w_r)
+            else:
+                w_r = math.sin(a * r) / a
+                want = (w_r, math.cos(a * r), -b * w_r)
+            assert repr((w.w(r), w.dw(r), w.d2w(r))) == repr(want), r
+
     def test_custom_normalization_enforced(self):
         with pytest.raises(DomainError):
             WarpingSpec.custom("r + 1")  # w(0) != 0
