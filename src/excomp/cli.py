@@ -140,6 +140,14 @@ def _radius_flags(p: argparse.ArgumentParser, *flags: str):
         p.add_argument(flag, type=_checked_float(flag), default=None)
 
 
+def _r0_flag(p: argparse.ArgumentParser):
+    """--R0, the ends split radius: absent takes the command's default, and a
+    given value must be positive."""
+    p.add_argument("--R0", default=None,
+                   type=_checked_float("--R0", "a positive finite number",
+                                       lambda value: 0 < value < math.inf))
+
+
 def _common_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", default=None, help="JSON file with default flag values")
     p.add_argument("--out", default=None, help="output directory")
@@ -258,14 +266,15 @@ def build_parser() -> argparse.ArgumentParser:
     _surface_flags(p)
     _model_flags(p)
     _common_flags(p)
-    _radius_flags(p, "--R0")
+    _r0_flag(p)
     p.add_argument("--grid", default=None)
 
     p = sub.add_parser("verify", help="full comparison suite on one surface")
     _surface_flags(p)
     _model_flags(p)
     _common_flags(p)
-    _radius_flags(p, "--rho", "--R", "--t", "--R0")
+    _radius_flags(p, "--rho", "--R", "--t")
+    _r0_flag(p)
     p.add_argument("--grid", default=None)
     p.add_argument("--truncation", choices=("reflect", "error"), default=None)
     return parser
@@ -472,7 +481,7 @@ def _cmd_ends(args, study, report):
 
 def _cmd_tone(args, study, report):
     grid = _parse_grid("0.5:30:100" if args.grid is None else args.grid)
-    tone = harness.tone_report(study, args.R0 or float(grid[0]), grid)
+    tone = harness.tone_report(study, float(grid[0]) if args.R0 is None else args.R0, grid)
     report.extend(tone.checks)
     report.scalars = tone.to_dict()
     return f"tone: lower {tone.lower:.6g}, upper {tone.upper:.6g}"
@@ -487,7 +496,7 @@ def _cmd_verify(args, study, report):
     rho = args.rho if args.rho is not None else float(grid[0])
     R = args.R if args.R is not None else float(grid[len(grid) // 2])
     t = args.t if args.t is not None else float(grid[-1])
-    R0 = args.R0 if args.R0 is not None and args.R0 > 0 else rho
+    R0 = args.R0 if args.R0 is not None else rho
 
     curve = _quotient_checks(study, grid, report)
     report.extend(harness.verify_capacity_sandwich(study, rho, R, truncation=args.truncation))

@@ -26,14 +26,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import cg, splu
 
 from .errors import (CoverageError, DomainError, SolveError, TruncationContactError)
 from .surfaces import (TAG_TRUNCATION, TriMesh, _edge_counts, cotangent_laplacian, edge_keys,
                        face_areas)
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 LABEL_INTERIOR = 0
 LABEL_INNER = 1
@@ -350,6 +352,18 @@ def radial_energy(mesh: TriMesh, region: ClippedRegion) -> float:
 # ---------------------------------------------------------------------------
 # Laplacian systems
 
+# scipy is imported by the functions that solve, so a run that only clips and
+# sweeps never loads it.  The solvers call these two module-level names, which
+# a tracer may wrap (perfbench/traced.py does).
+def cg(*args, **kwargs):
+    from scipy.sparse.linalg import cg
+    return cg(*args, **kwargs)
+
+
+def splu(*args, **kwargs):
+    from scipy.sparse.linalg import splu
+    return splu(*args, **kwargs)
+
 
 @dataclass(eq=False)
 class SparseSPDSystem:
@@ -395,6 +409,8 @@ def solve_dirichlet(system: SparseSPDSystem, source: np.ndarray | None = None,
     Jacobi-preconditioned conjugate gradients to the given relative
     residual.  With clamped weights the harmonic case obeys the discrete
     maximum principle."""
+    from scipy import sparse
+
     n = system.K.shape[0]
     free = system.free_mask()
     nfree = int(free.sum())
@@ -424,7 +440,6 @@ def solve_dirichlet(system: SparseSPDSystem, source: np.ndarray | None = None,
 class CapacityResult:
     capacity: float
     effective_resistance: float
-    field: np.ndarray
 
 
 def capacity_discrete(region: ClippedRegion, truncation: str = "reflect",
@@ -448,7 +463,7 @@ def capacity_discrete(region: ClippedRegion, truncation: str = "reflect",
     system = assemble_laplacian(region, {"inner": 0.0, "outer": 1.0})
     psi = solve_dirichlet(system, rtol=rtol)
     cap = float(psi @ (system.K @ psi))
-    return CapacityResult(cap, 1.0 / cap, psi)
+    return CapacityResult(cap, 1.0 / cap)
 
 
 def exit_time_discrete(region: ClippedRegion, rtol: float = 1e-10) -> np.ndarray:
@@ -507,6 +522,9 @@ class EndsResult:
 def end_components(mesh: TriMesh, R: float) -> EndsResult:
     """Connected components of the complement submesh {r > R} that touch the
     truncation boundary (the discrete proxy for non-compact closure)."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
     if R <= 0:
         raise DomainError(f"level radius must be positive, got {R!r}")
     warning = None
@@ -522,7 +540,7 @@ def end_components(mesh: TriMesh, R: float) -> EndsResult:
     edges = np.concatenate([sub[:, [0, 1]], sub[:, [1, 2]], sub[:, [2, 0]]])
     graph = sparse.coo_matrix(
         (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
-    ncomp, labels = sparse.csgraph.connected_components(graph, directed=False)
+    ncomp, labels = connected_components(graph, directed=False)
     face_label = labels[sub[:, 0]]
     trunc = mesh.tags == TAG_TRUNCATION
     masks = []

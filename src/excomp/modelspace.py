@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy import integrate
 
 from . import wexpr
 from .errors import DomainError, EvalDomainError, QuadratureError
@@ -54,6 +53,8 @@ DEFAULT_QUAD = QuadratureConfig()
 
 
 def _quad(f, a, b, cfg: QuadratureConfig) -> float:
+    from scipy import integrate  # here, so that closed-form runs never load scipy
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(
@@ -69,6 +70,8 @@ def _quad(f, a, b, cfg: QuadratureConfig) -> float:
 def _quad_tail(f, t: float, cfg: QuadratureConfig) -> float:
     """Integral of f over [t, infinity) under pure relative-error control
     (an absolute floor would let quadpack stop before resolving deep tails)."""
+    from scipy import integrate
+
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", integrate.IntegrationWarning)
         val, err = integrate.quad(f, t, _INF, epsabs=0.0, epsrel=cfg.rel_tol,
@@ -78,6 +81,12 @@ def _quad_tail(f, t: float, cfg: QuadratureConfig) -> float:
     if val != 0.0 and err > 1e3 * abs(val) * cfg.rel_tol:
         raise QuadratureError(f"tail quadrature from {t} did not converge", achieved=err)
     return val
+
+
+def _cumulative_trapezoid(y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over t from 0 at t[0]; the formula of
+    scipy.integrate.cumulative_trapezoid(y, t, initial=0.0), bit for bit."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(t) * (y[1:] + y[:-1]) / 2.0)))
 
 
 def _pow_sat(x: float, n: int) -> float:
@@ -448,11 +457,11 @@ class ModelSpace:
         t = np.linspace(0.0, R, samples)
         wt = np.array([self.warp.w(float(s)) for s in t])
         sphere = self.V0 * wt ** (self.m - 1)
-        ball = integrate.cumulative_trapezoid(sphere, t, initial=0.0)
+        ball = _cumulative_trapezoid(sphere, t)
         with np.errstate(divide="ignore", invalid="ignore"):
             q = np.where(sphere > 0, ball / sphere, 0.0)
         q[0] = 0.0
-        cum = integrate.cumulative_trapezoid(q, t, initial=0.0)
+        cum = _cumulative_trapezoid(q, t)
         return cum[-1] - np.interp(np.minimum(rs, R), t, cum)
 
     # -- asymptotics --------------------------------------------------------

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
 from .errors import CoverageError, DomainError, MeshFormatError, NonManifoldError
 
@@ -579,8 +578,15 @@ def minimality_residual(mesh: TriMesh, percentile: float = 95.0) -> float:
     surface tends to 0 under refinement.  Returns the given percentile over
     interior vertices.
     """
-    K, mass = cotangent_laplacian(mesh.verts, mesh.faces, clamp=False)
-    lap = np.column_stack([K @ mesh.verts[:, k] for k in range(3)])
+    v, f = mesh.verts, mesh.faces
+    n = len(v)
+    mass = _lumped_mass(v, f)
+    # the unclamped operator applied edge by edge, (K x)_i = sum_j w_ij (x_i - x_j),
+    # so that this diagnostic needs no sparse matrix
+    rows, cols, w = _cotangent_edges(v, f)
+    d = w[:, None] * (v[rows] - v[cols])
+    lap = np.column_stack([np.bincount(rows, d[:, k], minlength=n)
+                           - np.bincount(cols, d[:, k], minlength=n) for k in range(3)])
     with np.errstate(divide="ignore", invalid="ignore"):
         hn = np.linalg.norm(lap, axis=1) / mass
     interior = ~mesh.boundary_vertex_mask()
@@ -589,19 +595,15 @@ def minimality_residual(mesh: TriMesh, percentile: float = 95.0) -> float:
     return float(np.percentile(hn[interior], percentile))
 
 
-def cotangent_laplacian(verts, faces, clamp: bool = True):
-    """Cotangent-weight stiffness matrix (CSR) and barycentric lumped mass,
-    a third of each incident face's area per vertex.
+def _lumped_mass(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """A third of each incident face's area per vertex, summed over all first
+    corners, then second, then third."""
+    return np.bincount(f.T.ravel(), np.tile(face_areas(v, f) / 3.0, 3), minlength=len(v))
 
-    With clamp=True negative edge weights are zeroed, which keeps the matrix
-    an M-matrix so discrete solutions obey the maximum principle.
-    """
-    v = np.asarray(verts, float)
-    f = np.asarray(faces)
-    n = len(v)
-    # the mass first, so its temporaries are gone before the stiffness's are
-    # made (peak memory); summed over all first corners, then second, then third
-    mass = np.bincount(f.T.ravel(), np.tile(face_areas(v, f) / 3.0, 3), minlength=n)
+
+def _cotangent_edges(v: np.ndarray, f: np.ndarray) -> tuple:
+    """rows, cols, w: the half-cotangent weight of each face edge, one entry
+    per (face, edge) with the edges opposite first corners first."""
     p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
     # cot of the angle at each corner = dot of adjacent edges / twice area
     cots = np.empty((len(f), 3))
@@ -615,6 +617,24 @@ def cotangent_laplacian(verts, faces, clamp: bool = True):
     rows = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
     cols = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
     w = 0.5 * np.concatenate([cots[:, 0], cots[:, 1], cots[:, 2]])
+    return rows, cols, w
+
+
+def cotangent_laplacian(verts, faces, clamp: bool = True):
+    """Cotangent-weight stiffness matrix (CSR) and barycentric lumped mass.
+
+    With clamp=True negative edge weights are zeroed, which keeps the matrix
+    an M-matrix so discrete solutions obey the maximum principle.
+    """
+    from scipy import sparse  # here, so that meshing and clipping never load scipy
+
+    v = np.asarray(verts, float)
+    f = np.asarray(faces)
+    n = len(v)
+    # the mass first, so its temporaries are gone before the stiffness's are
+    # made (peak memory)
+    mass = _lumped_mass(v, f)
+    rows, cols, w = _cotangent_edges(v, f)
     W = sparse.coo_matrix((w, (rows, cols)), shape=(n, n))
     W = (W + W.T).tocsr()
     if clamp:

@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -8,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import excomp
 from excomp import dgeom, harness
 from excomp.cli import main, make_model
 
@@ -360,7 +364,7 @@ class TestValueErrors:
         return self._usage_error(["model", "--config", str(path), "--out", str(tmp_path)],
                                  capsys)
 
-    @pytest.mark.parametrize("key,value", [("dim", "two"), ("truncation", "never")])
+    @pytest.mark.parametrize("key,value", [("dim", "two"), ("truncation", "never"), ("R0", 0)])
     def test_config_value_the_flag_rejects(self, tmp_path, capsys, key, value):
         err = self._config_error(tmp_path, capsys, {key: value})
         assert f"config key {key!r}" in err
@@ -388,6 +392,9 @@ class TestValueErrors:
         pytest.param("ends", "--t", "inf", id="ends--t-inf"),
         pytest.param("tone", "--R0", "-inf", id="tone--R0--inf"),
         pytest.param("verify", "--R0", "nan", id="verify--R0-nan"),
+        # an ends split radius must also be positive
+        pytest.param("tone", "--R0", "0", id="tone--R0-0"),
+        pytest.param("verify", "--R0", "-1", id="verify--R0--1"),
     ])
     def test_non_finite_grid_or_capacity(self, tmp_path, capsys, command, flag, value):
         mesh = [] if command == "model" else ["--surface", "plane", "--res", "16",
@@ -467,6 +474,47 @@ class TestValueErrors:
     def test_non_finite_config_tolerance(self, tmp_path, capsys):
         err = self._config_error(tmp_path, capsys, {"quad_rel_tol": float("nan")})
         assert "config key 'quad_rel_tol'" in err
+
+    @pytest.mark.parametrize("command", ["tone", "verify"])
+    def test_absent_R0_takes_the_default(self, tmp_path, command):
+        # tone splits the ends at the first grid radius, verify at rho (which
+        # defaults to the first grid radius too)
+        argv = [command, "--surface", "plane", "--res", "16", "--cover", "4",
+                "--grid", "0.5:3:8", "--dim", "2", "--warp", "r", "--out", str(tmp_path)]
+        scalars = []
+        for name, extra in (("default", []), ("given", ["--R0", "0.5"])):
+            run(argv + extra + ["--name", name])
+            scalars.append(json.loads((tmp_path / name / "report.json").read_text())["scalars"])
+        assert scalars[0] == scalars[1]
+
+
+# Runs that need no solve and no quadrature; each must leave scipy unloaded
+_NUMPY_ONLY = """
+import sys
+import excomp.cli, excomp
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+assert not scipy_modules(), ("import", scipy_modules())
+out = sys.argv[1]
+for argv in (["quotients", "--surface", "plane", "--res", "16", "--cover", "2",
+              "--grid", "0.5:1.5:4", "--dim", "2", "--warp", "r"],
+             ["surface", "--surface", "catenoid", "--res", "16", "--cover", "3"],
+             ["model", "--dim", "2", "--warp", "r"]):
+    assert excomp.cli.main(argv + ["--out", out]) == 0, argv
+    assert not scipy_modules(), (argv[0], scipy_modules())
+"""
+
+
+def test_numpy_only_runs_never_import_scipy(tmp_path):
+    # a fresh interpreter, since this one has imported scipy for the tests
+    src = str(Path(excomp.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # Edge tokens, and one plain value, for every numeric flag of `excomp model`;

@@ -499,6 +499,23 @@ class TestExitTime:
             exit_time_discrete(clip(plane_128, 1.0, 2.0))
 
 
+def test_solvers_call_the_module_level_cg_and_splu(monkeypatch, plane_128):
+    # dgeom.cg and dgeom.splu are the names a caller wraps to watch the solves
+    calls = {"cg": 0, "splu": 0}
+    for name in calls:
+        real = getattr(dgeom, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(dgeom, name, counted)
+    reg = clip(plane_128, 1.0, 2.0)
+    solve_dirichlet(dgeom.assemble_laplacian(reg, {"inner": 0.0, "outer": 1.0}))
+    assert calls == {"cg": 1, "splu": 0}
+    first_eigenvalue_estimate(reg)
+    assert calls == {"cg": 1, "splu": 1}
+
+
 class TestEigenvalue:
     def test_unit_disc_bessel(self, plane_256):
         lam = first_eigenvalue_estimate(clip(plane_256, 0.0, 1.0))

@@ -5,7 +5,7 @@ import pytest
 from scipy import integrate
 
 from excomp.errors import DomainError
-from excomp.modelspace import ModelSpace, QuadratureConfig, WarpingSpec
+from excomp.modelspace import ModelSpace, QuadratureConfig, WarpingSpec, _cumulative_trapezoid
 
 
 def flat(m=2):
@@ -260,6 +260,17 @@ class TestMeanExit:
     def test_r_above_R(self):
         with pytest.raises(DomainError):
             flat().mean_exit(1.0, 2.0)
+
+    @pytest.mark.parametrize("samples", [4097, 2])
+    def test_cumulative_trapezoid_is_scipys_bit_for_bit(self, samples):
+        # mean_exit_profile's grid and sphere volumes under a quadrature warp
+        ms = custom("sinh(r)")
+        t = np.linspace(0.0, 2.5, samples)
+        y = ms.V0 * np.array([ms.warp.w(float(s)) for s in t])
+        expected = integrate.cumulative_trapezoid(y, t, initial=0.0)
+        got = _cumulative_trapezoid(y, t)
+        assert got.shape == expected.shape
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestParabolicity:
