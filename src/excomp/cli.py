@@ -4,8 +4,8 @@ Subcommands: model (pure model-space quantities), surface (mesh generation
 and ingestion), quotients, capacity, exit-time, ends, tone, and verify (the
 full check suite).  Output goes to <outdir>/<run-name>/ as report.json,
 curves.csv, mesh.off and meta.json; identical configurations produce
-byte-identical report.json (wall-clock data and the run placement keys out
-and name live only in meta.json).
+byte-identical report.json (wall-clock data, the placement keys out and
+name, and the directory of --mesh live only in meta.json).
 
 Flag values override --config file entries, which override defaults; a
 config key must name a flag and its value must pass that flag's own type and
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import harness, surfaces
 from .errors import ExcompError
-from .modelspace import ModelSpace, QuadratureConfig, WarpingSpec
+from .modelspace import DEFAULT_QUAD, ModelSpace, QuadratureConfig, WarpingSpec
 from .harness import FAIL, INCONCLUSIVE, PASS, VerificationReport, _json_safe
 
 # Keys that place a run without changing its results: they go to meta.json,
@@ -72,7 +72,8 @@ def _parse_finite(spec, sep: str, what: str, form: str, counts=None) -> tuple:
     return parts
 
 
-def make_model(dim: int, warp: str, lam: float = math.inf) -> ModelSpace:
+def make_model(dim: int, warp: str, lam: float = math.inf,
+               quad: QuadratureConfig = DEFAULT_QUAD) -> ModelSpace:
     warp = warp.strip()
     if warp.startswith("b="):
         b, = _parse_finite(warp[2:], ",", "--warp b=<curvature>", "one number", (1,))
@@ -81,7 +82,7 @@ def make_model(dim: int, warp: str, lam: float = math.inf) -> ModelSpace:
         spec = WarpingSpec.space_form(0.0)
     else:
         spec = WarpingSpec.custom(warp, lam=lam)
-    return ModelSpace(dim, spec)
+    return ModelSpace(dim, spec, quad)
 
 
 def make_surface(args) -> surfaces.TriMesh:
@@ -93,8 +94,9 @@ def make_surface(args) -> surfaces.TriMesh:
     if not args.surface:
         raise ExcompError("either --surface or --mesh is required")
     res = _parse_numbers(args.res, ":", int, "--res")
-    nu = res[0]
-    nv = res[1] if len(res) > 1 else nu
+    if len(res) > 2:
+        raise UsageError(f"--res must be NU or NU:NV, got {args.res!r}")
+    nu, nv = res[0], res[-1]
     surf = surfaces.builtin(args.surface, a=args.a, c=args.c, cover_radius=args.cover)
     refine = (() if args.refine is None
               else _parse_finite(args.refine, ",", "--refine", "a comma list of radii"))
@@ -163,7 +165,7 @@ _DEFAULTS = {
     "a": 1.0, "c": 1.0, "cover": None, "res": "128", "refine": None,
     "mesh": None, "format": None, "pole": "0,0,0", "surface": None,
     "out": None, "name": None, "strict": False,
-    "quad_abs_tol": 1e-10, "quad_rel_tol": 1e-10,
+    "quad_abs_tol": DEFAULT_QUAD.abs_tol, "quad_rel_tol": DEFAULT_QUAD.rel_tol,
     "grid": None, "capacity": None, "exit_time": None,
     "rho": None, "R": None, "t": None, "R0": None, "truncation": "reflect",
 }
@@ -280,8 +282,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _quad(args) -> QuadratureConfig:
-    return QuadratureConfig(abs_tol=args.quad_abs_tol, rel_tol=args.quad_rel_tol)
+def _model(args) -> ModelSpace:
+    # the tolerances are checked before --warp is parsed, and reported first
+    quad = QuadratureConfig(abs_tol=args.quad_abs_tol, rel_tol=args.quad_rel_tol)
+    return make_model(args.dim, args.warp, args.lam, quad)
 
 
 def _rundir(args) -> Path:
@@ -309,6 +313,7 @@ def _write_outputs(args, report: VerificationReport, mesh=None, started=None):
         "runtime_sec": None if started is None else time.perf_counter() - started,
         "versions": {"python": sys.version.split()[0], "numpy": np.__version__},
         **{key: getattr(args, key) for key in _PLACEMENT_KEYS},
+        "mesh": args.mesh,
     }
     (rundir / "meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n")
     return rundir
@@ -336,24 +341,22 @@ def _exit_code(args, report: VerificationReport) -> int:
 
 def _cmd_model(args) -> int:
     started = time.perf_counter()
-    quad = _quad(args)
-    model = make_model(args.dim, args.warp, args.lam)
+    model = _model(args)
     grid = _parse_grid("0.5:30:100" if args.grid is None else args.grid)
     scalars: dict = {"dim": model.m, "warp": model.warp.describe(), "V0": model.V0}
     if math.isinf(model.warp.lam):
-        parab = model.parabolicity(quad)
-        scalars["parabolicity"] = parab.to_dict()
-        scalars["tone"] = model.tone_upper_limit(grid, quad).to_dict()
-        scalars["cheeger"] = model.cheeger_bound(grid, quad).to_dict()
-        scalars["ends_coefficient"] = model.ends_coefficient(grid, quad).to_dict()
+        scalars["parabolicity"] = model.parabolicity().to_dict()
+        scalars["tone"] = model.tone_upper_limit(grid).to_dict()
+        scalars["cheeger"] = model.cheeger_bound(grid).to_dict()
+        scalars["ends_coefficient"] = model.ends_coefficient(grid).to_dict()
     if args.capacity is not None:
         rho, R = _parse_finite(args.capacity, ":", "--capacity", "rho:R", (2,))
-        scalars["capacity"] = model.capacity(rho, R, quad)
+        scalars["capacity"] = model.capacity(rho, R)
         print(f"capacity({rho}, {R}) = {scalars['capacity']:.6g}")
     if args.exit_time is not None:
         R, *start = _parse_finite(args.exit_time, ":", "--exit-time", "R or R:r", (1, 2))
         r = start[0] if start else 0.0
-        scalars["exit_time"] = model.mean_exit(R, r, quad)
+        scalars["exit_time"] = model.mean_exit(R, r)
         print(f"mean_exit({R}, start={r}) = {scalars['exit_time']:.6g}")
     # the table is computed before any output is written, so that a radius out
     # of range leaves no report behind
@@ -366,7 +369,7 @@ def _cmd_model(args) -> int:
             w = model.warp.w(r)
             eta = model.eta(r)
             vs = model.vol_sphere(r)
-            vb = model.vol_ball(r, quad)
+            vb = model.vol_ball(r)
             q = vb / vs
             table.append(f"{r!r},{w!r},{eta!r},{vs!r},{vb!r},{q!r},{q * eta!r}")
     report = VerificationReport([], scalars=scalars, config=_config_dict(args))
@@ -408,11 +411,10 @@ def _study_command(body, mesh_optional: bool = False):
     the report and returns a line to print after the checks, or None."""
     def run(args) -> int:
         started = time.perf_counter()
-        quad = _quad(args)
-        model = make_model(args.dim, args.warp, args.lam)
+        model = _model(args)
         mesh = make_surface(args) if args.surface or args.mesh or not mesh_optional else None
         report = VerificationReport([], config=_config_dict(args))
-        closing = body(args, harness.Study(mesh, model, quad), report)
+        closing = body(args, harness.Study(mesh, model), report)
         _write_outputs(args, report, mesh, started)
         _print_checks(report)
         if closing:
@@ -424,7 +426,7 @@ def _study_command(body, mesh_optional: bool = False):
 def _quotient_checks(study: harness.Study, grid, report: VerificationReport):
     """The quotient curves over the grid, their gated isoperimetric and tail
     checks, and the curves payload, added to the report."""
-    curve = harness.quotient_curves(study.mesh, study.model, grid, quad=study.quad)
+    curve = harness.quotient_curves(study.mesh, study.model, grid)
     report.curves = _curve_payload(curve)
     report.extend(harness.gate_verdicts(
         harness.comparison_gates(study, float(grid[-1])),
@@ -450,7 +452,7 @@ def _cmd_capacity(args, study, report):
     report.extend(harness.verify_capacity_sandwich(
         study, args.rho, args.R, truncation=args.truncation))
     cap = study.capacity(args.rho, args.R, args.truncation)
-    model_cap = study.model.capacity(args.rho, args.R, study.quad)
+    model_cap = study.model.capacity(args.rho, args.R)
     report.scalars = {
         "capacity_discrete": cap.capacity,
         "effective_resistance": cap.effective_resistance,
@@ -470,8 +472,7 @@ def _cmd_ends(args, study, report):
         raise ExcompError("--R and --t are required")
     curve = None
     if args.grid is not None:
-        curve = harness.quotient_curves(study.mesh, study.model, _parse_grid(args.grid),
-                                        quad=study.quad)
+        curve = harness.quotient_curves(study.mesh, study.model, _parse_grid(args.grid))
         report.curves = _curve_payload(curve)
     ends = harness.ends_bound(study, args.R, args.t, curve=curve)
     report.extend(ends.checks)
@@ -515,11 +516,11 @@ def _cmd_verify(args, study, report):
 
 
 def _config_dict(args) -> dict:
-    cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("config",) + _PLACEMENT_KEYS and not k.startswith("_")}
-    for key, val in cfg.items():
-        if isinstance(val, float) and math.isinf(val):
-            cfg[key] = "inf"
+    """Every setting but --config and the placement keys, with the mesh file
+    by its name alone: the directory it was read from places the input."""
+    cfg = {k: v for k, v in vars(args).items() if k not in ("config",) + _PLACEMENT_KEYS}
+    if cfg["mesh"] is not None:
+        cfg["mesh"] = Path(cfg["mesh"]).name
     return cfg
 
 

@@ -42,6 +42,10 @@ LABEL_INNER = 1
 LABEL_OUTER = 2
 LABEL_TRUNCATION = 3
 
+_CG_RTOL = 1e-10  # relative residual at which conjugate gradients stop
+_EIGEN_TOL = 1e-8  # relative eigenvalue change at which inverse power iteration stops
+_EIGEN_MAXITER = 500  # inverse power steps before it gives up
+
 
 @dataclass(eq=False)
 class ClippedRegion:
@@ -387,7 +391,7 @@ def assemble_laplacian(region: ClippedRegion, boundary_spec: dict) -> SparseSPDS
     unknown = set(boundary_spec) - {"inner", "outer", "truncation"}
     if unknown:
         raise DomainError(f"unknown boundary labels {sorted(unknown)}")
-    K, mass = cotangent_laplacian(region.verts, region.faces, clamp=True)
+    K, mass = cotangent_laplacian(region.verts, region.faces)
     code = {"inner": LABEL_INNER, "outer": LABEL_OUTER, "truncation": LABEL_TRUNCATION}
     cons = []
     vals = []
@@ -403,11 +407,10 @@ def assemble_laplacian(region: ClippedRegion, boundary_spec: dict) -> SparseSPDS
     return SparseSPDSystem(K, mass, constrained, values)
 
 
-def solve_dirichlet(system: SparseSPDSystem, source: np.ndarray | None = None,
-                    rtol: float = 1e-10) -> np.ndarray:
+def solve_dirichlet(system: SparseSPDSystem, source: np.ndarray | None = None) -> np.ndarray:
     """Solve K u = source with the stored Dirichlet values in place, by
-    Jacobi-preconditioned conjugate gradients to the given relative
-    residual.  With clamped weights the harmonic case obeys the discrete
+    Jacobi-preconditioned conjugate gradients to the relative residual
+    _CG_RTOL.  With clamped weights the harmonic case obeys the discrete
     maximum principle."""
     from scipy import sparse
 
@@ -427,7 +430,7 @@ def solve_dirichlet(system: SparseSPDSystem, source: np.ndarray | None = None,
     diag = np.where(diag > 0, diag, 1.0)
     precond = sparse.diags(1.0 / diag)
     maxiter = max(5000, int(40 * math.sqrt(nfree)))
-    x, info = cg(Kff, rhs, rtol=rtol, atol=0.0, maxiter=maxiter, M=precond)
+    x, info = cg(Kff, rhs, rtol=_CG_RTOL, atol=0.0, maxiter=maxiter, M=precond)
     if info != 0:
         res = float(np.linalg.norm(Kff @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
         raise SolveError(f"conjugate gradients did not converge in {maxiter} iterations",
@@ -442,8 +445,7 @@ class CapacityResult:
     effective_resistance: float
 
 
-def capacity_discrete(region: ClippedRegion, truncation: str = "reflect",
-                      rtol: float = 1e-10) -> CapacityResult:
+def capacity_discrete(region: ClippedRegion, truncation: str = "reflect") -> CapacityResult:
     """Capacity of the annulus: the Dirichlet energy of the potential that
     is 0 on the inner level set and 1 on the outer one.  Truncation
     boundary is either reflected (natural condition) or a hard error."""
@@ -461,12 +463,12 @@ def capacity_discrete(region: ClippedRegion, truncation: str = "reflect",
         raise DomainError(
             f"annulus width {region.R - region.rho:.4g} under 2 mesh edge lengths ({2 * h:.4g})")
     system = assemble_laplacian(region, {"inner": 0.0, "outer": 1.0})
-    psi = solve_dirichlet(system, rtol=rtol)
+    psi = solve_dirichlet(system)
     cap = float(psi @ (system.K @ psi))
     return CapacityResult(cap, 1.0 / cap)
 
 
-def exit_time_discrete(region: ClippedRegion, rtol: float = 1e-10) -> np.ndarray:
+def exit_time_discrete(region: ClippedRegion) -> np.ndarray:
     """Per-vertex mean exit time of the extrinsic ball: K E = M 1 with E = 0
     on the outer level set."""
     if region.has_label(LABEL_INNER):
@@ -474,11 +476,10 @@ def exit_time_discrete(region: ClippedRegion, rtol: float = 1e-10) -> np.ndarray
     if region.has_label(LABEL_TRUNCATION):
         raise TruncationContactError("extrinsic ball touches the truncation boundary")
     system = assemble_laplacian(region, {"outer": 0.0})
-    return solve_dirichlet(system, source=system.mass, rtol=rtol)
+    return solve_dirichlet(system, source=system.mass)
 
 
-def first_eigenvalue_estimate(region: ClippedRegion, tol: float = 1e-8,
-                              maxiter: int = 500) -> float:
+def first_eigenvalue_estimate(region: ClippedRegion) -> float:
     """Smallest Dirichlet eigenvalue of (K, M) on the region by inverse
     power iteration (direct factorization of the free block)."""
     system = assemble_laplacian(region, {"inner": 0.0, "outer": 0.0, "truncation": 0.0})
@@ -492,11 +493,11 @@ def first_eigenvalue_estimate(region: ClippedRegion, tol: float = 1e-8,
     x = np.ones(nfree)
     x /= math.sqrt(float((x * x * mf).sum()))
     lam_prev = None
-    for _ in range(maxiter):
+    for _ in range(_EIGEN_MAXITER):
         x = lu.solve(mf * x)
         x /= math.sqrt(float((x * x * mf).sum()))
         lam = float(x @ (Kff @ x)) / float((x * x * mf).sum())
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * abs(lam):
+        if lam_prev is not None and abs(lam - lam_prev) <= _EIGEN_TOL * abs(lam):
             return lam
         lam_prev = lam
     raise SolveError("inverse power iteration did not converge",

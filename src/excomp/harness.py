@@ -11,9 +11,9 @@ a verdict in {pass, fail, inconclusive}; hypothesis gates (balance from
 below, sign of w', ambient curvature bound) are evaluated first and a failed
 gate yields inconclusive, never pass.
 
-The checks read their mesh, model and quadrature from a `Study`, which
-computes each gate, annulus capacity and end split once per run, however
-many checks read it.
+The checks read their mesh and model from a `Study`, which computes each
+gate, annulus capacity and end split once per run, however many checks read
+it.  The model holds the quadrature tolerances.
 """
 
 from __future__ import annotations
@@ -26,10 +26,18 @@ import numpy as np
 
 from . import dgeom
 from .errors import DomainError
-from .modelspace import DEFAULT_QUAD, ModelSpace, QuadratureConfig, _top_slice
+from .modelspace import ModelSpace, WarpingSpec, _top_slice
 from .surfaces import TriMesh
 
 PASS, FAIL, INCONCLUSIVE = "pass", "fail", "inconclusive"
+
+# Relative slacks of the checks
+_STABLE_TOL = 0.01  # spread of the volume quotient over the last tenth of the grid
+_ISO_TOL = 0.01  # volume quotient below flux quotient
+_MONO_SLACK = 0.01  # steps of a nondecreasing quotient
+_TAIL_TOL = 0.02  # flux against volume quotient at the top radius
+_SANDWICH_TOL = 0.03  # capacity ratio between the flux or volume quotients
+_EXIT_TOL = 0.02  # exit time against the model's, as a share of the centre value
 
 
 @dataclass(eq=False)
@@ -102,18 +110,17 @@ class QuotientCurve:
     def w_flux_estimate(self) -> float:
         return float(self.flux_quot.max())
 
-    def stable(self, tol: float = 0.01) -> bool:
-        """Whether the volume quotient moved less than tol (relative) over
-        the last tenth of the grid; grid maxima are supremum estimates only
-        when this holds."""
+    def stable(self) -> bool:
+        """Whether the volume quotient moved less than _STABLE_TOL (relative)
+        over the last tenth of the grid; grid maxima are supremum estimates
+        only when this holds."""
         window = self.vol_quot[_top_slice(len(self.grid))]
         if len(window) < 2:
             return False
-        return float(window.max() - window.min()) <= tol * float(abs(window.max()))
+        return float(window.max() - window.min()) <= _STABLE_TOL * float(abs(window.max()))
 
 
-def quotient_curves(mesh: TriMesh, model: ModelSpace, grid, end_mask=None,
-                    quad: QuadratureConfig = DEFAULT_QUAD) -> QuotientCurve:
+def quotient_curves(mesh: TriMesh, model: ModelSpace, grid, end_mask=None) -> QuotientCurve:
     """Sample Vol(D_R)/Vol(B_R) and J(R)/volS(R) over the grid, optionally
     restricted to the faces of one end."""
     if model.m != 2:
@@ -123,7 +130,7 @@ def quotient_curves(mesh: TriMesh, model: ModelSpace, grid, end_mask=None,
         raise DomainError("grid must be positive and strictly increasing")
 
     radii = [float(R) for R in grid]
-    vol = np.array([dgeom.ball_area(mesh, R, face_mask=end_mask) / model.vol_ball(R, quad)
+    vol = np.array([dgeom.ball_area(mesh, R, face_mask=end_mask) / model.vol_ball(R)
                     for R in radii])
     flx = np.array([dgeom.flux(mesh, R, face_mask=end_mask) / model.vol_sphere(R)
                     for R in radii])
@@ -134,8 +141,7 @@ def quotient_curves(mesh: TriMesh, model: ModelSpace, grid, end_mask=None,
 # individual theorem checks
 
 
-def verify_isoperimetric(curve: QuotientCurve, tol: float = 0.01,
-                         mono_slack: float = 0.01) -> list[Check]:
+def verify_isoperimetric(curve: QuotientCurve) -> list[Check]:
     """Volume quotient below flux quotient at every radius, and both
     quotients nondecreasing (up to mesh-dependent relative slack)."""
     checks = []
@@ -143,7 +149,7 @@ def verify_isoperimetric(curve: QuotientCurve, tol: float = 0.01,
     checks.append(_leq_check(
         "isoperimetric.ordering",
         "Vol(D_R)/Vol(B_R) <= J(R)/J_w(R) at every grid radius",
-        float(curve.vol_quot[worst]), float(curve.flux_quot[worst]), tol,
+        float(curve.vol_quot[worst]), float(curve.flux_quot[worst]), _ISO_TOL,
         notes=f"worst radius R={curve.grid[worst]:.6g}"))
     for name, series in (("volume", curve.vol_quot), ("flux", curve.flux_quot)):
         if len(series) < 2:
@@ -152,8 +158,8 @@ def verify_isoperimetric(curve: QuotientCurve, tol: float = 0.01,
         worst_i = int(np.argmin(ratios))
         checks.append(_leq_check(
             f"isoperimetric.monotone.{name}",
-            f"{name} quotient nondecreasing in R (slack {mono_slack:.2%})",
-            float(series[worst_i]) * (1.0 - mono_slack), float(series[worst_i + 1]), 0.0,
+            f"{name} quotient nondecreasing in R (slack {_MONO_SLACK:.2%})",
+            float(series[worst_i]) * (1.0 - _MONO_SLACK), float(series[worst_i + 1]), 0.0,
             notes=f"worst step R={curve.grid[worst_i]:.6g} -> {curve.grid[worst_i + 1]:.6g}"))
     return checks
 
@@ -169,11 +175,10 @@ def _curvature_gate(model: ModelSpace, R: float) -> Check:
         ok, notes=f"min of -w''/w over samples: {min(vals):.6g}")
 
 
-def _balance_gate(model: ModelSpace, R: float,
-                  quad: QuadratureConfig = DEFAULT_QUAD) -> Check:
+def _balance_gate(model: ModelSpace, R: float) -> Check:
     top = min(R, model.warp.lam * 0.999)
     grid = np.linspace(top / 256.0, top, 256)
-    res = model.balance_check(grid, quad)
+    res = model.balance_check(grid)
     return _gate_check(
         "gate.balance_below",
         "model balanced from below: q_w * eta_w >= 1/m",
@@ -192,14 +197,13 @@ def _monotone_w_gate(model: ModelSpace, R: float, strict: bool = False) -> Check
 
 @dataclass(eq=False)
 class Study:
-    """One run's mesh (None for a model-only tone report), model and
-    quadrature.  Each gate, annulus capacity and end split is computed on
-    first use and memoised in a dict keyed by its arguments; only results
-    are kept (`Check`, `CapacityResult`, `EndsResult`), never a region."""
+    """One run's mesh (None for a model-only tone report) and model.  Each
+    gate, annulus capacity and end split is computed on first use and
+    memoised in a dict keyed by its arguments; only results are kept
+    (`Check`, `CapacityResult`, `EndsResult`), never a region."""
 
     mesh: TriMesh | None
     model: ModelSpace
-    quad: QuadratureConfig = DEFAULT_QUAD
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def _once(self, key: tuple, compute):
@@ -211,7 +215,7 @@ class Study:
         return self._once(("curvature", R), lambda: _curvature_gate(self.model, R))
 
     def balance_gate(self, R: float) -> Check:
-        return self._once(("balance", R), lambda: _balance_gate(self.model, R, self.quad))
+        return self._once(("balance", R), lambda: _balance_gate(self.model, R))
 
     def monotone_gate(self, R: float, strict: bool = False) -> Check:
         return self._once(("monotone", R, strict),
@@ -237,7 +241,7 @@ def comparison_gates(study: Study, R: float, monotone: bool = True) -> list[Chec
     return gates
 
 
-def verify_capacity_sandwich(study: Study, rho: float, R: float, tol: float = 0.03,
+def verify_capacity_sandwich(study: Study, rho: float, R: float,
                              truncation: str = "reflect") -> list[Check]:
     """Flux quotient at rho <= capacity quotient <= flux quotient at R,
     gated on the model hypotheses for each side."""
@@ -245,39 +249,38 @@ def verify_capacity_sandwich(study: Study, rho: float, R: float, tol: float = 0.
     if any(g.verdict == INCONCLUSIVE for g in gates):
         return gate_verdicts(gates, [Check(
             "capacity.sandwich", "capacity quotient sandwiched by flux quotients",
-            math.nan, math.nan, math.nan, tol, INCONCLUSIVE)])
+            math.nan, math.nan, math.nan, _SANDWICH_TOL, INCONCLUSIVE)])
     checks = list(gates)
     model, mesh = study.model, study.mesh
-    ratio = study.capacity(rho, R, truncation).capacity / model.capacity(rho, R, study.quad)
+    ratio = study.capacity(rho, R, truncation).capacity / model.capacity(rho, R)
     lower = dgeom.flux(mesh, rho) / model.vol_sphere(rho)
     upper = dgeom.flux(mesh, R) / model.vol_sphere(R)
     checks.append(_leq_check(
-        "capacity.lower", "J(rho)/J_w(rho) <= Cap/Cap_w", lower, ratio, tol,
+        "capacity.lower", "J(rho)/J_w(rho) <= Cap/Cap_w", lower, ratio, _SANDWICH_TOL,
         notes=f"rho={rho:.6g}, R={R:.6g}"))
     checks.append(_leq_check(
-        "capacity.upper", "Cap/Cap_w <= J(R)/J_w(R)", ratio, upper, tol,
+        "capacity.upper", "Cap/Cap_w <= J(R)/J_w(R)", ratio, upper, _SANDWICH_TOL,
         notes=f"capacity ratio {ratio:.6g}"))
     return checks
 
 
-def verify_euclidean_sandwich(study: Study, rho: float, R: float, tol: float = 0.03,
+def verify_euclidean_sandwich(study: Study, rho: float, R: float,
                               truncation: str = "reflect") -> list[Check]:
     """Volume-quotient sandwich for the capacity against the flat plane
     model (Euclidean ambient, m = 2), whatever the study's model."""
-    from .modelspace import WarpingSpec
-    model = ModelSpace(2, WarpingSpec.space_form(0.0))
-    ratio = study.capacity(rho, R, truncation).capacity / model.capacity(rho, R, study.quad)
+    model = ModelSpace(2, WarpingSpec.space_form(0.0), study.model.quad)
+    ratio = study.capacity(rho, R, truncation).capacity / model.capacity(rho, R)
     lower = dgeom.ball_area(study.mesh, rho) / model.vol_ball(rho)
     upper = dgeom.ball_area(study.mesh, R) / model.vol_ball(R)
     return [
         _leq_check("euclidean.lower", "Vol(D_rho)/(pi rho^2) <= Cap/Cap_flat",
-                   lower, ratio, tol, notes=f"rho={rho:.6g}"),
+                   lower, ratio, _SANDWICH_TOL, notes=f"rho={rho:.6g}"),
         _leq_check("euclidean.upper", "Cap/Cap_flat <= Vol(D_R)/(pi R^2)",
-                   ratio, upper, tol, notes=f"R={R:.6g}"),
+                   ratio, upper, _SANDWICH_TOL, notes=f"R={R:.6g}"),
     ]
 
 
-def exit_time_comparison(study: Study, R: float, tol: float = 0.02) -> list[Check]:
+def exit_time_comparison(study: Study, R: float) -> list[Check]:
     """Discrete mean exit time dominates the transplanted model exit time;
     near-equality is additionally required when the quotients are flat
     (stability proxy for the equality case)."""
@@ -285,31 +288,31 @@ def exit_time_comparison(study: Study, R: float, tol: float = 0.02) -> list[Chec
     if any(g.verdict == INCONCLUSIVE for g in gates):
         return gate_verdicts(gates, [Check(
             "exit_time.domination", "E_P >= E_w(r) pointwise",
-            math.nan, math.nan, math.nan, tol, INCONCLUSIVE)])
+            math.nan, math.nan, math.nan, _EXIT_TOL, INCONCLUSIVE)])
     checks = list(gates)
-    mesh, model, quad = study.mesh, study.model, study.quad
+    mesh, model = study.mesh, study.model
     region = dgeom.clip(mesh, 0.0, R)
     field = dgeom.exit_time_discrete(region)
     ew = model.mean_exit_profile(R, region.r)
     scale = float(ew.max())
-    slack = tol * scale
+    slack = _EXIT_TOL * scale
     gap = field - ew
     worst = int(np.argmin(gap))
     checks.append(_leq_check(
         "exit_time.domination",
-        f"E_P >= E_w(r) - {tol:.0%} of the center value, pointwise",
+        f"E_P >= E_w(r) - {_EXIT_TOL:.0%} of the center value, pointwise",
         float(ew[worst]) - slack, float(field[worst]), 0.0,
         notes=f"worst vertex r={region.r[worst]:.6g}, slack {slack:.4g}"))
 
     def quots(radius):
-        return (dgeom.ball_area(mesh, radius) / model.vol_ball(radius, quad),
+        return (dgeom.ball_area(mesh, radius) / model.vol_ball(radius),
                 dgeom.flux(mesh, radius) / model.vol_sphere(radius))
 
     vR, fR = quots(R)
     vH, fH = quots(R / 2.0)
-    stable = (abs(vR - fR) <= tol * abs(fR)
-              and abs(vR - vH) <= tol * abs(vR)
-              and abs(fR - fH) <= tol * abs(fR))
+    stable = (abs(vR - fR) <= _EXIT_TOL * abs(fR)
+              and abs(vR - vH) <= _EXIT_TOL * abs(vR)
+              and abs(fR - fH) <= _EXIT_TOL * abs(fR))
     if stable:
         dev = float(np.abs(gap).max())
         checks.append(_leq_check(
@@ -320,7 +323,7 @@ def exit_time_comparison(study: Study, R: float, tol: float = 0.02) -> list[Chec
     else:
         checks.append(Check(
             "exit_time.equality_case", "equality proxy not triggered",
-            float(abs(vR - fR)), tol * abs(fR), 0.0, tol, INCONCLUSIVE,
+            float(abs(vR - fR)), _EXIT_TOL * abs(fR), 0.0, _EXIT_TOL, INCONCLUSIVE,
             notes="volume/flux quotients not stable at R and R/2"))
     return checks
 
@@ -356,7 +359,7 @@ def ends_bound(study: Study, R: float, t: float,
     asymptotic form 2^m * C_w * Vol_w when the coefficient is finite."""
     if not t > R:
         raise DomainError(f"need t > R, got R={R!r}, t={t!r}")
-    mesh, model, quad = study.mesh, study.model, study.quad
+    mesh, model = study.mesh, study.model
     gates = [
         study.curvature_gate(t),
         study.balance_gate(t),
@@ -375,8 +378,8 @@ def ends_bound(study: Study, R: float, t: float,
             float(ends.count), math.nan, math.nan, 0.0, INCONCLUSIVE)])
         return EndsReport(R, t, math.nan, ends.count, None, None, checks, ends.warning)
     m = model.m
-    coeff = m * model.vol_ball(t, quad) / (model.V0 * t ** m)
-    vol_quot_t = dgeom.ball_area(mesh, t) / model.vol_ball(t, quad)
+    coeff = m * model.vol_ball(t) / (model.V0 * t ** m)
+    vol_quot_t = dgeom.ball_area(mesh, t) / model.vol_ball(t)
     bound = (2.0 / (1.0 - R / t)) ** m * coeff * vol_quot_t
     checks.append(_leq_check(
         "ends.bound",
@@ -384,7 +387,7 @@ def ends_bound(study: Study, R: float, t: float,
         float(ends.count), bound, 0.0,
         notes=f"count={ends.count}, coefficient factor {coeff:.6g}"))
     asym = asym_unit = None
-    ec = model.ends_coefficient(np.linspace(t / 16.0, t, 64), quad)
+    ec = model.ends_coefficient(np.linspace(t / 16.0, t, 64))
     if not ec.divergent:
         vol_w = curve.w_volume_estimate() if curve is not None else vol_quot_t
         asym = (2.0 ** m) * ec.reported_limsup * vol_w
@@ -424,15 +427,15 @@ def tone_report(study: Study, R0: float, grid) -> ToneReport:
     """Two-sided fundamental-tone report: the model upper limit scaled by the
     flux/volume factor of the best end, the Cheeger lower bound 1/(4 L^2),
     and (with a mesh) the trend of discrete first eigenvalues."""
-    mesh, model, quad = study.mesh, study.model, study.quad
+    mesh, model = study.mesh, study.model
     grid = np.asarray(grid, dtype=float)
     # with a mesh, the discrete trend compares a Euclidean immersion to the model
     gates = [study.curvature_gate(float(grid[-1]))] if mesh is not None else []
     gates.append(study.balance_gate(float(grid[-1])))
     checks = list(gates)
     gated = any(g.verdict == INCONCLUSIVE for g in gates)
-    tone = model.tone_upper_limit(grid, quad)
-    cheeger = model.cheeger_bound(grid, quad)
+    tone = model.tone_upper_limit(grid)
+    cheeger = model.cheeger_bound(grid)
     factors = []
     if mesh is not None:
         ends = study.ends(R0)
@@ -440,7 +443,7 @@ def tone_report(study: Study, R0: float, grid) -> ToneReport:
         if len(sub) < 2:
             raise DomainError("grid must extend beyond R0 for end-restricted quotients")
         for mask in ends.face_masks:
-            c = quotient_curves(mesh, model, sub, end_mask=mask, quad=quad)
+            c = quotient_curves(mesh, model, sub, end_mask=mask)
             factors.append(c.w_flux_estimate() / c.w_volume_estimate())
     factor = min(factors) if factors else 1.0
     upper = factor * tone.reported_limsup
@@ -475,21 +478,20 @@ def tone_report(study: Study, R0: float, grid) -> ToneReport:
                       float(tone.reported_limsup), eigenvalues, checks)
 
 
-def volume_flux_tail(curve: QuotientCurve, tol: float = 0.02,
-                     stability_tol: float = 0.01) -> Check:
+def volume_flux_tail(curve: QuotientCurve) -> Check:
     """When the volume quotient has stabilized over the last tenth of the
     grid (finite w-volume detected), the flux and volume quotients must
     agree at the largest radius."""
     window = curve.vol_quot[_top_slice(len(curve.grid))]
     spread = float(window.max() - window.min()) / max(float(window.max()), 1e-300)
-    if len(window) < 2 or spread > stability_tol:
+    if len(window) < 2 or spread > _STABLE_TOL:
         return Check("volume_flux.tail", "w-flux equals w-volume for finite w-volume",
-                     spread, stability_tol, 0.0, stability_tol, INCONCLUSIVE,
+                     spread, _STABLE_TOL, 0.0, _STABLE_TOL, INCONCLUSIVE,
                      notes="volume quotient not stable over the last tenth of the grid")
     v, f = float(curve.vol_quot[-1]), float(curve.flux_quot[-1])
     gap = abs(f - v) / max(abs(v), 1e-300)
     return Check("volume_flux.tail", "w-flux equals w-volume for finite w-volume",
-                 f, v, gap, tol, PASS if gap <= tol else FAIL,
+                 f, v, gap, _TAIL_TOL, PASS if gap <= _TAIL_TOL else FAIL,
                  notes=f"relative gap {gap:.4g} at R={curve.grid[-1]:.6g}")
 
 

@@ -4,15 +4,15 @@ A model space is a warped product over [0, Lambda) with fiber the unit
 (m-1)-sphere and a warping function w with w(0)=0, w'(0)=1.  Everything
 here reduces to one-dimensional integrals of powers of w: sphere and ball
 volumes, the isoperimetric quotient q = volB/volS, the distance-sphere mean
-curvature eta = w'/w, annulus capacity, the radial harmonic potential, the
-mean exit time, conformal type by tail resistance, and the asymptotic
-quantities feeding the tone and ends bounds.
+curvature eta = w'/w, annulus capacity, the mean exit time, conformal type
+by tail resistance, and the asymptotic quantities feeding the tone and ends
+bounds.
 
 Every warping function, space form or parsed, evaluates w, w' and w''
 through wexpr expressions.  Only the integrals tell them apart: space forms
 (curvature b) use closed-form antiderivatives, written in cancellation-safe
 form so the deep tails stay accurate, where they exist; everything else goes
-through adaptive quadrature.
+through adaptive quadrature, at the tolerances the model holds.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ _INF = float("inf")
 _REL_TOL_FLOOR = float(50 * np.finfo(float).eps)
 _MAX_SUBDIVISIONS = 200  # quadpack's interval limit
 _TAIL_MAX = 1e4  # top of the geometric ladder probing integrals to infinity
+_EXIT_SAMPLES = 4097  # radii of the dense grid under mean_exit_profile
 
 
 @dataclass(frozen=True)
@@ -287,13 +288,15 @@ _UNBOUNDED_SLOPE = 0.1  # log-log end slope above which a grid limsup is called 
 
 
 class ModelSpace:
-    """Dimension m >= 2 together with a warping function."""
+    """Dimension m >= 2 together with a warping function, and the tolerances
+    of every quadrature the model runs."""
 
-    def __init__(self, m: int, warp: WarpingSpec):
+    def __init__(self, m: int, warp: WarpingSpec, quad: QuadratureConfig = DEFAULT_QUAD):
         if int(m) != m or m < 2:
             raise DomainError(f"model dimension must be an integer >= 2, got {m!r}")
         self.m = int(m)
         self.warp = warp
+        self.quad = quad
         # surface measure of the unit (m-1)-sphere
         self.V0 = 2.0 * math.pi ** (self.m / 2.0) / math.gamma(self.m / 2.0)
 
@@ -334,7 +337,7 @@ class ModelSpace:
             return V0 / (a * a) * (r / 2.0 - math.sin(2 * a * r) / (4 * a))
         return None
 
-    def vol_ball(self, r: float, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+    def vol_ball(self, r: float) -> float:
         self._check_radius(r, allow_zero=True)
         if r == 0.0:
             return 0.0
@@ -342,16 +345,16 @@ class ModelSpace:
         if closed is not None:
             return closed
         m = self.m
-        return self.V0 * _quad(lambda t: _pow_sat(self.warp.w(t), m - 1), 0.0, r, quad)
+        return self.V0 * _quad(lambda t: _pow_sat(self.warp.w(t), m - 1), 0.0, r, self.quad)
 
-    def iso_quotient(self, r: float, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+    def iso_quotient(self, r: float) -> float:
         """q(r) = volB(r)/volS(r); vanishes as r -> 0."""
         self._check_radius(r)
-        return self.vol_ball(r, quad) / self.vol_sphere(r)
+        return self.vol_ball(r) / self.vol_sphere(r)
 
-    def balance_check(self, grid, quad: QuadratureConfig = DEFAULT_QUAD) -> BalanceResult:
+    def balance_check(self, grid) -> BalanceResult:
         grid = _validated_grid(grid, self.warp.lam)
-        qe = np.array([self.iso_quotient(float(r), quad) * self.eta(float(r)) for r in grid])
+        qe = np.array([self.iso_quotient(float(r)) * self.eta(float(r)) for r in grid])
         below_margin = qe - 1.0 / self.m
         ib = int(np.argmin(below_margin))
         return BalanceResult(
@@ -382,19 +385,19 @@ class ModelSpace:
             return s * (1.0 / math.tan(s * a) - 1.0 / math.tan(s * b)) / V0
         return None
 
-    def _resistance(self, a: float, b: float, quad: QuadratureConfig) -> float:
+    def _resistance(self, a: float, b: float) -> float:
         """Integral of ds / volS(s) over [a, b]."""
         closed = self._resistance_closed(a, b)
         if closed is not None:
             return closed
-        return _quad(self._inverse_sphere, a, b, quad)
+        return _quad(self._inverse_sphere, a, b, self.quad)
 
     def _inverse_sphere(self, s: float) -> float:
         """The resistance integrand 1/volS(s), 0 where volS is 0 or infinite."""
         ws = _pow_sat(self.warp.w(s), self.m - 1)
         return 1.0 / (self.V0 * ws) if ws > 0 and math.isfinite(ws) else 0.0
 
-    def _resistance_tail(self, t: float, quad: QuadratureConfig) -> float:
+    def _resistance_tail(self, t: float) -> float:
         """Integral of ds / volS(s) over [t, infinity)."""
         w = self.warp
         if w.kind == "space_form":
@@ -409,31 +412,18 @@ class ModelSpace:
                     return -_log_tanh(s * t / 2.0) / V0
                 if m == 3:
                     return s * _coth_minus_one(s * t) / V0
-        return _quad_tail(self._inverse_sphere, t, quad)
+        return _quad_tail(self._inverse_sphere, t, self.quad)
 
-    # -- capacity, potential, exit time ------------------------------------
+    # -- capacity, exit time ------------------------------------
 
-    def capacity(self, rho: float, R: float, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+    def capacity(self, rho: float, R: float) -> float:
         """Capacity of the annulus between the spheres of radii rho < R."""
         if not (0.0 < rho < R):
             raise DomainError(f"need 0 < rho < R, got rho={rho!r}, R={R!r}")
         self._check_radius(R)
-        return 1.0 / self._resistance(rho, R, quad)
+        return 1.0 / self._resistance(rho, R)
 
-    def potential(self, rho: float, R: float, t: float, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
-        """Radial harmonic potential of the annulus, 0 at rho and 1 at R."""
-        if not (0.0 < rho < R):
-            raise DomainError(f"need 0 < rho < R, got rho={rho!r}, R={R!r}")
-        if not (rho <= t <= R):
-            raise DomainError(f"evaluation point {t!r} outside [{rho!r}, {R!r}]")
-        self._check_radius(R)
-        if t == rho:
-            return 0.0
-        if t == R:
-            return 1.0
-        return self._resistance(rho, t, quad) / self._resistance(rho, R, quad)
-
-    def mean_exit(self, R: float, r: float, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+    def mean_exit(self, R: float, r: float) -> float:
         """Mean exit time from the ball of radius R, started at radius r."""
         if r > R:
             raise DomainError(f"start radius {r!r} exceeds ball radius {R!r}")
@@ -444,9 +434,9 @@ class ModelSpace:
             return 0.0
         if self.warp.kind == "space_form" and self.warp.b == 0:
             return (R * R - r * r) / (2.0 * self.m)
-        return _quad(lambda t: self.iso_quotient(t, quad) if t > 0 else 0.0, r, R, quad)
+        return _quad(lambda t: self.iso_quotient(t) if t > 0 else 0.0, r, R, self.quad)
 
-    def mean_exit_profile(self, R: float, rs, samples: int = 4097) -> np.ndarray:
+    def mean_exit_profile(self, R: float, rs) -> np.ndarray:
         """Mean exit time at many radii at once (dense-grid cumulative rule)."""
         rs = np.asarray(rs, dtype=float)
         if rs.size and (rs.min() < 0 or rs.max() > R * (1 + 1e-12)):
@@ -454,7 +444,7 @@ class ModelSpace:
         self._check_radius(R, allow_zero=True)
         if self.warp.kind == "space_form" and self.warp.b == 0:
             return (R * R - np.minimum(rs, R) ** 2) / (2.0 * self.m)
-        t = np.linspace(0.0, R, samples)
+        t = np.linspace(0.0, R, _EXIT_SAMPLES)
         wt = np.array([self.warp.w(float(s)) for s in t])
         sphere = self.V0 * wt ** (self.m - 1)
         ball = _cumulative_trapezoid(sphere, t)
@@ -466,7 +456,7 @@ class ModelSpace:
 
     # -- asymptotics --------------------------------------------------------
 
-    def parabolicity(self, quad: QuadratureConfig = DEFAULT_QUAD) -> ParabolicityResult:
+    def parabolicity(self) -> ParabolicityResult:
         """Classify the conformal type by probing the resistance to infinity.
 
         Integrates 1/volS over [1, T] for T on a geometric ladder and looks
@@ -484,13 +474,13 @@ class ModelSpace:
         incs = []
         prev = 1.0
         for T in ladder:
-            incs.append(max(self._resistance(prev, T, quad), 0.0))
+            incs.append(max(self._resistance(prev, T), 0.0))
             prev = T
         incs_arr = np.array(incs)
         ratios = []
         for k in range(len(incs) - 1):
             ratios.append(float(incs[k + 1] / incs[k]) if incs[k] > 0 else 0.0)
-        if incs_arr.max() <= 10 * quad.abs_tol:
+        if incs_arr.max() <= 10 * self.quad.abs_tol:
             verdict = "hyperbolic"  # resistance already exhausted below tolerance
         else:
             non_decreasing = all(
@@ -517,7 +507,7 @@ class ModelSpace:
             ratios=tuple(ratios),
         )
 
-    def tone_upper_limit(self, grid, quad: QuadratureConfig = DEFAULT_QUAD) -> ToneSamples:
+    def tone_upper_limit(self, grid) -> ToneSamples:
         """Samples of 1/(volB(t) * resistance tail(t)) and their grid limsup.
 
         The limsup estimate is the maximum over the last tenth of the grid
@@ -526,7 +516,7 @@ class ModelSpace:
         identically zero.
         """
         grid = _validated_grid(grid, self.warp.lam)
-        parab = self.parabolicity(quad)
+        parab = self.parabolicity()
         if parab.verdict != "hyperbolic":
             note = "tail resistance diverges; tone limit 0"
             if parab.verdict == "inconclusive":
@@ -534,8 +524,8 @@ class ModelSpace:
             return ToneSamples(grid, np.zeros_like(grid), 0.0, True, note)
         samples = np.empty_like(grid)
         for i, t in enumerate(grid):
-            ball = self.vol_ball(float(t), quad)
-            tail = self._resistance_tail(float(t), quad)
+            ball = self.vol_ball(float(t))
+            tail = self._resistance_tail(float(t))
             val = 1.0 / (ball * tail) if ball > 0 and tail > 0 else _INF
             samples[i] = val if math.isfinite(val) else np.nan
         window = samples[_top_slice(len(grid))]
@@ -545,11 +535,11 @@ class ModelSpace:
             grid, samples, limsup, False, "estimate at finite t, not a proven limit"
         )
 
-    def cheeger_bound(self, grid, quad: QuadratureConfig = DEFAULT_QUAD) -> CheegerResult:
+    def cheeger_bound(self, grid) -> CheegerResult:
         """L = sup of the isoperimetric quotient over the grid and the
         resulting lower bound 1/(4 L^2) for the fundamental tone."""
         grid = _validated_grid(grid, self.warp.lam)
-        q = np.array([self.iso_quotient(float(r), quad) for r in grid])
+        q = np.array([self.iso_quotient(float(r)) for r in grid])
         slope = _log_slope(grid, q)
         increasing = bool(len(q) > 1 and q[-1] > q[-2] * (1 + 1e-12))
         if slope > _UNBOUNDED_SLOPE:
@@ -557,7 +547,7 @@ class ModelSpace:
         L = float(q.max())
         return CheegerResult(L, 1.0 / (4.0 * L * L), increasing, slope)
 
-    def ends_coefficient(self, grid, quad: QuadratureConfig = DEFAULT_QUAD) -> EndsCoefficient:
+    def ends_coefficient(self, grid) -> EndsCoefficient:
         """Samples of m * int_0^t w^(m-1) / t^m with a grid limsup estimate."""
         if math.isfinite(self.warp.lam):
             raise DomainError("ends coefficient is an asymptotic quantity; "
@@ -566,7 +556,7 @@ class ModelSpace:
         monotone = all(self.warp.dw(float(r)) >= -1e-12 for r in grid)
         samples = np.empty_like(grid)
         for i, t in enumerate(grid):
-            ball = self.vol_ball(float(t), quad)
+            ball = self.vol_ball(float(t))
             val = self.m * ball / (self.V0 * float(t) ** self.m)
             samples[i] = val if math.isfinite(val) else np.nan
         window = samples[_top_slice(len(grid))]

@@ -21,6 +21,10 @@ TAG_INTERIOR = 0
 TAG_TRUNCATION = 1
 TAG_SEAM = 2
 
+_IMMERSION_SAMPLES = 17  # interior sample points per axis of the immersion check
+_EDGE_SAMPLES = 512  # sample points per rectangle edge in boundary_min_radius
+_RESIDUAL_PERCENTILE = 95.0  # of the minimality residual over interior vertices
+
 
 @dataclass(frozen=True)
 class ParamSurface:
@@ -44,9 +48,9 @@ class ParamSurface:
             raise DomainError("parameter rectangle must be nondegenerate")
         self._check_immersion()
 
-    def _check_immersion(self, n: int = 17):
-        us = np.linspace(self.u0, self.u1, n + 2)[1:-1]
-        vs = np.linspace(self.v0, self.v1, n + 2)[1:-1]
+    def _check_immersion(self):
+        us = np.linspace(self.u0, self.u1, _IMMERSION_SAMPLES + 2)[1:-1]
+        vs = np.linspace(self.v0, self.v1, _IMMERSION_SAMPLES + 2)[1:-1]
         U, V = np.meshgrid(us, vs, indexing="ij")
         hu = (self.u1 - self.u0) * 1e-6
         hv = (self.v1 - self.v0) * 1e-6
@@ -62,21 +66,20 @@ class ParamSurface:
         x, y, z = self.fn(U, V)
         return np.stack([np.asarray(x, float), np.asarray(y, float), np.asarray(z, float)], axis=-1)
 
-    def boundary_min_radius(self, pole=(0.0, 0.0, 0.0), n: int = 512) -> float:
-        """Smallest extrinsic distance over the non-periodic rectangle edges."""
-        pole = np.asarray(pole, float)
+    def boundary_min_radius(self) -> float:
+        """Smallest distance to the origin over the non-periodic rectangle edges."""
         best = math.inf
-        ts = np.linspace(0.0, 1.0, n)
+        ts = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
         edges = []
         if not self.periodic_v:
-            edges.append((self.u0 + ts * (self.u1 - self.u0), np.full(n, self.v0)))
-            edges.append((self.u0 + ts * (self.u1 - self.u0), np.full(n, self.v1)))
+            edges.append((self.u0 + ts * (self.u1 - self.u0), np.full_like(ts, self.v0)))
+            edges.append((self.u0 + ts * (self.u1 - self.u0), np.full_like(ts, self.v1)))
         if not self.periodic_u:
-            edges.append((np.full(n, self.u0), self.v0 + ts * (self.v1 - self.v0)))
-            edges.append((np.full(n, self.u1), self.v0 + ts * (self.v1 - self.v0)))
+            edges.append((np.full_like(ts, self.u0), self.v0 + ts * (self.v1 - self.v0)))
+            edges.append((np.full_like(ts, self.u1), self.v0 + ts * (self.v1 - self.v0)))
         for U, V in edges:
             pts = self.points(U, V)
-            best = min(best, float(np.linalg.norm(pts - pole, axis=1).min()))
+            best = min(best, float(np.linalg.norm(pts, axis=1).min()))
         return best
 
 
@@ -569,13 +572,13 @@ def _read_obj(path):
 # discrete minimality diagnostic
 
 
-def minimality_residual(mesh: TriMesh, percentile: float = 95.0) -> float:
+def minimality_residual(mesh: TriMesh) -> float:
     """Magnitude of the discrete mean-curvature vector, area-normalized.
 
     Applies the cotangent operator to the coordinate functions and divides
     by the barycentric one-ring area; for a smooth surface this converges to
     twice the mean curvature, so a unit sphere reads about 2 and a minimal
-    surface tends to 0 under refinement.  Returns the given percentile over
+    surface tends to 0 under refinement.  Returns its 95th percentile over
     interior vertices.
     """
     v, f = mesh.verts, mesh.faces
@@ -592,7 +595,7 @@ def minimality_residual(mesh: TriMesh, percentile: float = 95.0) -> float:
     interior = ~mesh.boundary_vertex_mask()
     if not interior.any():
         raise DomainError("mesh has no interior vertices")
-    return float(np.percentile(hn[interior], percentile))
+    return float(np.percentile(hn[interior], _RESIDUAL_PERCENTILE))
 
 
 def _lumped_mass(v: np.ndarray, f: np.ndarray) -> np.ndarray:
@@ -620,11 +623,11 @@ def _cotangent_edges(v: np.ndarray, f: np.ndarray) -> tuple:
     return rows, cols, w
 
 
-def cotangent_laplacian(verts, faces, clamp: bool = True):
+def cotangent_laplacian(verts, faces):
     """Cotangent-weight stiffness matrix (CSR) and barycentric lumped mass.
 
-    With clamp=True negative edge weights are zeroed, which keeps the matrix
-    an M-matrix so discrete solutions obey the maximum principle.
+    Negative edge weights are zeroed, which keeps the matrix an M-matrix so
+    discrete solutions obey the maximum principle.
     """
     from scipy import sparse  # here, so that meshing and clipping never load scipy
 
@@ -637,8 +640,7 @@ def cotangent_laplacian(verts, faces, clamp: bool = True):
     rows, cols, w = _cotangent_edges(v, f)
     W = sparse.coo_matrix((w, (rows, cols)), shape=(n, n))
     W = (W + W.T).tocsr()
-    if clamp:
-        W.data = np.maximum(W.data, 0.0)
+    W.data = np.maximum(W.data, 0.0)
     diag = np.asarray(W.sum(axis=1)).ravel()
     K = sparse.diags(diag) - W
     return K.tocsr(), mass

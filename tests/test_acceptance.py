@@ -193,7 +193,7 @@ ENNEPER_QUOT_12 = 2.5775
 
 
 def _enneper_sandwich_and_ends(mesh):
-    checks = harness.verify_euclidean_sandwich(Study(mesh, flat(2)), 1.0, 5.0, tol=0.03)
+    checks = harness.verify_euclidean_sandwich(Study(mesh, flat(2)), 1.0, 5.0)
     assert all(c.verdict == PASS for c in checks), "Euclidean sandwich failed"
     assert end_components(mesh, 3.0).count == 1
 

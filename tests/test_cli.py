@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import excomp
-from excomp import dgeom, harness
+from excomp import dgeom, harness, modelspace, surfaces
 from excomp.cli import main, make_model
+from excomp.modelspace import QuadratureConfig
 
 
 def run(args):
@@ -89,6 +90,26 @@ class TestModelCommand:
                     "--out", str(tmp_path), "--name", "m"]) == code
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "m").exists()
+
+    def test_every_integral_uses_the_runs_tolerances(self, tmp_path, monkeypatch):
+        # the model holds one quadrature configuration, built from the flags
+        received = {"_quad": [], "_quad_tail": []}
+        for name, log in received.items():
+            def recorded(*args, _real=getattr(modelspace, name), _log=log):
+                _log.append(args[-1])
+                return _real(*args)
+            monkeypatch.setattr(modelspace, name, recorded)
+        flags = ["--warp", "sinh(r)", "--quad-rel-tol", "1e-9", "--quad-abs-tol", "1e-11",
+                 "--out", str(tmp_path)]
+        assert run(["verify", "--surface", "plane", "--res", "32", *flags]) == 0
+        assert run(["model", "--capacity", "1:2", "--exit-time", "2", "--grid", "0.5:30:20",
+                    *flags]) == 0
+        assert received["_quad"] and received["_quad_tail"]
+        expected = QuadratureConfig(abs_tol=1e-11, rel_tol=1e-9)
+        assert all(cfg == expected for log in received.values() for cfg in log)
+        # the tolerances are still checked before --warp is parsed
+        assert run(["model", "--quad-abs-tol", "0", "--warp", "b=x",
+                    "--out", str(tmp_path)]) == 3
 
     def test_exit_time_start_radius(self, tmp_path, capsys):
         run(["model", "--exit-time", "2", "--out", str(tmp_path)])
@@ -186,6 +207,21 @@ class TestQuotients:
         meta = json.loads((tmp_path / "y" / "rerun" / "meta.json").read_text())
         assert (meta["out"], meta["name"]) == (str(tmp_path / "y"), "rerun")
         assert "threads" not in meta
+
+    def test_report_names_the_mesh_file_not_its_directory(self, tmp_path):
+        run(["surface", *_PLANE, "--out", str(tmp_path), "--name", "made"])
+        reports = []
+        for folder in ("a", "a_much_longer_folder"):
+            mesh = tmp_path / folder / "p.off"
+            mesh.parent.mkdir()
+            mesh.write_bytes((tmp_path / "made" / "mesh.off").read_bytes())
+            assert run(["quotients", "--mesh", str(mesh), "--grid", "0.5:1.5:4",
+                        "--out", str(tmp_path), "--name", folder]) == 0
+            reports.append((tmp_path / folder / "report.json").read_bytes())
+            meta = json.loads((tmp_path / folder / "meta.json").read_text())
+            assert meta["mesh"] == str(mesh)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["config"]["mesh"] == "p.off"
 
 
 class TestVerify:
@@ -458,6 +494,12 @@ class TestValueErrors:
                                  f"--refine={value}", "--out", str(tmp_path)], capsys)
         assert "--refine" in err
 
+    @pytest.mark.parametrize("value", ["8:8:8", "16:16:0"])
+    def test_res_holds_one_or_two_numbers(self, tmp_path, capsys, value):
+        err = self._usage_error(["surface", "--surface", "plane", f"--res={value}",
+                                 "--out", str(tmp_path)], capsys)
+        assert "--res" in err
+
     @pytest.mark.parametrize("value", ["2:0.5:9", "nan", "2:inf", ""])
     def test_malformed_exit_time(self, tmp_path, capsys, value):
         err = self._usage_error(["model", f"--exit-time={value}", "--out", str(tmp_path)],
@@ -489,6 +531,7 @@ class TestValueErrors:
 
 
 # Runs that need no solve and no quadrature; each must leave scipy unloaded
+# (a space form's capacity and table are closed forms)
 _NUMPY_ONLY = """
 import sys
 import excomp.cli, excomp
@@ -501,7 +544,9 @@ out = sys.argv[1]
 for argv in (["quotients", "--surface", "plane", "--res", "16", "--cover", "2",
               "--grid", "0.5:1.5:4", "--dim", "2", "--warp", "r"],
              ["surface", "--surface", "catenoid", "--res", "16", "--cover", "3"],
-             ["model", "--dim", "2", "--warp", "r"]):
+             ["model", "--dim", "2", "--warp", "r"],
+             ["model", "--dim", "2", "--warp", "b=-1", "--capacity", "1:2",
+              "--grid", "0.5:30:20"]):
     assert excomp.cli.main(argv + ["--out", out]) == 0, argv
     assert not scipy_modules(), (argv[0], scipy_modules())
 """
@@ -612,3 +657,49 @@ def test_mesh_flags_keep_the_exit_contract(run_spec):
     assert (code == 1) == failed or code in (2, 3), (argv, err)
     if code in (2, 3):
         assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+
+
+# Every numeric flag of the mesh builders, drawn over `surface` and
+# `quotients` on the four builtins: small resolutions only (at most 24 per
+# axis), edge tokens and malformed counts, never a size that allocates much
+_SURFACE_FLAGS = {
+    "--res": st.sampled_from(("8", "12", "24", "9:24", "24:8", "8:8:8", "7", "0", "-1",
+                              "", "junk", "2.5", "8:", "1e3")),
+    "--a": st.sampled_from(_TOKENS + ("0.5",)),
+    "--c": st.sampled_from(_TOKENS + ("0.5",)),
+    "--cover": st.sampled_from(_TOKENS + ("1", "4")),
+    "--pole": st.sampled_from(("0,0,0", "0.5,0,0.5", "nan,0,0", "0,0", "1,2,3,4", "junk",
+                               "", "1e308,0,0", "inf,0,0", "0,0,1e3")),
+    "--refine": st.sampled_from(_TOKENS + ("1", "0.5,1.5", "1,nan")),
+}
+_SURFACE_RUNS = st.tuples(
+    st.sampled_from(("surface", "quotients")), st.sampled_from(surfaces.BUILTIN_NAMES),
+    st.lists(st.sampled_from(sorted(_SURFACE_FLAGS)), max_size=4, unique=True).flatmap(
+        lambda names: st.fixed_dictionaries({name: _SURFACE_FLAGS[name] for name in names})))
+
+
+@settings(max_examples=200)
+@given(_SURFACE_RUNS)
+def test_surface_flags_keep_the_exit_contract(run_spec):
+    """Exit 0, 1 only with a failed check in report.json, 2 (usage) or 3
+    (computation); never a traceback, and exit 2 or 3 prints one error line."""
+    command, surface, flags = run_spec
+    argv = ([command, "--surface", surface, "--res", "16"]
+            + [f"{flag}={value}" for flag, value in flags.items()])
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv + ["--out", out, "--name", "run"])
+        except SystemExit as exc:  # argparse rejects the value
+            code = exc.code
+        report = Path(out) / "run" / "report.json"
+        failed = report.exists() and json.loads(report.read_text())["summary"]["fail"] > 0
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), (argv, err)
+    assert "Traceback" not in err
+    assert (code == 1) == failed or code in (2, 3), (argv, err)
+    if code in (2, 3):
+        assert sum("error:" in line for line in err.splitlines()) == 1, (argv, err)
+    if flags.get("--res", "").count(":") > 1:  # NU:NV at most
+        assert code == 2, (argv, err)

@@ -377,7 +377,7 @@ class TestLaplacianWeights:
     def test_single_equilateral_triangle(self):
         # hand value for one triangle: off-diagonal -cot(pi/3)/2 = -1/(2 sqrt 3)
         verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, math.sqrt(3) / 2, 0]])
-        K, _ = cotangent_laplacian(verts, np.array([[0, 1, 2]]), clamp=True)
+        K, _ = cotangent_laplacian(verts, np.array([[0, 1, 2]]))
         K = K.toarray()
         off = -1.0 / (2 * math.sqrt(3))
         for i in range(3):
@@ -389,12 +389,12 @@ class TestLaplacianWeights:
         # two equilateral triangles sharing an edge: -cot(pi/3) = -1/sqrt(3)
         verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, math.sqrt(3) / 2, 0],
                           [0.5, -math.sqrt(3) / 2, 0]])
-        K, _ = cotangent_laplacian(verts, np.array([[0, 1, 2], [1, 0, 3]]), clamp=True)
+        K, _ = cotangent_laplacian(verts, np.array([[0, 1, 2], [1, 0, 3]]))
         assert K[0, 1] == pytest.approx(-1.0 / math.sqrt(3), rel=1e-12)
 
     def test_square_grid_five_point_stencil(self):
         mesh = tessellate(builtin("plane", extent=4.0), 8, 8)  # unit squares
-        K, _ = cotangent_laplacian(mesh.verts, mesh.faces, clamp=True)
+        K, _ = cotangent_laplacian(mesh.verts, mesh.faces)
         K = K.tocsr()
         # interior vertex: axis neighbors -1, diagonal neighbors 0, center 4
         inner = np.flatnonzero(~mesh.boundary_vertex_mask())

@@ -198,39 +198,6 @@ class TestCapacity:
             flat().capacity(1.0, 1.0)
 
 
-class TestPotential:
-    def test_boundary_values_exact(self):
-        ms = hyperbolic()
-        assert ms.potential(1.0, 2.0, 1.0) == 0.0
-        assert ms.potential(1.0, 2.0, 2.0) == 1.0
-
-    def test_flat_log_profile(self):
-        ms = flat(2)
-        assert ms.potential(1.0, math.e ** 2, math.e) == pytest.approx(0.5, rel=1e-12)
-
-    def test_monotone(self):
-        ms = custom("sinh(r)")
-        ts = np.linspace(1.0, 2.0, 12)
-        vals = [ms.potential(1.0, 2.0, float(t)) for t in ts]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
-
-    def test_harmonic_flux_constant(self):
-        # (psi' * w^(m-1))' = 0: the normalized radial flux is constant
-        ms = hyperbolic(3)
-        h = 1e-4
-
-        def flux_at(t):
-            d = (ms.potential(1.0, 2.0, t + h) - ms.potential(1.0, 2.0, t - h)) / (2 * h)
-            return d * ms.warp.w(t) ** 2
-
-        a, b = flux_at(1.3), flux_at(1.8)
-        assert a == pytest.approx(b, rel=1e-6)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            flat().potential(1.0, 2.0, 2.5)
-
-
 class TestMeanExit:
     def test_flat_center(self):
         assert flat(2).mean_exit(2.0, 0.0) == pytest.approx(1.0, rel=1e-14)
@@ -369,8 +336,8 @@ class TestQuadratureConfig:
             QuadratureConfig(**kwargs)
 
     def test_smallest_relative_tolerance_integrates(self):
-        quad = QuadratureConfig(rel_tol=51 * np.finfo(float).eps)
-        assert hyperbolic().capacity(1.0, 2.0, quad) == pytest.approx(12.576548463051132,
-                                                                     rel=1e-12)
-        tone = hyperbolic().tone_upper_limit(np.linspace(0.5, 4, 5), quad)  # tail integrals
+        model = ModelSpace(2, WarpingSpec.space_form(-1.0),
+                           QuadratureConfig(rel_tol=51 * np.finfo(float).eps))
+        assert model.capacity(1.0, 2.0) == pytest.approx(12.576548463051132, rel=1e-12)
+        tone = model.tone_upper_limit(np.linspace(0.5, 4, 5))  # tail integrals
         assert len(tone.samples) == 5
