@@ -385,7 +385,8 @@ def _cmd_surface(args) -> int:
     rundir = _rundir(args)
     mesh.save_off(rundir / "mesh.off")
     sidecar = {
-        "name": mesh.name,
+        # an ingested mesh by its file name alone, as config.mesh in report.json
+        "name": Path(args.mesh).name if args.mesh else mesh.name,
         "pole": list(map(float, mesh.pole)),
         "vertices": len(mesh.verts),
         "faces": len(mesh.faces),

@@ -20,6 +20,10 @@ zero-area fragment, boundary vertices of a clipped region carry per-vertex
 labels (inner level, outer level, truncation) rather than traced loops, and
 negative cotangent weights are clamped to zero so solves obey the discrete
 maximum principle.
+
+Solves make no BLAS vector call: the conjugate gradients (cg) are numpy code
+and every inner product goes through _dot, so no solve wakes BLAS worker
+threads.  scipy supplies the sparse matrices, SuperLU (splu) and csgraph.
 """
 
 from __future__ import annotations
@@ -356,12 +360,53 @@ def radial_energy(mesh: TriMesh, region: ClippedRegion) -> float:
 # ---------------------------------------------------------------------------
 # Laplacian systems
 
-# scipy is imported by the functions that solve, so a run that only clips and
-# sweeps never loads it.  The solvers call these two module-level names, which
-# a tracer may wrap (perfbench/traced.py does).
-def cg(*args, **kwargs):
-    from scipy.sparse.linalg import cg
-    return cg(*args, **kwargs)
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """a . b by einsum's own summation loop.  np.dot, @, np.vecdot and
+    np.linalg.norm hand a vector of more than about 10 000 entries to BLAS,
+    whose worker threads then spin on the other cores for no gain."""
+    return float(np.einsum("i,i->", a, b))
+
+
+def _norm(a: np.ndarray) -> float:
+    return math.sqrt(_dot(a, a))
+
+
+# The solvers call the module-level names cg and splu, which a tracer may
+# wrap (perfbench/traced.py does).  splu imports scipy when called, so a run
+# that only clips and sweeps never loads it.
+def cg(A, b, *, rtol, atol, maxiter, M, callback=None):
+    """Conjugate gradients for the SPD system A x = b from x = 0, with M the
+    Jacobi preconditioner as a vector (the inverse of A's diagonal).  The
+    algorithm and stopping rule are scipy's: stop once
+    ||r|| < max(atol, rtol ||b||), call callback(x) after each iteration, and
+    return (x, 0), or (x, maxiter) when the iterations run out.  Every inner
+    product goes through _dot, so no step calls BLAS."""
+    x = np.zeros_like(b)
+    bnorm = _norm(b)
+    if bnorm == 0.0:
+        return x, 0
+    tol = max(atol, rtol * bnorm)
+    r = b.copy()
+    z = np.empty_like(b)
+    p = np.empty_like(b)
+    for it in range(maxiter):
+        if _norm(r) < tol:
+            return x, 0
+        np.multiply(M, r, out=z)
+        rz = _dot(r, z)
+        if it == 0:
+            p[:] = z
+        else:
+            p *= rz / rz_prev
+            p += z
+        q = A @ p
+        alpha = rz / _dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rz_prev = rz
+        if callback is not None:
+            callback(x)
+    return x, maxiter
 
 
 def splu(*args, **kwargs):
@@ -409,10 +454,12 @@ def assemble_laplacian(region: ClippedRegion, boundary_spec: dict) -> SparseSPDS
 
 def solve_dirichlet(system: SparseSPDSystem, source: np.ndarray | None = None) -> np.ndarray:
     """Solve K u = source with the stored Dirichlet values in place, by
-    Jacobi-preconditioned conjugate gradients to the relative residual
-    _CG_RTOL.  With clamped weights the harmonic case obeys the discrete
-    maximum principle."""
-    from scipy import sparse
+    Jacobi-preconditioned conjugate gradients (cg above, numpy code that makes
+    no BLAS call) to the relative residual _CG_RTOL.  With clamped weights the
+    harmonic case obeys the discrete maximum principle."""
+    # scipy's sparse solvers load at the first solve, not at the first splu:
+    # loaded that late, they raised a verify run's peak memory by about 5 MB
+    import scipy.sparse.linalg  # noqa: F401
 
     n = system.K.shape[0]
     free = system.free_mask()
@@ -428,11 +475,10 @@ def solve_dirichlet(system: SparseSPDSystem, source: np.ndarray | None = None) -
         rhs = rhs + source[free]
     diag = Kff.diagonal()
     diag = np.where(diag > 0, diag, 1.0)
-    precond = sparse.diags(1.0 / diag)
     maxiter = max(5000, int(40 * math.sqrt(nfree)))
-    x, info = cg(Kff, rhs, rtol=_CG_RTOL, atol=0.0, maxiter=maxiter, M=precond)
+    x, info = cg(Kff, rhs, rtol=_CG_RTOL, atol=0.0, maxiter=maxiter, M=1.0 / diag)
     if info != 0:
-        res = float(np.linalg.norm(Kff @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
+        res = _norm(Kff @ x - rhs) / max(_norm(rhs), 1e-300)
         raise SolveError(f"conjugate gradients did not converge in {maxiter} iterations",
                          residual=res)
     field[free] = x
@@ -464,7 +510,7 @@ def capacity_discrete(region: ClippedRegion, truncation: str = "reflect") -> Cap
             f"annulus width {region.R - region.rho:.4g} under 2 mesh edge lengths ({2 * h:.4g})")
     system = assemble_laplacian(region, {"inner": 0.0, "outer": 1.0})
     psi = solve_dirichlet(system)
-    cap = float(psi @ (system.K @ psi))
+    cap = _dot(psi, system.K @ psi)
     return CapacityResult(cap, 1.0 / cap)
 
 
@@ -496,7 +542,7 @@ def first_eigenvalue_estimate(region: ClippedRegion) -> float:
     for _ in range(_EIGEN_MAXITER):
         x = lu.solve(mf * x)
         x /= math.sqrt(float((x * x * mf).sum()))
-        lam = float(x @ (Kff @ x)) / float((x * x * mf).sum())
+        lam = _dot(x, Kff @ x) / float((x * x * mf).sum())
         if lam_prev is not None and abs(lam - lam_prev) <= _EIGEN_TOL * abs(lam):
             return lam
         lam_prev = lam

@@ -445,6 +445,8 @@ def tone_report(study: Study, R0: float, grid) -> ToneReport:
         for mask in ends.face_masks:
             c = quotient_curves(mesh, model, sub, end_mask=mask)
             factors.append(c.w_flux_estimate() / c.w_volume_estimate())
+        # the sweeps are done: the eigenvalue LUs below peak without their index
+        mesh.radial_index_memo = None
     factor = min(factors) if factors else 1.0
     upper = factor * tone.reported_limsup
     lower = cheeger.lower_bound

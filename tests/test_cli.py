@@ -223,6 +223,19 @@ class TestQuotients:
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["config"]["mesh"] == "p.off"
 
+    def test_mesh_sidecar_names_the_mesh_file_not_its_directory(self, tmp_path):
+        run(["surface", *_PLANE, "--out", str(tmp_path), "--name", "made"])
+        sidecars = []
+        for folder in ("a", "a_much_longer_folder"):
+            mesh = tmp_path / folder / "p.off"
+            mesh.parent.mkdir()
+            mesh.write_bytes((tmp_path / "made" / "mesh.off").read_bytes())
+            assert run(["surface", "--mesh", str(mesh), "--out", str(tmp_path),
+                        "--name", folder + "_out"]) == 0
+            sidecars.append((tmp_path / (folder + "_out") / "mesh.json").read_bytes())
+        assert sidecars[0] == sidecars[1]
+        assert json.loads(sidecars[0])["name"] == "p.off"
+
 
 class TestVerify:
     def test_catenoid_hyperbolic_model_inconclusive_not_strict(self, tmp_path, capsys):

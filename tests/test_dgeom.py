@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +13,7 @@ from excomp import dgeom, surfaces
 from excomp.dgeom import (LABEL_INNER, LABEL_INTERIOR, LABEL_OUTER, LABEL_TRUNCATION,
                           ball_area, capacity_discrete, clip, end_components,
                           exit_time_discrete, first_eigenvalue_estimate, flux, solve_dirichlet)
-from excomp.errors import CoverageError, DomainError, TruncationContactError
+from excomp.errors import CoverageError, DomainError, SolveError, TruncationContactError
 from excomp.surfaces import TAG_TRUNCATION, TriMesh, builtin, cotangent_laplacian, tessellate
 
 
@@ -514,6 +518,77 @@ def test_solvers_call_the_module_level_cg_and_splu(monkeypatch, plane_128):
     assert calls == {"cg": 1, "splu": 0}
     first_eigenvalue_estimate(reg)
     assert calls == {"cg": 1, "splu": 1}
+
+
+def _free_block(region):
+    """The free block of the (0, 1) annulus system, its right-hand side and
+    its inverse diagonal, as solve_dirichlet builds them."""
+    system = dgeom.assemble_laplacian(region, {"inner": 0.0, "outer": 1.0})
+    free = system.free_mask()
+    field = np.zeros(len(free))
+    field[system.constrained] = system.values
+    Kf = system.K[free]
+    return Kf[:, free], -Kf[:, ~free] @ field[~free], 1.0 / Kf[:, free].diagonal()
+
+
+class TestConjugateGradients:
+    def test_matches_scipy(self, plane_256):
+        from scipy.sparse.linalg import cg as scipy_cg
+        Kff, rhs, inv_diag = _free_block(clip(plane_256, 1.0, math.e))
+        runs = []
+        for solver, M in ((scipy_cg, sparse.diags(inv_diag)), (dgeom.cg, inv_diag)):
+            iters = []
+            x, info = solver(Kff, rhs, rtol=1e-10, atol=0.0, maxiter=5000, M=M,
+                             callback=lambda xk: iters.append(1))
+            assert info == 0
+            runs.append((x, len(iters)))
+        (x_scipy, n_scipy), (x, n) = runs
+        assert n == n_scipy > 100
+        assert np.abs(x - x_scipy).max() <= 1e-12 * np.abs(x_scipy).max()
+
+    def test_zero_rhs_returns_zeros(self, plane_128):
+        Kff, rhs, inv_diag = _free_block(clip(plane_128, 1.0, 2.0))
+        x, info = dgeom.cg(Kff, np.zeros_like(rhs), rtol=1e-10, atol=0.0, maxiter=10,
+                           M=inv_diag)
+        assert info == 0
+        assert np.array_equal(x, np.zeros_like(rhs))
+
+    def test_running_out_of_iterations_raises_with_the_residual(self, monkeypatch, plane_128):
+        real = dgeom.cg
+        monkeypatch.setattr(dgeom, "cg", lambda A, b, **kw: real(A, b, **dict(kw, maxiter=3)))
+        system = dgeom.assemble_laplacian(clip(plane_128, 1.0, 2.0), {"inner": 0.0, "outer": 1.0})
+        with pytest.raises(SolveError, match="did not converge") as err:
+            solve_dirichlet(system)
+        assert err.value.residual > 1e-10
+
+
+# A capacity solve on more than 10 000 free vertices, where a BLAS vector
+# call would hand work to BLAS worker threads; prints the CPU time of the
+# other threads and of the main thread over the solve
+_SOLVE_CPU = """
+import math, time
+import scipy.sparse.linalg  # loading it starts scipy's BLAS threads; not timed
+from excomp import builtin, dgeom, tessellate
+
+region = dgeom.clip(tessellate(builtin("plane", cover_radius=3.2), 192, 192), 1.0, math.e)
+assert (region.vertex_label == dgeom.LABEL_INTERIOR).sum() > 10_000
+process, main = time.process_time(), time.thread_time()
+dgeom.capacity_discrete(region)
+main = time.thread_time() - main
+print(time.process_time() - process - main, main)
+"""
+
+
+def test_solves_leave_blas_threads_idle():
+    # a fresh interpreter, so that the thread setting applies when BLAS loads
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(dgeom.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SOLVE_CPU], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    others, main = map(float, proc.stdout.split())
+    assert others < 0.1 * main, (others, main)
 
 
 class TestEigenvalue:

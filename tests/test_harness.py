@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from excomp import harness
+from excomp import dgeom, harness
 from excomp.errors import DomainError
 from excomp.harness import FAIL, INCONCLUSIVE, PASS, QuotientCurve, Study
 from excomp.modelspace import ModelSpace, WarpingSpec
@@ -167,6 +167,20 @@ class TestToneReport:
         lams = [lam for _, lam in report.eigenvalues]
         assert all(b <= a * 1.02 for a, b in zip(lams, lams[1:]))
         assert all(c.verdict == PASS for c in report.checks)
+
+    def test_eigenvalue_lus_run_with_the_radial_index_released(self, monkeypatch, catenoid_96):
+        # the end-restricted curves build an index; the LUs must not hold it
+        held = []
+        real = dgeom.splu
+
+        def watched(*args, **kwargs):
+            held.append(catenoid_96.radial_index_memo is not None)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(dgeom, "splu", watched)
+        report = harness.tone_report(Study(catenoid_96, flat_model()), 2.0,
+                                     np.linspace(2, 20, 10))
+        assert len(report.end_factors) == 2
+        assert held == [False] * 4
 
 
 class TestVolumeFluxTail:

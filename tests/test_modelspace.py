@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from excomp import modelspace
 from excomp.errors import DomainError
 from excomp.modelspace import ModelSpace, QuadratureConfig, WarpingSpec, _cumulative_trapezoid
 
@@ -335,9 +336,20 @@ class TestQuadratureConfig:
         with pytest.raises(DomainError, match="quadrature tolerances"):
             QuadratureConfig(**kwargs)
 
-    def test_smallest_relative_tolerance_integrates(self):
-        model = ModelSpace(2, WarpingSpec.space_form(-1.0),
+    def test_smallest_relative_tolerance_integrates(self, monkeypatch):
+        # the parsed sinh(r), not the space form b=-1 whose integrals are
+        # closed forms, so that the tolerance reaches quadpack
+        calls = {"_quad": 0, "_quad_tail": 0}
+        for name in calls:
+            real = getattr(modelspace, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(modelspace, name, counted)
+        model = ModelSpace(2, WarpingSpec.custom("sinh(r)"),
                            QuadratureConfig(rel_tol=51 * np.finfo(float).eps))
         assert model.capacity(1.0, 2.0) == pytest.approx(12.576548463051132, rel=1e-12)
         tone = model.tone_upper_limit(np.linspace(0.5, 4, 5))  # tail integrals
         assert len(tone.samples) == 5
+        assert calls["_quad"] > 0 and calls["_quad_tail"] > 0, calls
