@@ -23,7 +23,11 @@ maximum principle.
 
 Solves make no BLAS vector call: the conjugate gradients (cg) are numpy code
 and every inner product goes through _dot, so no solve wakes BLAS worker
-threads.  scipy supplies the sparse matrices, SuperLU (splu) and csgraph.
+threads.  The eigenvalue LU eliminates in a nested-dissection order of the
+mesh graph (elimination_rank), which one caller computes once for the
+largest of a family of nested balls and passes to each.  scipy supplies the
+sparse matrices, SuperLU (splu) and csgraph (the breadth-first searches of
+that order and the end components).
 """
 
 from __future__ import annotations
@@ -49,6 +53,7 @@ LABEL_TRUNCATION = 3
 _CG_RTOL = 1e-10  # relative residual at which conjugate gradients stop
 _EIGEN_TOL = 1e-8  # relative eigenvalue change at which inverse power iteration stops
 _EIGEN_MAXITER = 500  # inverse power steps before it gives up
+_ND_LEAF = 16  # nested dissection splits no part of at most this many vertices
 
 
 @dataclass(eq=False)
@@ -58,7 +63,8 @@ class ClippedRegion:
     Cut triangles are split along the linear interpolant of r on edges; cut
     vertices carry r equal to the cut level exactly, except that a cut within
     1e-12 of an edge end reuses that end.  vertex_label marks the inner level
-    set, outer level set and inherited truncation boundary.
+    set, outer level set and inherited truncation boundary.  vertex_parent
+    is the parent-mesh index of each vertex, -1 for a cut vertex.
     """
 
     verts: np.ndarray
@@ -68,6 +74,7 @@ class ClippedRegion:
     rho: float
     R: float
     vertex_label: np.ndarray
+    vertex_parent: np.ndarray
 
     def area(self) -> float:
         return float(face_areas(self.verts, self.faces).sum())
@@ -184,7 +191,8 @@ def clip(mesh: TriMesh, rho: float, R: float, face_mask=None,
     remap = np.full(len(verts), -1, dtype=np.int64)
     remap[used] = np.arange(len(used))
     region = ClippedRegion(verts[used], remap[faces], r[used], parent, rho, R,
-                           np.zeros(len(used), dtype=np.uint8))
+                           np.zeros(len(used), dtype=np.uint8),
+                           np.where(used < len(mesh.verts), used, -1))
     _label_boundary(region)
     return region
 
@@ -525,29 +533,142 @@ def exit_time_discrete(region: ClippedRegion) -> np.ndarray:
     return solve_dirichlet(system, source=system.mass)
 
 
-def first_eigenvalue_estimate(region: ClippedRegion) -> float:
+def _breadth_first(indptr, indices, sources, levels=False):
+    """Breadth-first order of the vertices that the CSR graph (indptr,
+    indices) reaches from any of `sources`, by one search from a super-source
+    joined to each source; with levels, also the level of each (1 at the
+    sources)."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import breadth_first_order
+
+    m = len(indptr) - 1
+    g = sparse.csr_matrix((np.ones(len(indices) + len(sources)),
+                           np.concatenate([indices, sources]),
+                           np.append(indptr, indptr[-1] + len(sources))), shape=(m + 1, m + 1))
+    if not levels:
+        return breadth_first_order(g, m, return_predecessors=False)[1:]
+    order, pred = breadth_first_order(g, m, return_predecessors=True)
+    # each level is a run of the order, and the positions of the
+    # predecessors never decrease along it
+    pos = np.empty(m + 1, np.int64)
+    pos[order] = np.arange(len(order))
+    parent = pos[pred[order[1:]]]
+    ends = [1]
+    while ends[-1] < len(order):
+        ends.append(int(np.searchsorted(parent, ends[-1])) + 1)
+    return order[1:], np.repeat(np.arange(1, len(ends)), np.diff(ends))
+
+
+def _first_of_each(labels: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """The first item of each distinct label, labels[k] labelling items[k]."""
+    first = np.full(int(labels.max()) + 1, len(items))
+    np.minimum.at(first, labels, np.arange(len(items)))
+    return items[first[first < len(items)]]
+
+
+def elimination_rank(mesh: TriMesh, R: float) -> np.ndarray:
+    """The rank of each mesh vertex in a nested-dissection elimination order
+    of the vertices with r < R; the other vertices rank after them.
+
+    Each connected part of the graph of mesh edges among those vertices is
+    split at the breadth-first level of its median vertex, counted from a
+    pseudo-peripheral source (the last vertex a search from any vertex of the
+    part reaches), until no part has more than _ND_LEAF vertices.  Leaves
+    come first, in breadth-first order, then the separators, deepest first,
+    so every separator follows both of its sides.  All the parts of one depth
+    are split together, by two searches over the whole graph.  A clipped ball
+    of radius at most R inherits the order: its free vertices are mesh
+    vertices with r < R and its free-free edges are mesh edges, so each
+    separator still separates."""
+    from scipy import sparse
+    from scipy.sparse.csgraph import connected_components
+
+    inside = mesh.r < R
+    m = int(inside.sum())
+    local = np.cumsum(inside) - 1
+    i, j, _ = _edge_counts(mesh.faces, len(inside))
+    keep = inside[i] & inside[j]
+    i, j = local[i[keep]], local[j[keep]]
+    adj = sparse.csr_matrix((np.ones(2 * len(i)), (np.concatenate([i, j]), np.concatenate([j, i]))),
+                            shape=(m, m))
+    rows, cols = np.repeat(np.arange(m, dtype=adj.indices.dtype), np.diff(adj.indptr)), adj.indices
+    alive = np.ones(m, dtype=bool)
+    part = np.zeros(m, dtype=np.int64)
+    leaves, separators = [np.zeros(0, dtype=np.int64)], []  # none, when no vertex is inside
+    while alive.any():
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
+        live = np.flatnonzero(alive)
+        order = _breadth_first(indptr, cols, _first_of_each(part[live], live))
+        if len(order) < len(live):  # a part came apart: each piece becomes a part
+            _, part = connected_components(
+                sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(m, m)),
+                connection="strong")
+            order = _breadth_first(indptr, cols, _first_of_each(part[live], live))
+        label = part[order]
+        small = np.bincount(label)[label] <= _ND_LEAF
+        leaves.append(order[small])
+        alive[order[small]] = False
+        if small.all():
+            break
+        # the second search starts from the last vertex each part's first reached
+        order, label = order[~small][::-1], label[~small][::-1]
+        order, level = _breadth_first(indptr, cols, _first_of_each(label, order), levels=True)
+        present = np.bincount(part[order]) > 0
+        label = (np.cumsum(present) - 1)[part[order]]
+        depth = int(level.max()) + 1
+        upto = np.cumsum(np.bincount(label * depth + level, minlength=int(present.sum()) * depth)
+                         .reshape(-1, depth), axis=1)
+        median = np.argmax(2 * upto >= upto[:, -1:], axis=1)  # the level of each part's median
+        side = np.sign(level - median[label])
+        separators.append(order[side == 0])
+        alive[order[side == 0]] = False
+        part[order] = 2 * label + (side > 0)
+        keep = alive[rows] & alive[cols]
+        rows, cols = rows[keep], cols[keep]
+    rank = np.empty(len(inside), dtype=np.int64)
+    rank[np.flatnonzero(inside)[np.concatenate(leaves + separators[::-1])]] = np.arange(m)
+    rank[~inside] = np.arange(m, len(inside))
+    return rank
+
+
+def first_eigenvalue_estimate(region: ClippedRegion, rank: np.ndarray) -> float:
     """Smallest Dirichlet eigenvalue of (K, M) on the region by inverse
-    power iteration (direct factorization of the free block)."""
+    power iteration on one LU factorization of the free block.
+
+    rank is elimination_rank(parent mesh, R') for some R' >= region.R.  The
+    free vertices are eliminated in its order (each is a parent vertex: cut
+    vertices lie on the Dirichlet boundary), and SuperLU factors in that
+    order, keeping the diagonal pivots of the symmetric positive definite
+    block.  A part of the free vertices with no edge path to the Dirichlet
+    boundary (a closed component inside the ball) makes the block singular
+    and raises DomainError."""
     system = assemble_laplacian(region, {"inner": 0.0, "outer": 0.0, "truncation": 0.0})
-    free = system.free_mask()
-    nfree = int(free.sum())
-    if nfree == 0:
+    free = np.flatnonzero(system.free_mask())
+    if len(free) == 0:
         raise DomainError("region has no interior vertices")
+    free = free[np.argsort(rank[region.vertex_parent[free]], kind="stable")]
     Kff = system.K[free][:, free].tocsc()
     mf = system.mass[free]
-    lu = splu(Kff)
-    x = np.ones(nfree)
+    touching = np.zeros(len(system.mass), dtype=bool)
+    touching[system.K[system.constrained].indices] = True
+    reached = _breadth_first(Kff.indptr, Kff.indices, np.flatnonzero(touching[free]))
+    if len(reached) < len(free):
+        raise DomainError(f"the free block is singular: {len(free) - len(reached)} free "
+                          "vertices have no path to the Dirichlet boundary")
+    lu = splu(Kff, permc_spec="NATURAL", diag_pivot_thresh=0.0,
+              options={"SymmetricMode": True})
+    x = np.ones(len(free))
     x /= math.sqrt(float((x * x * mf).sum()))
-    lam_prev = None
+    lam_prev = math.inf
     for _ in range(_EIGEN_MAXITER):
         x = lu.solve(mf * x)
         x /= math.sqrt(float((x * x * mf).sum()))
         lam = _dot(x, Kff @ x) / float((x * x * mf).sum())
-        if lam_prev is not None and abs(lam - lam_prev) <= _EIGEN_TOL * abs(lam):
+        change = abs(lam - lam_prev)
+        if change <= _EIGEN_TOL * abs(lam):
             return lam
         lam_prev = lam
-    raise SolveError("inverse power iteration did not converge",
-                     residual=abs(lam - lam_prev))
+    raise SolveError("inverse power iteration did not converge", residual=change)
 
 
 def _mean_edge_length(region: ClippedRegion) -> float:

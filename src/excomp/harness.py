@@ -463,9 +463,12 @@ def tone_report(study: Study, R0: float, grid) -> ToneReport:
             notes=f"factor {factor:.6g} * limit {tone.reported_limsup:.6g}"))
     eigenvalues = []
     if mesh is not None:
-        for R in np.linspace(grid[0] + (grid[-1] - grid[0]) * 0.25, grid[-1], 4):
+        radii = np.linspace(grid[0] + (grid[-1] - grid[0]) * 0.25, grid[-1], 4)
+        # the balls are nested, so the largest one's order serves them all
+        rank = dgeom.elimination_rank(mesh, float(radii[-1]))
+        for R in radii:
             eigenvalues.append((float(R), dgeom.first_eigenvalue_estimate(
-                dgeom.clip(mesh, 0.0, float(R)))))
+                dgeom.clip(mesh, 0.0, float(R)), rank)))
         lams = np.array([lam for _, lam in eigenvalues])
         if len(lams) >= 2:
             worst = int(np.argmax(lams[1:] / lams[:-1]))

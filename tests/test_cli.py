@@ -8,6 +8,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -314,6 +315,30 @@ class TestConfigPrecedence:
         assert report["scalars"]["parabolicity"]["verdict"] == "parabolic"
 
 
+@pytest.fixture
+def plane_with_octahedron_off(tmp_path):
+    """A 40 x 40 grid of the plane z = 0 over [-10, 10]^2 and, as a second
+    component, a closed octahedron floating inside the ball of radius 4."""
+    s = np.linspace(-10.0, 10.0, 41)
+    X, Y = np.meshgrid(s, s, indexing="ij")
+    verts = np.column_stack([X.ravel(), Y.ravel(), np.zeros(X.size)])
+    idx = np.arange(X.size).reshape(X.shape)
+    a, b = idx[:-1, :-1].ravel(), idx[1:, :-1].ravel()
+    c, d = idx[1:, 1:].ravel(), idx[:-1, 1:].ravel()
+    faces = np.concatenate([np.column_stack([a, b, c]), np.column_stack([a, c, d])])
+    corners = np.array([2.0, 2.0, 1.0]) + 0.5 * np.array(
+        [[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]])
+    octahedron = [[q, (q + 1) % 4, 4] for q in range(4)] + [[(q + 1) % 4, q, 5] for q in range(4)]
+    verts = np.concatenate([verts, corners])
+    faces = np.concatenate([faces, np.array(octahedron) + X.size])
+    path = tmp_path / "two.off"
+    with open(path, "w") as fh:
+        fh.write(f"OFF\n{len(verts)} {len(faces)} 0\n")
+        np.savetxt(fh, verts, fmt="%.17g")
+        np.savetxt(fh, faces, fmt="3 %d %d %d")
+    return path
+
+
 class TestOtherSubcommands:
     def test_capacity_subcommand(self, tmp_path, capsys):
         code = run(["capacity", "--surface", "plane", "--res", "64", "--cover", "3.2",
@@ -351,6 +376,16 @@ class TestOtherSubcommands:
         code = run(["model", "--dim", "2", "--warp", "r + +", "--out", str(tmp_path)])
         assert code == 3
         assert "byte offset" in capsys.readouterr().err
+
+    def test_closed_component_in_an_eigenvalue_ball_is_exit_3(self, tmp_path, capsys,
+                                                               plane_with_octahedron_off):
+        # the octahedron has no Dirichlet boundary, so the LU's free block is singular
+        code = run(["tone", "--mesh", str(plane_with_octahedron_off), "--dim", "2",
+                    "--warp", "r", "--grid", "1:8:6", "--R0", "1", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_missing_mesh_file(self, tmp_path, capsys):
         code = run(["surface", "--mesh", str(tmp_path / "nope.off"),

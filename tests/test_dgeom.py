@@ -11,7 +11,7 @@ from scipy import sparse, special
 
 from excomp import dgeom, surfaces
 from excomp.dgeom import (LABEL_INNER, LABEL_INTERIOR, LABEL_OUTER, LABEL_TRUNCATION,
-                          ball_area, capacity_discrete, clip, end_components,
+                          ball_area, capacity_discrete, clip, elimination_rank, end_components,
                           exit_time_discrete, first_eigenvalue_estimate, flux, solve_dirichlet)
 from excomp.errors import CoverageError, DomainError, SolveError, TruncationContactError
 from excomp.surfaces import TAG_TRUNCATION, TriMesh, builtin, cotangent_laplacian, tessellate
@@ -516,7 +516,7 @@ def test_solvers_call_the_module_level_cg_and_splu(monkeypatch, plane_128):
     reg = clip(plane_128, 1.0, 2.0)
     solve_dirichlet(dgeom.assemble_laplacian(reg, {"inner": 0.0, "outer": 1.0}))
     assert calls == {"cg": 1, "splu": 0}
-    first_eigenvalue_estimate(reg)
+    first_eigenvalue_estimate(reg, elimination_rank(plane_128, 2.0))
     assert calls == {"cg": 1, "splu": 1}
 
 
@@ -591,21 +591,133 @@ def test_solves_leave_blas_threads_idle():
     assert others < 0.1 * main, (others, main)
 
 
+def _nested_dissection_eigenvalue(mesh, R, rank):
+    """first_eigenvalue_estimate on the ball of radius R in the order of
+    rank, with its number of inverse-power steps and its LU's fill."""
+    steps, fill = [], []
+    real = dgeom.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+            fill.append(lu.L.nnz + lu.U.nnz)
+
+        def solve(self, b):
+            steps.append(1)
+            return self.lu.solve(b)
+
+    dgeom.splu = lambda *args, **kwargs: Counted(real(*args, **kwargs))
+    try:
+        return first_eigenvalue_estimate(clip(mesh, 0.0, R), rank), len(steps), fill[0]
+    finally:
+        dgeom.splu = real
+
+
+def _colamd_eigenvalue(region):
+    """Reference: the same inverse power iteration on scipy's default LU of
+    the free block (COLAMD column order, partial pivoting), unpermuted."""
+    from scipy.sparse.linalg import splu
+    system = dgeom.assemble_laplacian(region, {"inner": 0.0, "outer": 0.0, "truncation": 0.0})
+    free = system.free_mask()
+    Kff = system.K[free][:, free].tocsc()
+    mf = system.mass[free]
+    lu = splu(Kff)
+    x = np.ones(len(mf))
+    x /= math.sqrt(float((x * x * mf).sum()))
+    lam_prev = None
+    for step in range(1, dgeom._EIGEN_MAXITER + 1):
+        x = lu.solve(mf * x)
+        x /= math.sqrt(float((x * x * mf).sum()))
+        lam = dgeom._dot(x, Kff @ x) / float((x * x * mf).sum())
+        if lam_prev is not None and abs(lam - lam_prev) <= dgeom._EIGEN_TOL * abs(lam):
+            return lam, step, lu.L.nnz + lu.U.nnz
+        lam_prev = lam
+    raise AssertionError("the reference did not converge")
+
+
 class TestEigenvalue:
     def test_unit_disc_bessel(self, plane_256):
-        lam = first_eigenvalue_estimate(clip(plane_256, 0.0, 1.0))
+        lam = first_eigenvalue_estimate(clip(plane_256, 0.0, 1.0), elimination_rank(plane_256, 1.0))
         j01 = float(special.jn_zeros(0, 1)[0])
         assert lam == pytest.approx(j01 ** 2, rel=0.02)
 
     def test_scaling_law(self, plane_256):
-        lam1 = first_eigenvalue_estimate(clip(plane_256, 0.0, 1.0))
-        lam2 = first_eigenvalue_estimate(clip(plane_256, 0.0, 2.0))
+        rank = elimination_rank(plane_256, 2.0)
+        lam1 = first_eigenvalue_estimate(clip(plane_256, 0.0, 1.0), rank)
+        lam2 = first_eigenvalue_estimate(clip(plane_256, 0.0, 2.0), rank)
         assert lam2 == pytest.approx(lam1 / 4.0, rel=0.02)
 
     def test_catenoid_decreasing_to_zero_trend(self, catenoid_96):
-        lams = [first_eigenvalue_estimate(clip(catenoid_96, 0.0, R))
+        rank = elimination_rank(catenoid_96, 16.0)
+        lams = [first_eigenvalue_estimate(clip(catenoid_96, 0.0, R), rank)
                 for R in (4.0, 8.0, 16.0)]
         assert lams[0] > lams[1] > lams[2]
+
+    @pytest.mark.parametrize("case, radii", [("plane_256", (1.0, 2.0)),
+                                             ("catenoid_96", (4.0, 8.0, 16.0))])
+    def test_matches_the_colamd_factorization(self, request, case, radii):
+        # one order, that of the largest ball, serves every ball inside it
+        mesh = request.getfixturevalue(case)
+        rank = elimination_rank(mesh, radii[-1])
+        for R in radii:
+            lam, steps, _ = _nested_dissection_eigenvalue(mesh, R, rank)
+            ref, ref_steps, _ = _colamd_eigenvalue(clip(mesh, 0.0, R))
+            assert lam == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert steps == ref_steps
+
+    @pytest.mark.parametrize("case, R", [("catenoid", 16.0), ("helicoid", 12.0)])
+    def test_fill_below_colamd(self, catenoid_96, case, R):
+        mesh = catenoid_96 if case == "catenoid" else _permuted_helicoid(128, seed=20)
+        _, _, colamd = _colamd_eigenvalue(clip(mesh, 0.0, R))
+        _, _, fill = _nested_dissection_eigenvalue(mesh, R, elimination_rank(mesh, R))
+        assert fill < colamd
+
+    def test_running_out_of_steps_reports_the_last_change(self, monkeypatch, plane_128):
+        monkeypatch.setattr(dgeom, "_EIGEN_MAXITER", 2)
+        with pytest.raises(SolveError, match="did not converge") as err:
+            first_eigenvalue_estimate(clip(plane_128, 0.0, 2.0), elimination_rank(plane_128, 2.0))
+        assert err.value.residual > 0.0
+
+    def test_closed_component_inside_the_ball_is_singular(self, plane_128):
+        mesh = _plane_with_octahedron(plane_128)
+        with pytest.raises(DomainError, match="free block is singular: 6 free vertices"):
+            first_eigenvalue_estimate(clip(mesh, 0.0, 2.0), elimination_rank(mesh, 2.0))
+
+
+def _plane_with_octahedron(plane, center=(0.8, 0.8, 0.5), h=0.25):
+    """The plane with a closed octahedron floating above it: a second
+    component, wholly inside the ball of radius 2."""
+    c = np.asarray(center)
+    corners = c + h * np.array([[1, 0, 0], [0, 1, 0], [-1, 0, 0], [0, -1, 0],
+                                [0, 0, 1], [0, 0, -1]], dtype=float)
+    oct_faces = [[q, (q + 1) % 4, 4] for q in range(4)] + [[(q + 1) % 4, q, 5] for q in range(4)]
+    n = len(plane.verts)
+    return TriMesh(np.concatenate([plane.verts, corners]),
+                   np.concatenate([plane.faces, np.array(oct_faces) + n]),
+                   tags=np.concatenate([plane.tags, np.zeros(6, dtype=plane.tags.dtype)]))
+
+
+class TestEliminationRank:
+    @pytest.mark.parametrize("case, R", [("plane_128", 2.0), ("catenoid_96", 8.0),
+                                         ("helicoid", 6.0), ("octahedron", 2.0)])
+    def test_a_permutation_of_the_inside_vertices_first(self, request, case, R):
+        if case == "helicoid":
+            mesh = _permuted_helicoid(64, seed=4, ext=8.0)
+        elif case == "octahedron":
+            mesh = _plane_with_octahedron(request.getfixturevalue("plane_128"))
+        else:
+            mesh = request.getfixturevalue(case)
+        rank = elimination_rank(mesh, R)
+        inside = mesh.r < R
+        assert np.array_equal(np.sort(rank[inside]), np.arange(inside.sum()))
+        assert np.array_equal(np.sort(rank[~inside]), np.arange(inside.sum(), len(rank)))
+
+    def test_repeatable(self, catenoid_96):
+        assert np.array_equal(elimination_rank(catenoid_96, 8.0),
+                              elimination_rank(catenoid_96, 8.0))
+
+    def test_no_vertex_inside(self, plane_128):
+        assert np.array_equal(elimination_rank(plane_128, 0.0), np.arange(len(plane_128.verts)))
 
 
 class TestEnds:
