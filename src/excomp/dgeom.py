@@ -5,12 +5,14 @@ triangle clipping between level sets (extrinsic balls and annuli), ball
 areas and level polyline fluxes of r, cotangent-Laplacian Dirichlet and
 Poisson solves (capacity, mean exit time), a membrane eigenvalue estimate,
 and counting of ends as unbounded complement components.  Clipping is the
-only path to a solve.  Ball areas and fluxes come from a radial index of
-the (mesh, face mask), which the mesh keeps until another mask is asked for:
-the faces sorted by their largest vertex radius with prefix sums of their
-areas, so a level R cuts only the faces that straddle it and builds no
-region; ball_area equals clip(mesh, 0, R).area() to within 1e-12 relative
-(the summation order differs).
+only path to a solve.  Ball areas and fluxes come from one radial index per
+mesh, which the mesh keeps until a caller releases it: the faces sorted by
+their largest vertex radius, with the area and |grad r| of each and prefix
+sums of the areas.  RadialIndex.sweep answers a whole radius grid, with or
+without a face mask, in one array pass over the (face, radius) pairs where
+the radius straddles the face; no region is built.  ball_area and flux are
+its one-radius forms, and ball_area equals clip(mesh, 0, R).area() to within
+1e-12 relative (the summation order differs).
 
 Conventions: level comparisons treat a vertex with r exactly equal to the
 level as lying above it (symbolic perturbation by one ulp), interpolated cut
@@ -33,6 +35,7 @@ that order and the end components).
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -40,7 +43,7 @@ import numpy as np
 
 from .errors import (CoverageError, DomainError, SolveError, TruncationContactError)
 from .surfaces import (TAG_TRUNCATION, TriMesh, _edge_counts, cotangent_laplacian, edge_keys,
-                       face_areas)
+                       face_areas, norms, triangle_normals)
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -54,6 +57,7 @@ _CG_RTOL = 1e-10  # relative residual at which conjugate gradients stop
 _EIGEN_TOL = 1e-8  # relative eigenvalue change at which inverse power iteration stops
 _EIGEN_MAXITER = 500  # inverse power steps before it gives up
 _ND_LEAF = 16  # nested dissection splits no part of at most this many vertices
+_SNAP = 1e-12  # a cut this close to an edge end (in edge parameter) reuses the end
 
 
 @dataclass(eq=False)
@@ -97,13 +101,19 @@ def _interp_edges(verts, r, pairs, level):
     n = len(verts)
     keys, inverse = np.unique(edge_keys(pairs, n), return_inverse=True)
     i, j = keys // n, keys % n
-    t = np.clip((level - r[i]) / (r[j] - r[i]), 0.0, 1.0)
-    new = (t > 1e-12) & (t < 1.0 - 1e-12)
-    ids = np.where(t <= 1e-12, i, j)
+    t = _edge_parameter(r[i], r[j], level)
+    new = (t > _SNAP) & (t < 1.0 - _SNAP)
+    ids = np.where(t <= _SNAP, i, j)
     ids[new] = len(verts) + np.arange(int(new.sum()))
     i, j, t = i[new], j[new], t[new]
     pts = verts[i] + t[:, None] * (verts[j] - verts[i])
     return pts, ids[inverse]
+
+
+def _edge_parameter(ri, rj, level) -> np.ndarray:
+    """Where the linear interpolant of r reaches level on each edge from a
+    vertex of radius ri to one of radius rj, as a parameter in [0, 1]."""
+    return np.clip((level - ri) / (rj - ri), 0.0, 1.0)
 
 
 def _clip_half(verts, r, faces, parent, level, keep_below):
@@ -187,7 +197,7 @@ def clip(mesh: TriMesh, rho: float, R: float, face_mask=None,
     keep = _nondegenerate(areas, areas.sum(), len(areas))
     faces, parent = faces[keep], parent[keep]
 
-    used = np.unique(faces)
+    used = np.flatnonzero(np.bincount(faces.ravel(), minlength=len(verts)))
     remap = np.full(len(verts), -1, dtype=np.int64)
     remap[used] = np.arange(len(used))
     region = ClippedRegion(verts[used], remap[faces], r[used], parent, rho, R,
@@ -197,10 +207,11 @@ def clip(mesh: TriMesh, rho: float, R: float, face_mask=None,
     return region
 
 
-def _nondegenerate(areas: np.ndarray, total: float, count: int) -> np.ndarray:
+def _nondegenerate(areas: np.ndarray, total, count) -> np.ndarray:
     """Mask dropping the fragments of cuts through ties: those under 1e-13 of
-    the mean area total / count of all the faces the cut left."""
-    return areas > 1e-13 * max(total / max(count, 1), 1e-300)
+    the mean area total / count of all the faces the cut left (per face, when
+    total and count are arrays)."""
+    return areas > 1e-13 * np.maximum(total / np.maximum(count, 1), 1e-300)
 
 
 def _check_coverage(mesh: TriMesh, R: float, faces: np.ndarray, rho: float = 0.0):
@@ -239,123 +250,253 @@ def _label_boundary(region: ClippedRegion):
 # ---------------------------------------------------------------------------
 # radial gradient, ball areas and flux
 
+# |grad r| in place of a value on the faces where it is undefined
+_AT_POLE = -1.0  # the face centroid coincides with the pole
+_DEGENERATE = -2.0  # the face has no area
+
+
+def _gradient_codes(a, b, c, normal, pole) -> np.ndarray:
+    """|grad r| on each triangle with corners a, b, c and the normal
+    triangle_normals(a, b, c): the ambient unit radial direction at the
+    centroid projected onto the face plane.  A face with its centroid at the
+    pole reads _AT_POLE, and otherwise a face of no area reads _DEGENERATE."""
+    d = (a + b + c) / 3.0 - pole
+    dn = norms(*d.T)
+    nn = norms(*normal)
+    at_pole, degenerate = dn < 1e-14, nn < 1e-300
+    dn[at_pole] = 1.0
+    nn[degenerate] = 1.0
+    d /= dn[:, None]
+    cos = d[:, 0] * (normal[0] / nn) + d[:, 1] * (normal[1] / nn) + d[:, 2] * (normal[2] / nn)
+    w = np.sqrt(np.clip(1.0 - cos * cos, 0.0, 1.0))
+    w[degenerate] = _DEGENERATE
+    w[at_pole] = _AT_POLE
+    return w
+
+
+def _check_gradients(w: np.ndarray):
+    if np.any(w == _AT_POLE):
+        raise DomainError("face centroid coincides with the pole")
+    if np.any(w == _DEGENERATE):
+        raise DomainError("degenerate face in radial gradient computation")
+
 
 def radial_gradient_norms(verts, faces, pole) -> np.ndarray:
     """|grad of r along the surface| per face: the ambient unit radial
     direction at the face centroid projected onto the face plane."""
     a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    centroid = (a + b + c) / 3.0
-    d = centroid - np.asarray(pole, float)
-    dn = np.linalg.norm(d, axis=1)
-    if np.any(dn < 1e-14):
-        raise DomainError("face centroid coincides with the pole")
-    d /= dn[:, None]
-    nrm = np.cross(b - a, c - a)
-    nn = np.linalg.norm(nrm, axis=1)
-    if np.any(nn < 1e-300):
-        raise DomainError("degenerate face in radial gradient computation")
-    nrm /= nn[:, None]
-    dot = (d * nrm).sum(axis=1)
-    vals = np.sqrt(np.clip(1.0 - dot * dot, 0.0, 1.0))
-    return vals
+    w = _gradient_codes(a, b, c, triangle_normals(a, b, c), np.asarray(pole, float))
+    _check_gradients(w)
+    return w
+
+
+def _prefix_sums(values: np.ndarray) -> np.ndarray:
+    # a float64 running sum drifts by up to F ulps; extended precision (where
+    # the platform has it) keeps the prefix sums as accurate as clip's sum
+    return np.concatenate([[0.0], np.cumsum(values, dtype=np.longdouble).astype(float)])
+
+
+def _mapped(*arrays) -> list:
+    """Copies of the arrays, all in one anonymous memory map, which is
+    unmapped once no copy is referenced."""
+    buf = mmap.mmap(-1, max(sum(a.nbytes for a in arrays), 1))
+    copies, offset = [], 0
+    for a in arrays:  # each of 8-byte items, so every copy stays aligned
+        copy = np.frombuffer(buf, a.dtype, a.size, offset).reshape(a.shape)
+        copy[...] = a
+        copies.append(copy)
+        offset += a.nbytes
+    return copies
+
+
+@dataclass(eq=False)
+class _Cuts:
+    """The faces that the levels of a sweep straddle, as (face, level) pairs
+    in level order, for the levels before the first unusable one.  Each
+    face's corners are rolled to put first the one alone on its side of the
+    level."""
+
+    levels: np.ndarray
+    whole_area: np.ndarray  # per level, of the selected faces wholly below it
+    whole_count: np.ndarray  # and their number
+    label: np.ndarray  # per pair, the level's position
+    faces: np.ndarray  # per pair, the face's rolled corners
+    r: np.ndarray  # per pair, r at those corners
+    area: np.ndarray  # per pair, the face's area
+    grad: np.ndarray  # per pair, the face's |grad r| (or its code)
+    error: Exception | None  # of the first unusable level, if any
 
 
 class RadialIndex:
-    """The faces of a mesh, or of a face mask, sorted by their largest vertex
-    radius, with prefix sums of their areas.  A level R is answered in
-    O(log F + cut faces): the faces wholly below R count through the prefix
-    sum and only the faces R straddles are cut or marched.  Meshes are
-    immutable, so an index never goes stale."""
+    """The faces of a mesh sorted by their largest vertex radius, with the
+    area and |grad r| of each (from one cross product per face) and
+    extended-precision prefix sums of the areas.  A sweep answers a whole
+    radius grid in one array pass: the faces wholly below a level count
+    through the prefix sums, and only the (face, level) pairs where the level
+    straddles the face are cut or marched.  A face mask costs one more prefix
+    sum, so one index serves every mask.  Meshes are immutable, so an index
+    never goes stale."""
 
-    def __init__(self, mesh: TriMesh, face_mask=None):
-        # 32-bit face ids: the mesh keeps its index alive through later solves
-        ids = np.arange(len(mesh.faces), dtype=np.int32)
-        if face_mask is not None:
-            ids = ids[face_mask]
-        faces = mesh.faces[ids]
-        rf = mesh.r[faces.T]  # one row per corner: reductions over rows are fast
+    def __init__(self, mesh: TriMesh):
+        rf = mesh.r[np.ascontiguousarray(mesh.faces.T)]  # one row per corner
         max_r = rf.max(axis=0)
-        order = np.argsort(max_r)
-        self.verts, self.faces, self.r, self.pole = mesh.verts, mesh.faces, mesh.r, mesh.pole
-        self.name = mesh.name
-        self.ids = ids[order]
-        self.max_r = max_r[order]
-        self.min_r = rf.min(axis=0)[order]
-        # a float64 running sum drifts by up to F ulps; extended precision (where
-        # the platform has it) keeps the prefix sums as accurate as clip's sum
-        below = np.cumsum(face_areas(self.verts, faces[order]), dtype=np.longdouble)
-        self.area_below = np.concatenate([[0.0], below.astype(float)])
-        self.span = float((self.max_r - self.min_r).max()) if len(ids) else 0.0
-        # only the nearest truncation vertex decides whether a ball leaks
-        rv = rf[mesh.tags[faces.T] == TAG_TRUNCATION]
-        rv = rv[rv > 0]
-        self.truncation_r = float(rv.min()) if len(rv) else math.inf
+        self.ids = np.argsort(max_r)
+        self.verts, self.r, self.name = mesh.verts, mesh.r, mesh.name
+        self.faces = faces = mesh.faces[self.ids]
+        self.max_r = max_r[self.ids]
+        self.min_r = rf.min(axis=0)[self.ids]
+        # from each position on, the least min r: no face past the first
+        # position where it reaches R is cut by R
+        self.min_r_after = np.minimum.accumulate(self.min_r[::-1])[::-1]
+        a, b, c = (self.verts[faces[:, i]] for i in range(3))
+        normal = triangle_normals(a, b, c)
+        self.area = 0.5 * norms(*normal)  # face_areas, bit for bit
+        self.grad = _gradient_codes(a, b, c, normal, mesh.pole)
+        self.area_below = _prefix_sums(self.area)
+        # per face with a truncation vertex at r > 0, the least such r: a ball
+        # of the selected faces leaks through the window beyond the least one
+        window = (mesh.tags == TAG_TRUNCATION) & (mesh.r > 0)
+        self.truncation_pos = np.flatnonzero(window[faces].any(axis=1))
+        edge = faces[self.truncation_pos]
+        self.truncation_r = np.where(window[edge], mesh.r[edge], math.inf).min(axis=1)
+        # The index outlives the solves after the first sweep and is released
+        # before the eigenvalue LUs.  From the heap, its freed arrays can stay
+        # resident as holes that the LUs do not reuse, which raised the peak
+        # memory of verify runs; in a mapping of their own, their pages are
+        # returned to the system when the index goes.
+        (self.ids, self.faces, self.max_r, self.min_r, self.min_r_after, self.area, self.grad,
+         self.area_below) = _mapped(self.ids, self.faces, self.max_r, self.min_r,
+                                    self.min_r_after, self.area, self.grad, self.area_below)
 
-    def _straddling(self, R: float):
-        """The number of faces wholly below R (a vertex at R counts as above)
-        and the faces R cuts, those with min r < R <= max r."""
-        if not R > 0:  # NaN too, which searchsorted would place at an end
-            raise DomainError(f"level radius must be positive, got {R!r}")
-        if self.truncation_r < R:
-            raise _coverage_error(self.name, self.truncation_r, 0.0, R)
-        k = int(np.searchsorted(self.max_r, R, "left"))
-        # a cut face has max r <= min r + span < R + span; the factor covers
-        # the rounding of max r - min r and of R + span
-        hi = int(np.searchsorted(self.max_r, (R + self.span) * (1.0 + 1e-12), "right"))
-        return k, self.faces[self.ids[k:hi][self.min_r[k:hi] < R]]
+    def sweep(self, radii, face_mask=None) -> tuple[np.ndarray, np.ndarray]:
+        """The ball area (of {r <= R}) and the level flux of r through r = R
+        at each radius R, over the faces face_mask selects (all by default).
 
-    def ball_area(self, R: float) -> float:
-        k, cut = self._straddling(R)
-        used, local = np.unique(cut, return_inverse=True)
-        verts, _, pieces, _ = _clip_half(self.verts[used], self.r[used], local.reshape(-1, 3),
-                                         np.zeros(len(cut), np.int64), R, keep_below=True)
-        areas = face_areas(verts, pieces)
-        whole = float(self.area_below[k])
-        areas = areas[_nondegenerate(areas, whole + areas.sum(), k + len(areas))]
-        if k + len(areas) == 0:
-            raise DomainError(f"the ball of radius {R!r} contains no face")
-        return whole + float(areas.sum())
+        Each value is the one ball_area or flux returns at that radius alone,
+        bit for bit.  So are the errors: those of ball_area at each radius in
+        turn (a radius that is not positive, a window that the ball leaks
+        through, a ball of no face), then those of flux (a level cutting a
+        face with no radial gradient); the first radius in grid order wins."""
+        cuts = self._cuts(radii, face_mask)
+        return self._areas(cuts), self._fluxes(cuts)
 
-    def flux(self, R: float) -> float:
-        _, f = self._straddling(R)
-        fin = self.r[f] >= R
-        odd = fin ^ (fin.sum(axis=1) == 2)[:, None]  # the vertex alone on its side of R
-        f = _roll_rows(f, np.argmax(odd, axis=1))
-        r0, r1, r2 = self.r[f[:, 0]], self.r[f[:, 1]], self.r[f[:, 2]]
+    def _cuts(self, radii, face_mask) -> _Cuts:
+        radii = np.asarray(radii, dtype=float).reshape(-1)
+        truncation_r = self.truncation_r
+        if face_mask is None:
+            area_below = self.area_below
+        else:
+            keep = np.zeros(len(self.faces), dtype=bool)
+            keep[face_mask] = True
+            selected = keep[self.ids]
+            chosen = np.flatnonzero(selected)  # the selected positions, in order
+            area_below = _prefix_sums(self.area[chosen])
+            truncation_r = truncation_r[selected[self.truncation_pos]]
+        truncation_r = float(truncation_r.min(initial=math.inf))
+        # a NaN is not positive either (searchsorted would place it at an end)
+        usable = (radii > 0) & ~(truncation_r < radii)
+        n = len(radii) if usable.all() else int(np.argmin(usable))
+        error = None
+        if n < len(radii):
+            R = float(radii[n])
+            error = (DomainError(f"level radius must be positive, got {R!r}") if not R > 0
+                     else _coverage_error(self.name, truncation_r, 0.0, R))
+        levels = radii[:n]
+        # R cuts the faces with min r < R <= max r (a vertex at R counts as
+        # above it), which all lie between these two positions
+        k = np.searchsorted(self.max_r, levels, "left")
+        counts = np.searchsorted(self.min_r_after, levels, "left") - k
+        label = np.repeat(np.arange(n), counts)
+        pos = np.arange(int(counts.sum())) + np.repeat(k - (np.cumsum(counts) - counts), counts)
+        cut = self.min_r[pos] < levels[label]
+        if face_mask is not None:
+            cut &= selected[pos]
+        pos, label = pos[cut], label[cut]
+        faces = self.faces[pos]
+        level = levels[label]
+        above = self.r[faces] >= level[:, None]
+        two = above.sum(axis=1) == 2
+        alone = np.where(above[:, 0] ^ two, 0, np.where(above[:, 1] ^ two, 1, 2))
+        faces = _roll_rows(faces, alone)
+        whole = k if face_mask is None else np.searchsorted(chosen, k)  # faces wholly below
+        return _Cuts(levels, area_below[whole], whole, label, faces, self.r[faces],
+                     self.area[pos], self.grad[pos], error)
+
+    def _areas(self, cuts: _Cuts) -> np.ndarray:
+        """Ball areas.  Each straddled face is cut at its level into the
+        pieces clip cuts it into, with clip's cut points: the triangle at the
+        corner alone inside the ball, or the rest of the face fanned from the
+        corner after the one alone outside.  Each piece's area is the face's
+        scaled by the edge parameters of its cut points, and the pieces pass
+        clip's degenerate-fragment filter."""
+        f, r, label, levels = cuts.faces, cuts.r, cuts.label, cuts.levels
+        level = levels[label]
+        s1 = _cut_parameter(f[:, 0], f[:, 1], r[:, 0], r[:, 1], level)
+        s2 = _cut_parameter(f[:, 0], f[:, 2], r[:, 0], r[:, 2], level)
+        inside = r[:, 0] < level
+        out = ~inside
+        areas = np.concatenate([(s1 * s2 * cuts.area)[inside], ((1.0 - s2) * cuts.area)[out],
+                                (s2 * (1.0 - s1) * cuts.area)[out]])
+        piece = np.concatenate([label[inside], label[out], label[out]])
+        n = len(levels)
+        total = cuts.whole_area + np.bincount(piece, areas, minlength=n)
+        count = cuts.whole_count + np.bincount(piece, minlength=n)
+        keep = _nondegenerate(areas, total[piece], count[piece])
+        piece, areas = piece[keep], areas[keep]
+        empty = np.flatnonzero(cuts.whole_count + np.bincount(piece, minlength=n) == 0)
+        if len(empty):
+            raise DomainError(f"the ball of radius {float(levels[empty[0]])!r} contains no face")
+        if cuts.error is not None:
+            raise cuts.error
+        return cuts.whole_area + np.bincount(piece, areas, minlength=n)
+
+    def _fluxes(self, cuts: _Cuts) -> np.ndarray:
+        """Level fluxes: the level segment of each straddled face, by
+        marching triangles, times the face's |grad r|."""
+        if cuts.error is not None:
+            raise cuts.error
+        bad = cuts.grad < 0
+        if bad.any():
+            _check_gradients(cuts.grad[cuts.label == cuts.label[bad][0]])
+        f, r, level = cuts.faces, cuts.r, cuts.levels[cuts.label]
         v0 = self.verts[f[:, 0]]
-        p1 = v0 + ((R - r0) / (r1 - r0))[:, None] * (self.verts[f[:, 1]] - v0)
-        p2 = v0 + ((R - r0) / (r2 - r0))[:, None] * (self.verts[f[:, 2]] - v0)
-        seg = np.linalg.norm(p1 - p2, axis=1)
-        w = radial_gradient_norms(self.verts, f, self.pole)
-        return float((w * seg).sum())
+        p1 = v0 + ((level - r[:, 0]) / (r[:, 1] - r[:, 0]))[:, None] * (self.verts[f[:, 1]] - v0)
+        p2 = v0 + ((level - r[:, 0]) / (r[:, 2] - r[:, 0]))[:, None] * (self.verts[f[:, 2]] - v0)
+        return np.bincount(cuts.label, cuts.grad * norms(*(p1 - p2).T),
+                           minlength=len(cuts.levels))
 
 
-def radial_index(mesh: TriMesh, face_mask=None) -> RadialIndex:
-    """The RadialIndex of the mesh's faces, or of those face_mask selects.
-    The mesh keeps the last one built, so a sweep over one mask builds it
-    once and the memory held stays one index however many masks are swept."""
-    if face_mask is None:
-        key = None
-    else:
-        face_mask = np.asarray(face_mask)
-        key = (face_mask.dtype.str, face_mask.shape, face_mask.tobytes())
-    memo = mesh.radial_index_memo
-    if memo is None or memo[0] != key:
-        memo = mesh.radial_index_memo = (key, RadialIndex(mesh, face_mask))
-    return memo[1]
+def _cut_parameter(p, q, rp, rq, level) -> np.ndarray:
+    """Where clip places the cut point of each edge from vertex p to vertex q
+    (with radii rp, rq) at its level, as a fraction of the way from p: from
+    the lower vertex index, and at an end within _SNAP of it."""
+    lo = p < q
+    t = _edge_parameter(np.where(lo, rp, rq), np.where(lo, rq, rp), level)
+    t = np.where(t <= _SNAP, 0.0, np.where(t >= 1.0 - _SNAP, 1.0, t))
+    return np.where(lo, t, 1.0 - t)
+
+
+def radial_index(mesh: TriMesh) -> RadialIndex:
+    """The mesh's RadialIndex: built once, and kept on the mesh until a
+    caller releases it by clearing mesh.radial_index_memo."""
+    if mesh.radial_index_memo is None:
+        mesh.radial_index_memo = RadialIndex(mesh)
+    return mesh.radial_index_memo
 
 
 def ball_area(mesh: TriMesh, R: float, face_mask=None) -> float:
     """Area of the extrinsic ball {r <= R}: clip(mesh, 0, R).area() to within
     1e-12 relative, without building the region."""
-    return radial_index(mesh, face_mask).ball_area(R)
+    index = radial_index(mesh)
+    return float(index._areas(index._cuts([R], face_mask))[0])
 
 
 def flux(mesh: TriMesh, R: float, face_mask=None) -> float:
     """Flux of the extrinsic distance through the level r = R: the level
     polyline is extracted by marching triangles and |grad r| (per face, by
     ambient projection) is integrated against segment length."""
-    return radial_index(mesh, face_mask).flux(R)
+    index = radial_index(mesh)
+    return float(index._fluxes(index._cuts([R], face_mask))[0])
 
 
 def radial_energy(mesh: TriMesh, region: ClippedRegion) -> float:

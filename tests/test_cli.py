@@ -283,6 +283,8 @@ class TestOncePerRun:
         solves = self._count(monkeypatch, dgeom, "capacity_discrete")
         ends = self._count(monkeypatch, dgeom, "end_components")
         balance = self._count(monkeypatch, harness, "_balance_gate")
+        sweeps = self._count(monkeypatch, dgeom.RadialIndex, "sweep")
+        indexes = self._count(monkeypatch, dgeom, "RadialIndex")
         code = run(["verify", "--surface", "catenoid", "--a", "1", "--res", "64",
                     "--cover", "12", "--dim", "2", "--warp", "r", "--grid", "2:10:5",
                     "--rho", "1.5", "--R", "6", "--t", "9", "--R0", "2",
@@ -292,6 +294,10 @@ class TestOncePerRun:
         assert len(ends) == 1
         # five gate sets read three radii: grid[-1] twice, R twice, t once
         assert sorted(args[1] for args in balance) == [6.0, 9.0, 10.0]
+        # one index serves every ball area and flux; one sweep per quotient
+        # curve, the run's and one for each of the catenoid's two ends
+        assert len(indexes) == 1
+        assert len(sweeps) == 3
 
     def test_capacity(self, tmp_path, monkeypatch):
         solves = self._count(monkeypatch, dgeom, "capacity_discrete")
@@ -356,6 +362,25 @@ class TestOtherSubcommands:
                     "--dim", "2", "--warp", "r", "--R", "2.0",
                     "--out", str(tmp_path), "--name", "et"])
         assert code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["exit-time"],
+        ["verify", "--grid", "1.1:4:6", "--rho", "1.1", "--t", "4", "--R0", "1.2"],
+    ])
+    def test_exit_time_with_an_empty_half_ball(self, tmp_path, argv):
+        # the equality proxy probes R/2 = 0.75, below the catenoid's neck at r = 1
+        code = run(argv + ["--surface", "catenoid", "--res", "64", "--cover", "4",
+                           "--dim", "2", "--warp", "r", "--R", "1.5",
+                           "--out", str(tmp_path), "--name", "et"])
+        report = json.loads((tmp_path / "et" / "report.json").read_text())
+        checks = {c["id"]: c for c in report["checks"]}
+        assert checks["exit_time.domination"]["verdict"] == "pass"
+        equality = checks["exit_time.equality_case"]
+        assert equality["verdict"] == "inconclusive"
+        assert equality["notes"] == ("no volume/flux quotients at R/2: "
+                                     "the ball of radius 0.75 contains no face")
+        if argv == ["exit-time"]:
+            assert code == 0
 
     def test_ends_subcommand(self, tmp_path, capsys):
         code = run(["ends", "--surface", "catenoid", "--a", "1", "--res", "48",

@@ -211,6 +211,16 @@ def helicoid_64():
     return _permuted_helicoid(64, seed=3)
 
 
+def _radius(mesh, s, snap) -> float:
+    """A radius up to 5% past the mesh, or, by snap, a vertex radius or one
+    ulp to either side of it."""
+    R = 1.05 * mesh.max_r() * s
+    if snap is not None:
+        rv = mesh.r[np.argmin(np.abs(mesh.r - R))]
+        R = np.nextafter(rv, snap * np.inf) if snap else rv
+    return float(R)
+
+
 @pytest.mark.parametrize("end", [False, True])
 @pytest.mark.parametrize("mesh_name,ends_at", [("plane_128", 1.0), ("catenoid_96", 2.0),
                                                ("helicoid_64", 2.0)])
@@ -220,11 +230,7 @@ def test_ball_area_matches_clip(request, mesh_name, ends_at, end, s, snap):
     # where clip raises, ball_area raises the same error
     mesh = request.getfixturevalue(mesh_name)
     mask = end_components(mesh, ends_at).face_masks[0] if end else None
-    R = 1.05 * mesh.max_r() * s
-    if snap is not None:  # a vertex radius, or one ulp to either side of it
-        rv = mesh.r[np.argmin(np.abs(mesh.r - R))]
-        R = np.nextafter(rv, snap * np.inf) if snap else rv
-    R = float(R)
+    R = _radius(mesh, s, snap)
     try:
         expected = clip(mesh, 0.0, R, face_mask=mask).area()
     except CoverageError as exc:
@@ -300,11 +306,7 @@ def _flux_by_face_scan(mesh, R, faces):
 def test_flux_matches_face_scan(request, mesh_name, ends_at, end, s, snap):
     mesh = request.getfixturevalue(mesh_name)
     mask = end_components(mesh, ends_at).face_masks[0] if end else None
-    R = 1.05 * mesh.max_r() * s
-    if snap is not None:  # a vertex radius, or one ulp to either side of it
-        rv = mesh.r[np.argmin(np.abs(mesh.r - R))]
-        R = np.nextafter(rv, snap * np.inf) if snap else rv
-    R = float(R)
+    R = _radius(mesh, s, snap)
     if not R > 0:
         with pytest.raises(DomainError):
             flux(mesh, R, face_mask=mask)
@@ -323,27 +325,129 @@ def test_flux_matches_face_scan(request, mesh_name, ends_at, end, s, snap):
         _flux_by_face_scan(mesh, R, faces), rel=1e-12, abs=1e-12)
 
 
-def test_radial_index_built_once_per_sweep(monkeypatch):
+def _outcome(compute):
+    """compute()'s value, or the type and message of the error it raised."""
+    try:
+        return compute()
+    except (CoverageError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def _per_radius(mesh, radii, mask):
+    """Every ball area, then every flux, one radius at a time."""
+    return ([ball_area(mesh, R, face_mask=mask) for R in radii],
+            [flux(mesh, R, face_mask=mask) for R in radii])
+
+
+@pytest.mark.parametrize("end", [False, True])
+@pytest.mark.parametrize("mesh_name,ends_at", [("plane_128", 1.0), ("catenoid_96", 2.0),
+                                               ("helicoid_64", 2.0)])
+@given(picks=st.lists(st.tuples(st.floats(0.0, 1.0), st.sampled_from([None, -1, 0, 1])),
+                      min_size=1, max_size=4))
+def test_sweep_matches_clip_and_face_scan(request, mesh_name, ends_at, end, picks):
+    mesh = request.getfixturevalue(mesh_name)
+    mask = end_components(mesh, ends_at).face_masks[0] if end else None
+    radii = [_radius(mesh, s, snap) for s, snap in picks]
+    swept = _outcome(lambda: dgeom.radial_index(mesh).sweep(radii, mask))
+    loop = _outcome(lambda: _per_radius(mesh, radii, mask))
+    if isinstance(loop[0], type):  # the loop raised: the sweep raises the same
+        assert swept == loop
+        return
+    faces = mesh.faces if mask is None else mesh.faces[mask]
+    for R, area, level_flux in zip(radii, *swept):
+        assert area == pytest.approx(clip(mesh, 0.0, R, face_mask=mask).area(), rel=1e-12)
+        assert level_flux == pytest.approx(_flux_by_face_scan(mesh, R, faces),
+                                           rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("end", [False, True])
+@given(fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8))
+def test_sweep_is_its_one_radius_sweeps_bit_for_bit(catenoid_96, end, fractions):
+    mesh = catenoid_96
+    mask = end_components(mesh, 2.0).face_masks[0] if end else None
+    faces = mesh.faces if mask is None else mesh.faces[mask]
+    lo = float(mesh.r[faces].max(axis=1).min())  # a whole face lies in every ball
+    hi = float(mesh.r[faces][mesh.tags[faces] == TAG_TRUNCATION].min())
+    radii = [lo + (hi - lo) * x for x in fractions]
+    index = dgeom.radial_index(mesh)
+    areas, fluxes = index.sweep(radii, mask)
+    for i, R in enumerate(radii):
+        area, level_flux = index.sweep([R], mask)
+        assert areas[i] == area[0] == ball_area(mesh, R, face_mask=mask)
+        assert fluxes[i] == level_flux[0] == flux(mesh, R, face_mask=mask)
+
+
+@pytest.mark.parametrize("end", [False, True])
+@pytest.mark.parametrize("radii,error", [
+    ([3.0, 25.0, 30.0], "intrudes"),  # past the window: the error names 25, not 30
+    ([3.0, -1.0, 30.0], "positive, got -1.0"),
+    ([3.0, math.nan], "positive, got nan"),
+    ([0.5, 3.0], "radius 0.5 contains no face"),  # below the neck at r = 1
+    ([3.0, 0.5, -1.0], "radius 0.5 contains no face"),
+])
+def test_sweep_raises_as_the_per_radius_loop(catenoid_96, end, radii, error):
+    mask = end_components(catenoid_96, 2.0).face_masks[0] if end else None
+    swept = _outcome(lambda: dgeom.radial_index(catenoid_96).sweep(radii, mask))
+    assert swept == _outcome(lambda: _per_radius(catenoid_96, radii, mask))
+    assert error in swept[1]
+    if error == "intrudes":
+        assert swept[1].endswith("band (0, 25)")
+
+
+def test_sweep_raises_gradient_errors_after_area_errors(plane_128):
+    # the pole at a face centroid: a level cutting that face has no flux
+    centroids = plane_128.verts[plane_128.faces].mean(axis=1)
+    face = plane_128.faces[np.argmin(np.linalg.norm(centroids, axis=1))]
+    mesh = TriMesh(plane_128.verts, plane_128.faces, pole=plane_128.verts[face].mean(axis=0),
+                   tags=plane_128.tags)
+    rv = np.sort(mesh.r[face])
+    R = float(rv[0] + rv[2]) / 2.0
+    assert ball_area(mesh, R) > 0.0
+    for radii, error in (([R, 1.0], "centroid coincides with the pole"),
+                         ([1.0, R], "centroid coincides with the pole"),
+                         ([R, 1.0, 100.0], "intrudes")):
+        swept = _outcome(lambda: dgeom.radial_index(mesh).sweep(radii))
+        assert swept == _outcome(lambda: _per_radius(mesh, radii, None))
+        assert error in swept[1]
+
+
+def test_one_radial_index_per_mesh(monkeypatch):
     builds = []
     init = dgeom.RadialIndex.__init__
 
-    def counted(self, mesh, face_mask=None):
-        builds.append(face_mask)
-        init(self, mesh, face_mask)
+    def counted(self, mesh):
+        builds.append(mesh)
+        init(self, mesh)
 
     monkeypatch.setattr(dgeom.RadialIndex, "__init__", counted)
     mesh = _strip_mesh()
-    mask = mesh.verts[mesh.faces][:, :, 0].max(axis=1) < 0.5
-    for R in (0.3, 0.6, 0.9):
-        ball_area(mesh, R)
-        flux(mesh, R)
-    assert len(builds) == 1
-    for R in (0.3, 0.6, 0.9):
-        ball_area(mesh, R, face_mask=mask)
-        flux(mesh, R, face_mask=mask.copy())  # an equal mask, not the same array
-    assert len(builds) == 2
-    assert dgeom.radial_index(mesh, mask) is dgeom.radial_index(mesh, mask.copy())
-    assert len(builds) == 2
+    x = mesh.verts[mesh.faces][:, :, 0]
+    right, left = x.min(axis=1) > -0.5, x.max(axis=1) < 0.5
+    for mask in (None, right, left, right.copy()):
+        for R in (0.3, 0.6, 0.9):
+            ball_area(mesh, R, face_mask=mask)
+            flux(mesh, R, face_mask=mask)
+        dgeom.radial_index(mesh).sweep([0.3, 0.6, 0.9], mask)
+    assert builds == [mesh]
+
+
+def test_kernels_are_the_expressions_they_replace(catenoid_192, helicoid_64):
+    for mesh in (catenoid_192, helicoid_64):
+        v, f = mesh.verts, mesh.faces
+        a, b, c = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
+        assert np.array_equal(surfaces.face_areas(v, f),
+                              0.5 * np.linalg.norm(np.cross(b - a, c - a), axis=1))
+        d = (a + b + c) / 3.0 - mesh.pole
+        d /= np.linalg.norm(d, axis=1)[:, None]
+        nrm = np.cross(b - a, c - a)
+        nrm /= np.linalg.norm(nrm, axis=1)[:, None]
+        dot = (d * nrm).sum(axis=1)
+        assert np.array_equal(dgeom.radial_gradient_norms(v, f, mesh.pole),
+                              np.sqrt(np.clip(1.0 - dot * dot, 0.0, 1.0)))
+        inside = f[mesh.r[f].max(axis=1) < 6.0]
+        for faces in (f, inside):
+            assert np.array_equal(np.flatnonzero(np.bincount(faces.ravel(), minlength=len(v))),
+                                  np.unique(faces))
 
 
 class TestFlux:

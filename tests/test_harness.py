@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from excomp import dgeom, harness
-from excomp.errors import DomainError
+from excomp.errors import CoverageError, DomainError
 from excomp.harness import FAIL, INCONCLUSIVE, PASS, QuotientCurve, Study
 from excomp.modelspace import ModelSpace, WarpingSpec
 
@@ -33,6 +33,16 @@ class TestQuotientCurves:
         assert curve.vol_quot[0] > 1.0
         assert np.all(np.diff(curve.vol_quot) > -1e-6)
         assert curve.vol_quot[-1] == pytest.approx(1.9485, rel=0.02)
+
+    @pytest.mark.parametrize("grid,error", [
+        ([3.0, 3.2, 4.0], "radius 3.2 outside"),  # the sphere's Lambda = pi comes first
+        ([3.0, 4.0], "intrudes"),  # at 4, the ball leaks before the model is asked
+    ])
+    def test_the_first_failing_radius_names_the_error(self, plane_128, grid, error):
+        # the plane's window ends at r = 3.52
+        with pytest.raises(DomainError if "outside" in error else CoverageError, match=error):
+            harness.quotient_curves(plane_128, ModelSpace(2, WarpingSpec.space_form(1.0)),
+                                    np.array(grid))
 
 
 class TestStudy:

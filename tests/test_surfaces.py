@@ -57,6 +57,18 @@ class TestBuiltins:
             s = builtin(name, cover_radius=5.0)
             assert s.boundary_min_radius() >= 5.0
 
+    @pytest.mark.parametrize("cover", [0.5, 5.0, 12.0, 30.0])
+    def test_enneper_extent_is_the_first_square_that_covers(self, cover):
+        # reference: the square grown by 8% until a surface built on it covers
+        fn = builtin("enneper").fn
+        E = 1.0
+        while surfaces.ParamSurface("enneper", fn, -E, E, -E, E).boundary_min_radius() < 1.1 * cover:
+            E *= 1.08
+        s = builtin("enneper", cover_radius=cover)
+        assert (s.u0, s.u1, s.v0, s.v1) == (-E, E, -E, E)
+        if cover == 12.0:
+            assert s.u1 == 3.425942643334134
+
 
 class TestTessellate:
     def test_plane_counts_and_reach(self):
