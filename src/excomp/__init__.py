@@ -2,6 +2,13 @@
 discrete verification of the comparison inequalities on triangulated
 minimal surfaces in Euclidean 3-space."""
 
+import os
+
+# Before numpy or scipy loads OpenBLAS: no computation here is threaded, so
+# idle OpenBLAS workers park at once (the value clamps to the 2^4-cycle
+# minimum) instead of spinning for the default 2^28 cycles.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+
 from .errors import (CoverageError, DomainError, EvalDomainError, ExcompError,
                      MeshFormatError, NonManifoldError, ParseError, QuadratureError,
                      SolveError, TruncationContactError)

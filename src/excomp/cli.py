@@ -311,6 +311,10 @@ def _write_outputs(args, report: VerificationReport, mesh=None, started=None):
     meta = {
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "runtime_sec": None if started is None else time.perf_counter() - started,
+        # CPU of the whole process and of this (main) thread: the difference
+        # is what library worker threads spent
+        "cpu_sec": time.process_time(),
+        "main_thread_cpu_sec": time.thread_time(),
         "versions": {"python": sys.version.split()[0], "numpy": np.__version__},
         **{key: getattr(args, key) for key in _PLACEMENT_KEYS},
         "mesh": args.mesh,
@@ -493,8 +497,14 @@ def _cmd_verify(args, study, report):
     mesh = study.mesh
     window = mesh.r[mesh.tags == surfaces.TAG_TRUNCATION]
     reach = float(window.min()) if len(window) else mesh.max_r()
-    grid = _parse_grid(args.grid) if args.grid is not None else np.linspace(
-        reach / 20.0, reach * 0.95, 10)
+    if args.grid is not None:
+        grid = _parse_grid(args.grid)
+    else:
+        # a twentieth of the way out from the pole or, where that is further
+        # out (past a catenoid's neck), from the mesh's smallest radius
+        r_min = float(mesh.r.min())
+        grid = np.linspace(max(reach / 20.0, r_min + (0.95 * reach - r_min) / 20.0),
+                           0.95 * reach, 10)
     rho = args.rho if args.rho is not None else float(grid[0])
     R = args.R if args.R is not None else float(grid[len(grid) // 2])
     t = args.t if args.t is not None else float(grid[-1])
@@ -553,6 +563,9 @@ def main(argv=None) -> int:
         return 3
     except ArithmeticError as exc:  # a float overflow or division by zero
         print(f"error: numeric {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:  # an output path that is a file, a mesh path that is a directory
+        print(f"error: {exc}", file=sys.stderr)
         return 3
 
 

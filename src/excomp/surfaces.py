@@ -606,10 +606,10 @@ def minimality_residual(mesh: TriMesh) -> float:
     """
     v, f = mesh.verts, mesh.faces
     n = len(v)
-    mass = _lumped_mass(v, f)
     # the unclamped operator applied edge by edge, (K x)_i = sum_j w_ij (x_i - x_j),
     # so that this diagnostic needs no sparse matrix
-    rows, cols, w = _cotangent_edges(v, f)
+    rows, cols, w, double_area = _cotangent_edges(v, f)
+    mass = _lumped_mass(f, n, double_area)
     d = w[:, None] * (v[rows] - v[cols])
     lap = np.column_stack([np.bincount(rows, d[:, k], minlength=n)
                            - np.bincount(cols, d[:, k], minlength=n) for k in range(3)])
@@ -621,29 +621,29 @@ def minimality_residual(mesh: TriMesh) -> float:
     return float(np.percentile(hn[interior], _RESIDUAL_PERCENTILE))
 
 
-def _lumped_mass(v: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _lumped_mass(f: np.ndarray, n: int, double_area: np.ndarray) -> np.ndarray:
     """A third of each incident face's area per vertex, summed over all first
     corners, then second, then third."""
-    return np.bincount(f.T.ravel(), np.tile(face_areas(v, f) / 3.0, 3), minlength=len(v))
+    return np.bincount(f.T.ravel(), np.tile(0.5 * double_area / 3.0, 3), minlength=n)
 
 
 def _cotangent_edges(v: np.ndarray, f: np.ndarray) -> tuple:
     """rows, cols, w: the half-cotangent weight of each face edge, one entry
-    per (face, edge) with the edges opposite first corners first."""
+    per (face, edge) with the edges opposite first corners first; and twice
+    each face's area."""
     p0, p1, p2 = v[f[:, 0]], v[f[:, 1]], v[f[:, 2]]
-    # cot of the angle at each corner = dot of adjacent edges / twice area
+    # |e1 x e2| at every corner is twice the face area, so one cross product
+    # serves all three cotangents = dot of adjacent edges / twice area
+    double_area = norms(*triangle_normals(p0, p1, p2))
+    cross = np.maximum(double_area, 1e-300)
     cots = np.empty((len(f), 3))
     for k, (a, b, c) in enumerate(((p0, p1, p2), (p1, p2, p0), (p2, p0, p1))):
-        e1 = b - a
-        e2 = c - a
-        cross = np.linalg.norm(np.cross(e1, e2), axis=1)
-        cross = np.maximum(cross, 1e-300)
-        cots[:, k] = (e1 * e2).sum(axis=1) / cross
+        cots[:, k] = ((b - a) * (c - a)).sum(axis=1) / cross
     # the corner angle is opposite the edge joining the other two vertices
     rows = np.concatenate([f[:, 1], f[:, 2], f[:, 0]])
     cols = np.concatenate([f[:, 2], f[:, 0], f[:, 1]])
     w = 0.5 * np.concatenate([cots[:, 0], cots[:, 1], cots[:, 2]])
-    return rows, cols, w
+    return rows, cols, w, double_area
 
 
 def cotangent_laplacian(verts, faces):
@@ -657,10 +657,8 @@ def cotangent_laplacian(verts, faces):
     v = np.asarray(verts, float)
     f = np.asarray(faces)
     n = len(v)
-    # the mass first, so its temporaries are gone before the stiffness's are
-    # made (peak memory)
-    mass = _lumped_mass(v, f)
-    rows, cols, w = _cotangent_edges(v, f)
+    rows, cols, w, double_area = _cotangent_edges(v, f)
+    mass = _lumped_mass(f, n, double_area)
     W = sparse.coo_matrix((w, (rows, cols)), shape=(n, n))
     W = (W + W.T).tocsr()
     W.data = np.maximum(W.data, 0.0)

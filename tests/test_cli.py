@@ -260,7 +260,24 @@ class TestVerify:
         report = json.loads((tmp_path / "ok" / "report.json").read_text())
         assert report["summary"]["fail"] == 0
         assert (tmp_path / "ok" / "mesh.off").exists()
-        assert (tmp_path / "ok" / "meta.json").exists()
+        meta = json.loads((tmp_path / "ok" / "meta.json").read_text())
+        assert 0 < meta["main_thread_cpu_sec"] <= meta["cpu_sec"]
+
+    def test_default_grid_starts_above_the_neck(self, tmp_path):
+        # the catenoid's smallest radius is its neck, r = 1: a grid from
+        # reach/20 would start in a ball that holds no face
+        code = run(["verify", "--surface", "catenoid", "--res", "64", "--cover", "4",
+                    "--dim", "2", "--warp", "r", "--R", "1.5",
+                    "--out", str(tmp_path), "--name", "neck"])
+        assert code == 0
+        grid = json.loads((tmp_path / "neck" / "report.json").read_text())["curves"]["grid"]
+        assert 1.0 < grid[0] < 1.5
+
+    def test_default_grid_through_the_pole(self, tmp_path):
+        run(["verify", "--surface", "plane", "--res", "16", "--cover", "2", "--dim", "2",
+             "--warp", "r", "--out", str(tmp_path), "--name", "pole"])
+        grid = json.loads((tmp_path / "pole" / "report.json").read_text())["curves"]["grid"]
+        assert grid[0] == pytest.approx(grid[-1] / 19.0, rel=1e-12)  # reach/20 to 0.95 reach
 
 
 class TestOncePerRun:
@@ -416,6 +433,17 @@ class TestOtherSubcommands:
         code = run(["surface", "--mesh", str(tmp_path / "nope.off"),
                     "--out", str(tmp_path)])
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["surface", "--mesh", "{dir}", "--out", "{dir}"],
+        ["model", "--dim", "2", "--warp", "r", "--grid", "0.5:3:5", "--out", "{file}"],
+    ], ids=["mesh-is-a-directory", "out-is-a-file"])
+    def test_file_system_error_is_exit_3(self, tmp_path, capsys, argv):
+        (tmp_path / "F").write_text("")
+        code = run([a.format(dir=tmp_path, file=tmp_path / "F") for a in argv])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 _PLANE = ["--surface", "plane", "--res", "16", "--cover", "2"]
@@ -625,14 +653,62 @@ for argv in (["quotients", "--surface", "plane", "--res", "16", "--cover", "2",
 """
 
 
+def _fresh_env(**settings) -> dict:
+    """This process's environment with settings added and this checkout's
+    sources first on PYTHONPATH, for a fresh interpreter."""
+    src = str(Path(excomp.__file__).resolve().parents[1])
+    env = dict(os.environ, **settings)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_numpy_only_runs_never_import_scipy(tmp_path):
     # a fresh interpreter, since this one has imported scipy for the tests
-    src = str(Path(excomp.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY, str(tmp_path)],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _openblas_threads() -> bool:
+    """Whether numpy links OpenBLAS, on a Linux machine with two or more CPUs
+    (so that OpenBLAS starts worker threads)."""
+    if not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2:
+        return False
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+# CPU spent off the main thread from the start of a fresh interpreter to 0.3 s
+# after its imports: what idle OpenBLAS workers burn while they spin
+_OFF_MAIN_THREAD_CPU = """
+import time
+import excomp
+{imports}
+time.sleep(0.3)
+print(time.process_time() - time.thread_time())
+"""
+
+
+@pytest.mark.skipif(not _openblas_threads(), reason="needs OpenBLAS on Linux with 2+ CPUs")
+@pytest.mark.parametrize("imports", ["", "import scipy.sparse.linalg"])
+def test_idle_openblas_workers_do_not_spin(imports):
+    # OpenBLAS threads capped at 2, as the benchmark sets, and no timeout given
+    env = _fresh_env(OPENBLAS_NUM_THREADS="2")
+    env.pop("OPENBLAS_THREAD_TIMEOUT", None)
+    proc = subprocess.run([sys.executable, "-c", _OFF_MAIN_THREAD_CPU.format(imports=imports)],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) < 0.03
+
+
+def test_openblas_settings_of_the_user_are_kept():
+    env = _fresh_env(OPENBLAS_THREAD_TIMEOUT="7", OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", "import os, excomp; print(os.environ['OPENBLAS_THREAD_TIMEOUT'], "
+                               "os.environ['OPENBLAS_NUM_THREADS'])"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["7", "1"]
 
 
 # Edge tokens, and one plain value, for every numeric flag of `excomp model`;

@@ -511,6 +511,25 @@ class TestLaplacianWeights:
         assert row[i] == pytest.approx(4.0, rel=1e-12)
         assert sorted(np.round(row[row != 0], 12).tolist()) == [-1.0, -1.0, -1.0, -1.0, 4.0]
 
+    def test_matches_a_cross_product_per_corner(self):
+        # reference: each corner's cotangent from its own cross product, and the
+        # mass from face_areas; one shared double area changes K by rounding only
+        mesh = tessellate(builtin("catenoid", cover_radius=4.0), 24, 24)
+        v, f = mesh.verts, mesh.faces
+        K, mass = cotangent_laplacian(v, f)
+        ref_mass = np.zeros(len(v))
+        for k in range(3):
+            np.add.at(ref_mass, f[:, k], surfaces.face_areas(v, f) / 3.0)
+        assert np.array_equal(mass, ref_mass)
+        W = np.zeros((len(v), len(v)))
+        for k in range(3):
+            a, b, c = (v[f[:, (k + j) % 3]] for j in range(3))
+            cot = ((b - a) * (c - a)).sum(axis=1) / np.linalg.norm(np.cross(b - a, c - a), axis=1)
+            np.add.at(W, (f[:, (k + 1) % 3], f[:, (k + 2) % 3]), 0.5 * cot)
+        W = np.maximum(W + W.T, 0.0)
+        ref = np.diag(W.sum(axis=1)) - W
+        assert np.abs(K.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
+
     def test_unconstrained_system_rejected(self, plane_128):
         reg = clip(plane_128, 1.0, 2.0)
         with pytest.raises(DomainError):
