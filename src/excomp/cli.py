@@ -167,7 +167,7 @@ _DEFAULTS = {
     "out": None, "name": None, "strict": False,
     "quad_abs_tol": DEFAULT_QUAD.abs_tol, "quad_rel_tol": DEFAULT_QUAD.rel_tol,
     "grid": None, "capacity": None, "exit_time": None,
-    "rho": None, "R": None, "t": None, "R0": None, "truncation": "reflect",
+    "rho": None, "R": None, "t": None, "R0": None,
 }
 
 
@@ -249,7 +249,6 @@ def build_parser() -> argparse.ArgumentParser:
     _model_flags(p)
     _common_flags(p)
     _radius_flags(p, "--rho", "--R")
-    p.add_argument("--truncation", choices=("reflect", "error"), default=None)
 
     p = sub.add_parser("exit-time", help="discrete vs model mean exit time of a ball")
     _surface_flags(p)
@@ -278,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     _radius_flags(p, "--rho", "--R", "--t")
     _r0_flag(p)
     p.add_argument("--grid", default=None)
-    p.add_argument("--truncation", choices=("reflect", "error"), default=None)
     return parser
 
 
@@ -326,7 +324,7 @@ def _write_outputs(args, report: VerificationReport, mesh=None, started=None):
 def _print_checks(report: VerificationReport):
     for c in report.checks:
         mark = {PASS: "PASS", FAIL: "FAIL", INCONCLUSIVE: "INCONCLUSIVE"}[c.verdict]
-        print(f"[{mark}] {c.check_id}: {c.statement}"
+        print(f"[{mark}] {c.id}: {c.statement}"
               + (f" ({c.notes})" if c.notes else ""))
 
 
@@ -349,10 +347,10 @@ def _cmd_model(args) -> int:
     grid = _parse_grid("0.5:30:100" if args.grid is None else args.grid)
     scalars: dict = {"dim": model.m, "warp": model.warp.describe(), "V0": model.V0}
     if math.isinf(model.warp.lam):
-        scalars["parabolicity"] = model.parabolicity().to_dict()
-        scalars["tone"] = model.tone_upper_limit(grid).to_dict()
-        scalars["cheeger"] = model.cheeger_bound(grid).to_dict()
-        scalars["ends_coefficient"] = model.ends_coefficient(grid).to_dict()
+        scalars["parabolicity"] = model.parabolicity()
+        scalars["tone"] = model.tone_upper_limit(grid)
+        scalars["cheeger"] = model.cheeger_bound(grid)
+        scalars["ends_coefficient"] = model.ends_coefficient(grid)
     if args.capacity is not None:
         rho, R = _parse_finite(args.capacity, ":", "--capacity", "rho:R", (2,))
         scalars["capacity"] = model.capacity(rho, R)
@@ -454,9 +452,8 @@ def _cmd_quotients(args, study, report):
 def _cmd_capacity(args, study, report):
     if args.rho is None or args.R is None:
         raise ExcompError("--rho and --R are required")
-    report.extend(harness.verify_capacity_sandwich(
-        study, args.rho, args.R, truncation=args.truncation))
-    cap = study.capacity(args.rho, args.R, args.truncation)
+    report.extend(harness.verify_capacity_sandwich(study, args.rho, args.R))
+    cap = study.capacity(args.rho, args.R)
     model_cap = study.model.capacity(args.rho, args.R)
     report.scalars = {
         "capacity_discrete": cap.capacity,
@@ -481,7 +478,7 @@ def _cmd_ends(args, study, report):
         report.curves = _curve_payload(curve)
     ends = harness.ends_bound(study, args.R, args.t, curve=curve)
     report.extend(ends.checks)
-    report.scalars = ends.to_dict()
+    report.scalars = ends
     return f"ends: count {ends.count}, bound {ends.bound:.6g}"
 
 
@@ -489,7 +486,7 @@ def _cmd_tone(args, study, report):
     grid = _parse_grid("0.5:30:100" if args.grid is None else args.grid)
     tone = harness.tone_report(study, float(grid[0]) if args.R0 is None else args.R0, grid)
     report.extend(tone.checks)
-    report.scalars = tone.to_dict()
+    report.scalars = tone
     return f"tone: lower {tone.lower:.6g}, upper {tone.upper:.6g}"
 
 
@@ -511,16 +508,15 @@ def _cmd_verify(args, study, report):
     R0 = args.R0 if args.R0 is not None else rho
 
     curve = _quotient_checks(study, grid, report)
-    report.extend(harness.verify_capacity_sandwich(study, rho, R, truncation=args.truncation))
+    report.extend(harness.verify_capacity_sandwich(study, rho, R))
     if args.surface:  # builtin surfaces are immersed in Euclidean 3-space
-        report.extend(harness.verify_euclidean_sandwich(
-            study, rho, R, truncation=args.truncation))
+        report.extend(harness.verify_euclidean_sandwich(study, rho, R))
     report.extend(harness.exit_time_comparison(study, R))
     ends = harness.ends_bound(study, R0, t, curve=curve)
     report.extend(ends.checks)
     tone = harness.tone_report(study, R0, grid)
     report.extend(tone.checks)
-    report.scalars = {**_curve_scalars(curve), "ends": ends.to_dict(), "tone": tone.to_dict()}
+    report.scalars = {**_curve_scalars(curve), "ends": ends, "tone": tone}
     counts = report.counts()
     return (f"summary: {counts[PASS]} pass, {counts[FAIL]} fail, "
             f"{counts[INCONCLUSIVE]} inconclusive")

@@ -168,15 +168,13 @@ def _clip_half(verts, r, faces, parent, level, keep_below):
     return verts, r, np.concatenate(out_faces), np.concatenate(out_parent)
 
 
-def clip(mesh: TriMesh, rho: float, R: float, face_mask=None,
-         allow_truncation: bool = False) -> ClippedRegion:
+def clip(mesh: TriMesh, rho: float, R: float, face_mask=None) -> ClippedRegion:
     """Extrinsic annulus {rho <= r <= R} (ball when rho = 0) as a submesh.
 
     face_mask restricts the cut to a subset of parent faces.  Raises
     CoverageError when the truncation boundary of the mesh intrudes into
     the radius band (the region would leak through the computational
-    window); allow_truncation accepts such windowed regions instead, for
-    solves that handle the truncation boundary explicitly.
+    window).
     """
     if not (0.0 <= rho < R):
         raise DomainError(f"need 0 <= rho < R, got rho={rho!r}, R={R!r}")
@@ -185,8 +183,7 @@ def clip(mesh: TriMesh, rho: float, R: float, face_mask=None,
     if face_mask is not None:
         faces = faces[face_mask]
         parent = parent[face_mask]
-    if not allow_truncation:
-        _check_coverage(mesh, R, faces, rho=rho)
+    _check_coverage(mesh, R, faces, rho=rho)
     verts = mesh.verts
     r = mesh.r
     verts, r, faces, parent = _clip_half(verts, r, faces, parent, R, keep_below=True)
@@ -640,19 +637,14 @@ class CapacityResult:
     effective_resistance: float
 
 
-def capacity_discrete(region: ClippedRegion, truncation: str = "reflect") -> CapacityResult:
+def capacity_discrete(region: ClippedRegion) -> CapacityResult:
     """Capacity of the annulus: the Dirichlet energy of the potential that
     is 0 on the inner level set and 1 on the outer one.  Truncation
-    boundary is either reflected (natural condition) or a hard error."""
-    if truncation not in ("reflect", "error"):
-        raise DomainError(f"unknown truncation policy {truncation!r}")
+    boundary vertices stay free (the natural, zero-Neumann condition)."""
     if not region.has_label(LABEL_INNER):
         raise DomainError("capacity needs an inner level boundary (rho > 0)")
     if not region.has_label(LABEL_OUTER):
         raise DomainError("capacity needs an outer level boundary")
-    if truncation == "error" and region.has_label(LABEL_TRUNCATION):
-        raise TruncationContactError(
-            "region touches the mesh truncation boundary under policy 'error'")
     h = _mean_edge_length(region)
     if region.R - region.rho < 2.0 * h:
         raise DomainError(

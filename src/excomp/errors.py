@@ -68,7 +68,7 @@ class CoverageError(ExcompError):
 
 
 class TruncationContactError(ExcompError):
-    """Region boundary touches the mesh truncation under an 'error' policy."""
+    """An extrinsic ball whose boundary touches the mesh truncation boundary."""
 
 
 class SolveError(ExcompError):

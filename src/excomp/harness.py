@@ -14,13 +14,17 @@ gate yields inconclusive, never pass.
 The checks read their mesh and model from a `Study`, which computes each
 gate, annulus capacity and end split once per run, however many checks read
 it.  The model holds the quadrature tolerances.
+
+The result dataclasses (`Check`, `EndsReport`, `ToneReport` and the model's
+results) are the report schema: `_json_safe` writes each as the dict of its
+fields, less those whose metadata says report: False.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -42,7 +46,7 @@ _EXIT_TOL = 0.02  # exit time against the model's, as a share of the centre valu
 
 @dataclass(eq=False)
 class Check:
-    check_id: str
+    id: str
     statement: str
     left: float
     right: float
@@ -50,18 +54,6 @@ class Check:
     tolerance: float
     verdict: str
     notes: str = ""
-
-    def to_dict(self):
-        return {
-            "id": self.check_id,
-            "statement": self.statement,
-            "left": self.left,
-            "right": self.right,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
 
 
 def _leq_check(check_id, statement, left, right, tol, notes="") -> Check:
@@ -84,15 +76,13 @@ def gate_verdicts(gates: list, checks: list) -> list:
     When a gate is inconclusive the theorem simply does not apply, so every
     downstream verdict is downgraded to inconclusive (testing out of
     hypothesis must never report pass or fail)."""
-    failed = [g.check_id for g in gates if g.verdict == INCONCLUSIVE]
+    failed = [g.id for g in gates if g.verdict == INCONCLUSIVE]
     if not failed:
         return list(gates) + list(checks)
     note = "hypothesis gate failed: " + ", ".join(failed)
-    downgraded = [
-        Check(c.check_id, c.statement, c.left, c.right, c.margin, c.tolerance,
-              INCONCLUSIVE, (c.notes + "; " if c.notes else "") + note)
-        for c in checks
-    ]
+    downgraded = [replace(c, verdict=INCONCLUSIVE,
+                          notes=(c.notes + "; " if c.notes else "") + note)
+                  for c in checks]
     return list(gates) + downgraded
 
 
@@ -227,11 +217,10 @@ class Study:
         return self._once(("monotone", R, strict),
                           lambda: _monotone_w_gate(self.model, R, strict))
 
-    def capacity(self, rho: float, R: float,
-                 truncation: str = "reflect") -> dgeom.CapacityResult:
+    def capacity(self, rho: float, R: float) -> dgeom.CapacityResult:
         """Discrete capacity of the extrinsic annulus rho < r < R."""
-        return self._once(("capacity", rho, R, truncation), lambda: dgeom.capacity_discrete(
-            dgeom.clip(self.mesh, rho, R), truncation=truncation))
+        return self._once(("capacity", rho, R), lambda: dgeom.capacity_discrete(
+            dgeom.clip(self.mesh, rho, R)))
 
     def ends(self, R: float) -> dgeom.EndsResult:
         """Components of {r > R} that reach the truncation boundary."""
@@ -247,8 +236,7 @@ def comparison_gates(study: Study, R: float, monotone: bool = True) -> list[Chec
     return gates
 
 
-def verify_capacity_sandwich(study: Study, rho: float, R: float,
-                             truncation: str = "reflect") -> list[Check]:
+def verify_capacity_sandwich(study: Study, rho: float, R: float) -> list[Check]:
     """Flux quotient at rho <= capacity quotient <= flux quotient at R,
     gated on the model hypotheses for each side."""
     gates = comparison_gates(study, R)
@@ -258,7 +246,7 @@ def verify_capacity_sandwich(study: Study, rho: float, R: float,
             math.nan, math.nan, math.nan, _SANDWICH_TOL, INCONCLUSIVE)])
     checks = list(gates)
     model, mesh = study.model, study.mesh
-    ratio = study.capacity(rho, R, truncation).capacity / model.capacity(rho, R)
+    ratio = study.capacity(rho, R).capacity / model.capacity(rho, R)
     lower = dgeom.flux(mesh, rho) / model.vol_sphere(rho)
     upper = dgeom.flux(mesh, R) / model.vol_sphere(R)
     checks.append(_leq_check(
@@ -270,12 +258,11 @@ def verify_capacity_sandwich(study: Study, rho: float, R: float,
     return checks
 
 
-def verify_euclidean_sandwich(study: Study, rho: float, R: float,
-                              truncation: str = "reflect") -> list[Check]:
+def verify_euclidean_sandwich(study: Study, rho: float, R: float) -> list[Check]:
     """Volume-quotient sandwich for the capacity against the flat plane
     model (Euclidean ambient, m = 2), whatever the study's model."""
     model = ModelSpace(2, WarpingSpec.space_form(0.0), study.model.quad)
-    ratio = study.capacity(rho, R, truncation).capacity / model.capacity(rho, R)
+    ratio = study.capacity(rho, R).capacity / model.capacity(rho, R)
     lower = dgeom.ball_area(study.mesh, rho) / model.vol_ball(rho)
     upper = dgeom.ball_area(study.mesh, R) / model.vol_ball(R)
     return [
@@ -350,18 +337,6 @@ class EndsReport:
     checks: list
     warning: str | None
 
-    def to_dict(self):
-        return {
-            "R": self.R,
-            "t": self.t,
-            "bound": self.bound,
-            "count": self.count,
-            "asymptotic_bound": self.asymptotic_bound,
-            "asymptotic_bound_unit_constant": self.asymptotic_bound_unit_constant,
-            "warning": self.warning,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
 
 def ends_bound(study: Study, R: float, t: float,
                curve: QuotientCurve | None = None) -> EndsReport:
@@ -421,17 +396,6 @@ class ToneReport:
     tone_limsup: float
     eigenvalues: list
     checks: list
-
-    def to_dict(self):
-        return {
-            "upper": self.upper,
-            "lower": self.lower,
-            "end_factor": self.end_factor,
-            "end_factors": self.end_factors,
-            "tone_limsup": self.tone_limsup,
-            "eigenvalues": self.eigenvalues,
-            "checks": [c.to_dict() for c in self.checks],
-        }
 
 
 def tone_report(study: Study, R0: float, grid) -> ToneReport:
@@ -518,7 +482,7 @@ def volume_flux_tail(curve: QuotientCurve) -> Check:
 @dataclass(eq=False)
 class VerificationReport:
     checks: list
-    scalars: dict = field(default_factory=dict)
+    scalars: object = field(default_factory=dict)  # a dict or one result dataclass
     curves: dict = field(default_factory=dict)
     config: dict = field(default_factory=dict)
 
@@ -536,14 +500,19 @@ class VerificationReport:
             "config": self.config,
             "scalars": self.scalars,
             "curves": self.curves,
-            "checks": [c.to_dict() for c in self.checks],
+            "checks": self.checks,
             "summary": self.counts(),
         }
         return json.dumps(_json_safe(payload), sort_keys=True, indent=2, allow_nan=False)
 
 
 def _json_safe(obj):
-    """Strict-JSON encoding: non-finite floats become strings."""
+    """Strict-JSON encoding: non-finite floats become strings, and a result
+    dataclass becomes the dict of its fields, less those whose metadata
+    says report: False."""
+    if is_dataclass(obj):
+        return {f.name: _json_safe(getattr(obj, f.name))
+                for f in fields(obj) if f.metadata.get("report", True)}
     if isinstance(obj, dict):
         return {k: _json_safe(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

@@ -13,13 +13,17 @@ through wexpr expressions.  Only the integrals tell them apart: space forms
 (curvature b) use closed-form antiderivatives, written in cancellation-safe
 form so the deep tails stay accurate, where they exist; everything else goes
 through adaptive quadrature, at the tolerances the model holds.
+
+The asymptotic results (ParabolicityResult, ToneSamples, CheegerResult,
+EndsCoefficient) reach report.json field by field; the sample arrays behind
+a grid limsup are marked report: False and stay out of it.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -212,29 +216,13 @@ class ParabolicityResult:
     increments: tuple
     ratios: tuple
 
-    def to_dict(self):
-        return {
-            "verdict": self.verdict,
-            "ladder": list(self.ladder),
-            "increments": list(self.increments),
-            "ratios": list(self.ratios),
-        }
-
 
 @dataclass(eq=False)
 class ToneSamples:
-    grid: np.ndarray
-    samples: np.ndarray
+    samples: np.ndarray = field(metadata={"report": False})
     reported_limsup: float
     divergent_tail: bool
     note: str
-
-    def to_dict(self):
-        return {
-            "reported_limsup": self.reported_limsup,
-            "divergent_tail": self.divergent_tail,
-            "note": self.note,
-        }
 
 
 @dataclass(eq=False)
@@ -244,29 +232,13 @@ class CheegerResult:
     increasing_at_end: bool
     log_slope: float
 
-    def to_dict(self):
-        return {
-            "L": self.L,
-            "lower_bound": self.lower_bound,
-            "increasing_at_end": self.increasing_at_end,
-            "log_slope": self.log_slope,
-        }
-
 
 @dataclass(eq=False)
 class EndsCoefficient:
-    grid: np.ndarray
-    samples: np.ndarray
+    samples: np.ndarray = field(metadata={"report": False})
     reported_limsup: float  # +inf when the quotient keeps growing
     divergent: bool
     w_monotone: bool
-
-    def to_dict(self):
-        return {
-            "reported_limsup": self.reported_limsup,
-            "divergent": self.divergent,
-            "w_monotone": self.w_monotone,
-        }
 
 
 def _top_slice(n: int) -> slice:
@@ -521,7 +493,7 @@ class ModelSpace:
             note = "tail resistance diverges; tone limit 0"
             if parab.verdict == "inconclusive":
                 note = "tail classification inconclusive; reporting 0 samples"
-            return ToneSamples(grid, np.zeros_like(grid), 0.0, True, note)
+            return ToneSamples(np.zeros_like(grid), 0.0, True, note)
         samples = np.empty_like(grid)
         for i, t in enumerate(grid):
             ball = self.vol_ball(float(t))
@@ -531,9 +503,7 @@ class ModelSpace:
         window = samples[_top_slice(len(grid))]
         finite = window[np.isfinite(window)]
         limsup = float(finite.max()) if finite.size else float("nan")
-        return ToneSamples(
-            grid, samples, limsup, False, "estimate at finite t, not a proven limit"
-        )
+        return ToneSamples(samples, limsup, False, "estimate at finite t, not a proven limit")
 
     def cheeger_bound(self, grid) -> CheegerResult:
         """L = sup of the isoperimetric quotient over the grid and the
@@ -561,8 +531,8 @@ class ModelSpace:
             samples[i] = val if math.isfinite(val) else np.nan
         window = samples[_top_slice(len(grid))]
         if np.isnan(window).any() or _log_slope(grid, samples) > _UNBOUNDED_SLOPE:
-            return EndsCoefficient(grid, samples, _INF, True, monotone)
-        return EndsCoefficient(grid, samples, float(np.nanmax(window)), False, monotone)
+            return EndsCoefficient(samples, _INF, True, monotone)
+        return EndsCoefficient(samples, float(np.nanmax(window)), False, monotone)
 
 
 def _validated_grid(grid, lam: float) -> np.ndarray:

@@ -342,15 +342,7 @@ def tessellate(surface: ParamSurface, nu: int, nv: int, refine_near=(),
                                               np.asarray(pole, float), refine_near)
 
     mesh = TriMesh(verts, faces, pole=pole, tags=tags, name=surface.name)
-
-    areas = face_areas(mesh.verts, mesh.faces)
-    tiny = areas < 1e-14 * areas.mean()
-    if tiny.any():
-        idx = np.flatnonzero(tiny)[:8]
-        raise DomainError(
-            f"tessellation produced {int(tiny.sum())} degenerate triangles "
-            f"(area < 1e-14 of mean), e.g. faces {idx.tolist()}"
-        )
+    _check_face_areas(mesh)
     if refine_near:
         needed = 1.2 * max(refine_near)
         trunc = mesh.tags == TAG_TRUNCATION
@@ -359,6 +351,16 @@ def tessellate(surface: ParamSurface, nu: int, nv: int, refine_near=(),
                 f"surface window covers radius {mesh.r[trunc].min():.4g} "
                 f"but refinement asks for {needed:.4g}", needed)
     return mesh
+
+
+def _check_face_areas(mesh: TriMesh):
+    """Raise on faces of (nearly) zero area: clipping drops them as cut
+    fragments, which would leave a hole in the region."""
+    areas = face_areas(mesh.verts, mesh.faces)
+    tiny = areas <= 1e-14 * areas.mean()
+    if tiny.any():
+        raise DomainError(f"degenerate triangles: {int(tiny.sum())} of area under 1e-14 of "
+                          f"the mean, e.g. faces {np.flatnonzero(tiny)[:8].tolist()}")
 
 
 # The children of a face, as rows of corners into (a, b, c, m01, m12, m20), its
@@ -436,8 +438,9 @@ def load_mesh(path, fmt: str | None = None, pole=(0.0, 0.0, 0.0)) -> TriMesh:
     """Read an ASCII OFF or OBJ file (positions and faces only).
 
     Polygonal faces are fan-triangulated.  Boundary vertices are tagged as
-    outer-truncation; non-manifold input raises with the offending edges, and
-    a malformed line or a non-finite coordinate with its line number.
+    outer-truncation; non-manifold input raises with the offending edges, a
+    face of (nearly) zero area with its index, and a malformed line or a
+    non-finite coordinate with its line number.
     """
     path = str(path)
     if fmt is None:
@@ -454,6 +457,7 @@ def load_mesh(path, fmt: str | None = None, pole=(0.0, 0.0, 0.0)) -> TriMesh:
     if not len(mesh.faces):
         raise DomainError("mesh has no faces")
     tags = np.where(mesh._validate(), TAG_TRUNCATION, TAG_INTERIOR)
+    _check_face_areas(mesh)
     return TriMesh(mesh.verts, mesh.faces, pole=pole, tags=tags, name=path, validate=False)
 
 

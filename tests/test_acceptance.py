@@ -275,7 +275,7 @@ def test_criterion_8_negative_controls(plane_128):
         gated = harness.verify_capacity_sandwich(Study(plane_128, hyp(2)), 1.0, 2.0)
         assert any(c.verdict == INCONCLUSIVE for c in gated)
         assert all(c.verdict != FAIL for c in gated)
-        assert all(c.verdict != PASS or c.check_id.startswith("gate.")
+        assert all(c.verdict != PASS or c.id.startswith("gate.")
                    for c in gated), "gated theorem must not pass"
 
     _criterion(8, "negative controls", body)

@@ -280,6 +280,52 @@ class TestVerify:
         assert grid[0] == pytest.approx(grid[-1] / 19.0, rel=1e-12)  # reach/20 to 0.95 reach
 
 
+class TestReportSchema:
+    """report.json writes each result dataclass by its fields: the key sets
+    are pinned here, so that a new field cannot enter the report unnoticed."""
+
+    CHECK = ["id", "left", "margin", "notes", "right", "statement", "tolerance", "verdict"]
+    TONE = ["checks", "eigenvalues", "end_factor", "end_factors", "lower", "tone_limsup",
+            "upper"]
+
+    @staticmethod
+    def _report(tmp_path, argv) -> dict:
+        run([*argv, "--out", str(tmp_path), "--name", "s"])
+        return json.loads((tmp_path / "s" / "report.json").read_text())
+
+    def _assert_checks(self, checks):
+        assert checks and all(sorted(c) == self.CHECK for c in checks)
+
+    def test_verify(self, tmp_path):
+        report = self._report(tmp_path, [
+            "verify", "--surface", "catenoid", "--a", "1", "--res", "48", "--cover", "12",
+            "--dim", "2", "--warp", "r", "--grid", "2:10:5", "--rho", "1.5", "--R", "6",
+            "--t", "10"])
+        scalars = report["scalars"]
+        assert sorted(scalars["ends"]) == ["R", "asymptotic_bound",
+                                           "asymptotic_bound_unit_constant", "bound",
+                                           "checks", "count", "t", "warning"]
+        assert sorted(scalars["tone"]) == self.TONE
+        for checks in (report["checks"], scalars["ends"]["checks"], scalars["tone"]["checks"]):
+            self._assert_checks(checks)
+
+    def test_tone_without_a_mesh(self, tmp_path):
+        scalars = self._report(tmp_path, ["tone", "--warp", "b=-1", "--grid", "0.5:30:60"])[
+            "scalars"]
+        assert sorted(scalars) == self.TONE
+        self._assert_checks(scalars["checks"])
+
+    def test_model(self, tmp_path):
+        scalars = self._report(tmp_path, ["model", "--warp", "sinh(r)"])["scalars"]
+        assert {key: sorted(scalars[key]) for key in
+                ("parabolicity", "tone", "cheeger", "ends_coefficient")} == {
+            "parabolicity": ["increments", "ladder", "ratios", "verdict"],
+            "tone": ["divergent_tail", "note", "reported_limsup"],
+            "cheeger": ["L", "increasing_at_end", "log_slope", "lower_bound"],
+            "ends_coefficient": ["divergent", "reported_limsup", "w_monotone"],
+        }
+
+
 class TestOncePerRun:
     """Each capacity solve, end split and gate radius of a run is computed
     once, however many checks read it."""
@@ -362,6 +408,29 @@ def plane_with_octahedron_off(tmp_path):
     return path
 
 
+@pytest.fixture
+def plane_with_sliver_off(tmp_path):
+    """A res-32 plane with one interior edge (a, b) near r = 1.3 split at its
+    midpoint m, so that (a, b, c) becomes (a, m, c) and (m, b, c), and the
+    zero-area face (a, b, m) added.  It is manifold and consistently
+    oriented; clipping would drop the sliver as a cut fragment and leave a
+    hole."""
+    mesh = surfaces.tessellate(surfaces.builtin("plane", cover_radius=3.0), 32, 32)
+    f = mesh.faces
+    mid = 0.5 * (mesh.verts[f[:, 0]] + mesh.verts[f[:, 1]])
+    k = int(np.argmin(np.abs(np.linalg.norm(mid, axis=1) - 1.3)))
+    a, b, c = f[k]
+    m = len(mesh.verts)
+    verts = np.concatenate([mesh.verts, mid[k:k + 1]])
+    faces = np.concatenate([np.delete(f, k, axis=0), [[a, m, c], [m, b, c], [a, b, m]]])
+    path = tmp_path / "sliver.off"
+    with open(path, "w") as fh:
+        fh.write(f"OFF\n{len(verts)} {len(faces)} 0\n")
+        np.savetxt(fh, verts, fmt="%.17g")
+        np.savetxt(fh, faces, fmt="3 %d %d %d")
+    return path
+
+
 class TestOtherSubcommands:
     def test_capacity_subcommand(self, tmp_path, capsys):
         code = run(["capacity", "--surface", "plane", "--res", "64", "--cover", "3.2",
@@ -428,6 +497,15 @@ class TestOtherSubcommands:
         assert code == 3
         assert "Traceback" not in err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["surface"], ["exit-time", "--R", "2.5"],
+                                      ["capacity", "--rho", "0.5", "--R", "2.5"]],
+                             ids=["surface", "exit-time", "capacity"])
+    def test_zero_area_face_is_exit_3(self, tmp_path, capsys, plane_with_sliver_off, argv):
+        code = run([*argv, "--mesh", str(plane_with_sliver_off), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: degenerate triangles: 1 of area") and err.count("\n") == 1
 
     def test_missing_mesh_file(self, tmp_path, capsys):
         code = run(["surface", "--mesh", str(tmp_path / "nope.off"),
@@ -501,7 +579,7 @@ class TestValueErrors:
         return self._usage_error(["model", "--config", str(path), "--out", str(tmp_path)],
                                  capsys)
 
-    @pytest.mark.parametrize("key,value", [("dim", "two"), ("truncation", "never"), ("R0", 0)])
+    @pytest.mark.parametrize("key,value", [("dim", "two"), ("format", "ply"), ("R0", 0)])
     def test_config_value_the_flag_rejects(self, tmp_path, capsys, key, value):
         err = self._config_error(tmp_path, capsys, {key: value})
         assert f"config key {key!r}" in err

@@ -13,7 +13,7 @@ from excomp import dgeom, surfaces
 from excomp.dgeom import (LABEL_INNER, LABEL_INTERIOR, LABEL_OUTER, LABEL_TRUNCATION,
                           ball_area, capacity_discrete, clip, elimination_rank, end_components,
                           exit_time_discrete, first_eigenvalue_estimate, flux, solve_dirichlet)
-from excomp.errors import CoverageError, DomainError, SolveError, TruncationContactError
+from excomp.errors import CoverageError, DomainError, SolveError
 from excomp.surfaces import TAG_TRUNCATION, TriMesh, builtin, cotangent_laplacian, tessellate
 
 
@@ -21,6 +21,12 @@ def _strip_mesh():
     strip = surfaces.ParamSurface(
         "strip", lambda u, v: (u, v, np.zeros_like(u + v)), -4.0, 4.0, -1.0, 1.0)
     return tessellate(strip, 64, 16)
+
+
+def _untagged(mesh):
+    """The mesh without vertex tags: clip then labels the window edges it
+    meets from geometry instead of refusing them."""
+    return TriMesh(mesh.verts, mesh.faces)
 
 
 def _permuted_helicoid(res, seed, ext=13.2):
@@ -572,7 +578,9 @@ class TestCapacity:
         v6 = brentq(lambda v: math.cosh(v) ** 2 + v * v - 36.0, 0, 10)
         v15 = brentq(lambda v: math.cosh(v) ** 2 + v * v - 2.25, 0, 10)
         exact = 4 * math.pi / (v6 - v15)
-        cap = capacity_discrete(clip(catenoid_192, 1.5, 6.0), truncation="error")
+        reg = clip(catenoid_192, 1.5, 6.0)
+        assert not reg.has_label(LABEL_TRUNCATION)
+        cap = capacity_discrete(reg)
         assert cap.capacity == pytest.approx(exact, rel=0.02)
 
     def test_figure_claim_capacity_ratio_in_one_two(self, catenoid_192):
@@ -585,16 +593,15 @@ class TestCapacity:
             capacity_discrete(clip(plane_128, 1.0, 1.02))
 
     def test_truncation_policies(self):
-        # a strip window whose truncation boundary crosses the band: the
-        # reflect policy treats it as a zero-Neumann wall, error refuses
+        # a strip window whose truncation boundary crosses the band: clip
+        # refuses the tagged mesh; an untagged copy gives the same region,
+        # whose window edge the capacity treats as a zero-Neumann wall
         mesh = _strip_mesh()
         with pytest.raises(CoverageError):
             clip(mesh, 0.5, 3.0)
-        reg = clip(mesh, 0.5, 3.0, allow_truncation=True)
+        reg = clip(_untagged(mesh), 0.5, 3.0)
         assert reg.has_label(dgeom.LABEL_TRUNCATION)
-        with pytest.raises(TruncationContactError):
-            capacity_discrete(reg, truncation="error")
-        cap = capacity_discrete(reg, truncation="reflect")
+        cap = capacity_discrete(reg)
         assert cap.capacity > 0
 
     def test_ball_rejected(self, plane_128):
@@ -865,7 +872,7 @@ class TestEnds:
 
 class TestBoundaryLoops:
     def test_truncation_contact_flags_mixed_loop(self):
-        reg = clip(_strip_mesh(), 0.5, 3.0, allow_truncation=True)
+        reg = clip(_untagged(_strip_mesh()), 0.5, 3.0)
         # the window cuts the outer circle: its boundary mixes level and truncation
         for label in (LABEL_INNER, LABEL_OUTER, LABEL_TRUNCATION):
             assert reg.has_label(label)
@@ -885,12 +892,11 @@ class TestBoundaryLoops:
     @pytest.mark.parametrize("case", ["strip", "catenoid", "helicoid"])
     def test_labels_match_edge_loop_reference(self, case, catenoid_96):
         if case == "strip":
-            reg = clip(_strip_mesh(), 0.5, 3.0, allow_truncation=True)
+            reg = clip(_untagged(_strip_mesh()), 0.5, 3.0)
         elif case == "catenoid":
             reg = clip(catenoid_96, 1.5, 3.0)
         else:
-            reg = clip(_permuted_helicoid(48, seed=3, ext=3.0), 1.0, 4.0,
-                       allow_truncation=True)
+            reg = clip(_untagged(_permuted_helicoid(48, seed=3, ext=3.0)), 1.0, 4.0)
         # reference: one boundary edge at a time, level labels winning corners
         expected = np.zeros(len(reg.verts), dtype=np.uint8)
         for a, b in _boundary_edges(reg):

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,9 +49,9 @@ class TestQuotientCurves:
 class TestStudy:
     def test_capacity_computed_once(self, plane_128):
         study = Study(plane_128, flat_model())
-        cap = study.capacity(1.0, 2.0, "reflect")
-        assert study.capacity(1.0, 2.0, "reflect") is cap
-        assert study.capacity(1.0, 2.5, "reflect") is not cap
+        cap = study.capacity(1.0, 2.0)
+        assert study.capacity(1.0, 2.0) is cap
+        assert study.capacity(1.0, 2.5) is not cap
 
     def test_gates_shared_between_checks(self, plane_128):
         study = Study(plane_128, flat_model())
@@ -71,17 +72,17 @@ class TestVerifyIsoperimetric:
         flx = vol.copy()
         flx[2] = 0.9  # tamper: flux quotient pulled below the volume quotient
         checks = harness.verify_isoperimetric(QuotientCurve(grid, vol, flx))
-        ordering = [c for c in checks if c.check_id == "isoperimetric.ordering"][0]
+        ordering = [c for c in checks if c.id == "isoperimetric.ordering"][0]
         assert ordering.verdict == FAIL
         assert "R=3" in ordering.notes
-        mono = [c for c in checks if c.check_id == "isoperimetric.monotone.flux"][0]
+        mono = [c for c in checks if c.id == "isoperimetric.monotone.flux"][0]
         assert mono.verdict == FAIL
 
 
 class TestCapacitySandwich:
     def test_plane_flat_model_passes(self, plane_256):
         checks = harness.verify_capacity_sandwich(Study(plane_256, flat_model()), 1.0, math.e)
-        verdicts = {c.check_id: c.verdict for c in checks}
+        verdicts = {c.id: c.verdict for c in checks}
         assert verdicts["capacity.lower"] == PASS
         assert verdicts["capacity.upper"] == PASS
 
@@ -89,7 +90,7 @@ class TestCapacitySandwich:
         # K_N = 0 > -w''/w = -1: the curvature hypothesis fails, so the
         # check must be inconclusive, never pass
         checks = harness.verify_capacity_sandwich(Study(plane_128, sinh_model()), 1.0, 2.0)
-        verdicts = {c.check_id: c.verdict for c in checks}
+        verdicts = {c.id: c.verdict for c in checks}
         assert verdicts["gate.curvature_bound"] == INCONCLUSIVE
         assert verdicts["capacity.sandwich"] == INCONCLUSIVE
         assert all(c.verdict != FAIL for c in checks)
@@ -112,13 +113,13 @@ class TestEuclideanSandwich:
 class TestExitTimeComparison:
     def test_plane_equality_case(self, plane_256):
         checks = harness.exit_time_comparison(Study(plane_256, flat_model()), 2.0)
-        verdicts = {c.check_id: c.verdict for c in checks}
+        verdicts = {c.id: c.verdict for c in checks}
         assert verdicts["exit_time.domination"] == PASS
         assert verdicts["exit_time.equality_case"] == PASS
 
     def test_catenoid_domination(self, catenoid_192):
         checks = harness.exit_time_comparison(Study(catenoid_192, flat_model()), 6.0)
-        verdicts = {c.check_id: c.verdict for c in checks}
+        verdicts = {c.id: c.verdict for c in checks}
         assert verdicts["exit_time.domination"] == PASS
         # growing quotients: the equality proxy must not trigger
         assert verdicts["exit_time.equality_case"] == INCONCLUSIVE
@@ -129,7 +130,7 @@ class TestEndsBound:
         # (2/(1 - R/t))^2 with R=1, t=10 and quotients at 1
         report = harness.ends_bound(Study(plane_128, flat_model()), 1.0, 3.0)
         assert report.count == 1
-        bound_check = [c for c in report.checks if c.check_id == "ends.bound"][0]
+        bound_check = [c for c in report.checks if c.id == "ends.bound"][0]
         assert bound_check.verdict == PASS
         expected = (2.0 / (1.0 - 1.0 / 3.0)) ** 2  # coefficient factor is 1 for w=r
         assert report.bound == pytest.approx(expected, rel=0.01)
@@ -222,3 +223,12 @@ class TestReport:
         assert text1 == text2
         parsed = json.loads(text1)  # strict JSON (Infinity encoded as a string)
         assert parsed["scalars"]["inf_value"] == "inf"
+
+
+def test_readme_library_example_runs(capsys):
+    """The first python block of README.md runs as written."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "pass isoperimetric.ordering" in out and "ends: 2 bound" in out

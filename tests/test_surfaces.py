@@ -321,12 +321,19 @@ def _off_texts(draw):
     return draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
 
 
+def _line_parse(path):
+    """The vertices, polygon corners and polygon sizes of an OFF file read by
+    the line parser alone."""
+    with mock.patch.object(surfaces, "_off_blocks", return_value=None):
+        return surfaces._read_off(path)
+
+
 def _line_parser_mesh(path):
     """The mesh of an OFF file read by the line parser alone, fanned polygon
-    by polygon and tagged from its own edge count: the reference for the
-    block parse, the array fan and the tags taken from validation."""
-    with mock.patch.object(surfaces, "_off_blocks", return_value=None):
-        verts, corners, sizes = surfaces._read_off(path)
+    by polygon, tagged from its own edge count and checked for zero-area
+    faces: the reference for the block parse, the array fan and the tags
+    taken from validation."""
+    verts, corners, sizes = _line_parse(path)
     faces, start = [], 0
     for k in sizes.tolist():
         poly = corners[start:start + k].tolist()
@@ -338,6 +345,7 @@ def _line_parser_mesh(path):
     edges, counts = np.unique(und, axis=0, return_counts=True)
     tags = np.zeros(len(verts), dtype=np.uint8)
     tags[edges[counts == 1].ravel()] = TAG_TRUNCATION
+    surfaces._check_face_areas(mesh)
     return TriMesh(mesh.verts, mesh.faces, tags=tags)
 
 
@@ -456,11 +464,19 @@ class TestLoadMesh:
             with open(path, "w", newline="") as fh:
                 fh.write(text)
             expected = _outcome(_line_parser_mesh, path)
+            parsed = _outcome(_line_parse, path)
             with warnings.catch_warnings(record=True) as caught, \
                     redirect_stderr(io.StringIO()) as err:
                 warnings.simplefilter("always")
                 got = _outcome(load_mesh, path)
+                got_parsed = _outcome(surfaces._read_off, path)
         assert not caught and err.getvalue() == ""
+        # the parsed arrays too, as a mesh with a zero-area face is refused whole
+        if isinstance(parsed[0], np.ndarray):
+            assert got_parsed[0].tobytes() == parsed[0].tobytes()  # bit for bit, -0.0 too
+            assert all(np.array_equal(g, e) for g, e in zip(got_parsed[1:], parsed[1:]))
+        else:
+            assert got_parsed == parsed
         if isinstance(expected, TriMesh):
             assert isinstance(got, TriMesh), got
             assert got.verts.tobytes() == expected.verts.tobytes()  # bit for bit, -0.0 too
