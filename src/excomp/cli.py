@@ -298,11 +298,10 @@ def _write_outputs(args, report: VerificationReport, mesh=None, started=None):
     (rundir / "report.json").write_text(report.to_json() + "\n")
     if report.curves:
         lines = ["R [ambient length],vol_quotient [1],flux_quotient [1]"]
-        grid = report.curves["grid"]
-        vol = report.curves["vol_quotient"]
-        flx = report.curves["flux_quotient"]
-        for i in range(len(grid)):
-            lines.append(f"{grid[i]!r},{vol[i]!r},{flx[i]!r}")
+        curve = report.curves
+        for R, vol, flx in zip(curve.grid.tolist(), curve.vol_quotient.tolist(),
+                               curve.flux_quotient.tolist()):
+            lines.append(f"{R!r},{vol!r},{flx!r}")
         (rundir / "curves.csv").write_text("\n".join(lines) + "\n")
     if mesh is not None:
         mesh.save_off(rundir / "mesh.off")
@@ -400,14 +399,6 @@ def _cmd_surface(args) -> int:
     return 0
 
 
-def _curve_payload(curve: harness.QuotientCurve) -> dict:
-    return {
-        "grid": [float(x) for x in curve.grid],
-        "vol_quotient": [float(x) for x in curve.vol_quot],
-        "flux_quotient": [float(x) for x in curve.flux_quot],
-    }
-
-
 def _study_command(body, mesh_optional: bool = False):
     """A subcommand over one `harness.Study` of the model and mesh the flags
     name.  `body(args, study, report)` adds its checks, scalars and curves to
@@ -428,9 +419,9 @@ def _study_command(body, mesh_optional: bool = False):
 
 def _quotient_checks(study: harness.Study, grid, report: VerificationReport):
     """The quotient curves over the grid, their gated isoperimetric and tail
-    checks, and the curves payload, added to the report."""
+    checks, and the curve itself, added to the report."""
     curve = harness.quotient_curves(study.mesh, study.model, grid)
-    report.curves = _curve_payload(curve)
+    report.curves = curve
     report.extend(harness.gate_verdicts(
         harness.comparison_gates(study, float(grid[-1])),
         harness.verify_isoperimetric(curve) + [harness.volume_flux_tail(curve)]))
@@ -475,7 +466,7 @@ def _cmd_ends(args, study, report):
     curve = None
     if args.grid is not None:
         curve = harness.quotient_curves(study.mesh, study.model, _parse_grid(args.grid))
-        report.curves = _curve_payload(curve)
+        report.curves = curve
     ends = harness.ends_bound(study, args.R, args.t, curve=curve)
     report.extend(ends.checks)
     report.scalars = ends

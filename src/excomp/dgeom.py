@@ -7,12 +7,13 @@ Poisson solves (capacity, mean exit time), a membrane eigenvalue estimate,
 and counting of ends as unbounded complement components.  Clipping is the
 only path to a solve.  Ball areas and fluxes come from one radial index per
 mesh, which the mesh keeps until a caller releases it: the faces sorted by
-their largest vertex radius, with the area and |grad r| of each and prefix
-sums of the areas.  RadialIndex.sweep answers a whole radius grid, with or
-without a face mask, in one array pass over the (face, radius) pairs where
-the radius straddles the face; no region is built.  ball_area and flux are
-its one-radius forms, and ball_area equals clip(mesh, 0, R).area() to within
-1e-12 relative (the summation order differs).
+their largest vertex radius, with the area and |grad r| of each (the one
+place |grad r| is computed) and prefix sums of the areas.  RadialIndex.sweep
+answers a whole radius grid, with or without a face mask, in one array pass
+over the (face, radius) pairs where the radius straddles the face; no region
+is built.  ball_area and flux are its one-radius forms, and ball_area equals
+clip(mesh, 0, R).area() to within 1e-12 relative (the summation order
+differs).
 
 Conventions: level comparisons treat a vertex with r exactly equal to the
 level as lying above it (symbolic perturbation by one ulp), interpolated cut
@@ -74,7 +75,6 @@ class ClippedRegion:
     verts: np.ndarray
     faces: np.ndarray
     r: np.ndarray
-    parent_face: np.ndarray
     rho: float
     R: float
     vertex_label: np.ndarray
@@ -116,7 +116,7 @@ def _edge_parameter(ri, rj, level) -> np.ndarray:
     return np.clip((level - ri) / (rj - ri), 0.0, 1.0)
 
 
-def _clip_half(verts, r, faces, parent, level, keep_below):
+def _clip_half(verts, r, faces, level, keep_below):
     """Keep the part of each triangle on one side of the r = level line."""
     above = r >= level  # a vertex exactly at the level counts as above
     inside = ~above if keep_below else above
@@ -124,48 +124,43 @@ def _clip_half(verts, r, faces, parent, level, keep_below):
     cnt = fin.sum(axis=1)
 
     out_faces = [faces[cnt == 3]]
-    out_parent = [parent[cnt == 3]]
     new_pairs = []
-    pending = []  # (kind, rotated faces, parent, slice of pair rows)
+    pending = []  # (kind, rotated faces), in the order of their pair rows
 
     m1 = cnt == 1
     if m1.any():
         f1 = _roll_rows(faces[m1], np.argmax(fin[m1], axis=1))
         new_pairs.append(np.column_stack([f1[:, 0], f1[:, 1]]))  # edge A-B
         new_pairs.append(np.column_stack([f1[:, 2], f1[:, 0]]))  # edge C-A
-        pending.append(("tri", f1, parent[m1]))
+        pending.append(("tri", f1))
 
     m2 = cnt == 2
     if m2.any():
         f2 = _roll_rows(faces[m2], np.argmax(~fin[m2], axis=1))  # v0 outside
         new_pairs.append(np.column_stack([f2[:, 0], f2[:, 1]]))  # edge v0-v1
         new_pairs.append(np.column_stack([f2[:, 2], f2[:, 0]]))  # edge v2-v0
-        pending.append(("quad", f2, parent[m2]))
+        pending.append(("quad", f2))
 
     if not new_pairs:
-        return verts, r, np.concatenate(out_faces), np.concatenate(out_parent)
+        return verts, r, out_faces[0]
 
     pts, ids = _interp_edges(verts, r, np.concatenate(new_pairs), level)
     verts = np.concatenate([verts, pts])
     r = np.concatenate([r, np.full(len(pts), level)])
 
     cursor = 0
-    for kind, f, par in pending:
+    for kind, f in pending:
         k = len(f)
         e1 = ids[cursor:cursor + k]
         e2 = ids[cursor + k:cursor + 2 * k]
         cursor += 2 * k
         if kind == "tri":
-            tris = np.column_stack([f[:, 0], e1, e2])
-            out_faces.append(tris)
-            out_parent.append(par)
+            out_faces.append(np.column_stack([f[:, 0], e1, e2]))
         else:
             # kept quad (v1, v2, I20, I01) fanned from v1
             out_faces.append(np.column_stack([f[:, 1], f[:, 2], e2]))
             out_faces.append(np.column_stack([f[:, 1], e2, e1]))
-            out_parent.append(par)
-            out_parent.append(par)
-    return verts, r, np.concatenate(out_faces), np.concatenate(out_parent)
+    return verts, r, np.concatenate(out_faces)
 
 
 def clip(mesh: TriMesh, rho: float, R: float, face_mask=None) -> ClippedRegion:
@@ -178,26 +173,22 @@ def clip(mesh: TriMesh, rho: float, R: float, face_mask=None) -> ClippedRegion:
     """
     if not (0.0 <= rho < R):
         raise DomainError(f"need 0 <= rho < R, got rho={rho!r}, R={R!r}")
-    faces = mesh.faces
-    parent = np.arange(len(faces))
-    if face_mask is not None:
-        faces = faces[face_mask]
-        parent = parent[face_mask]
+    faces = mesh.faces if face_mask is None else mesh.faces[face_mask]
     _check_coverage(mesh, R, faces, rho=rho)
     verts = mesh.verts
     r = mesh.r
-    verts, r, faces, parent = _clip_half(verts, r, faces, parent, R, keep_below=True)
+    verts, r, faces = _clip_half(verts, r, faces, R, keep_below=True)
     if rho > 0.0:
-        verts, r, faces, parent = _clip_half(verts, r, faces, parent, rho, keep_below=False)
+        verts, r, faces = _clip_half(verts, r, faces, rho, keep_below=False)
 
     areas = face_areas(verts, faces)
     keep = _nondegenerate(areas, areas.sum(), len(areas))
-    faces, parent = faces[keep], parent[keep]
+    faces = faces[keep]
 
     used = np.flatnonzero(np.bincount(faces.ravel(), minlength=len(verts)))
     remap = np.full(len(verts), -1, dtype=np.int64)
     remap[used] = np.arange(len(used))
-    region = ClippedRegion(verts[used], remap[faces], r[used], parent, rho, R,
+    region = ClippedRegion(verts[used], remap[faces], r[used], rho, R,
                            np.zeros(len(used), dtype=np.uint8),
                            np.where(used < len(mesh.verts), used, -1))
     _label_boundary(region)
@@ -276,15 +267,6 @@ def _check_gradients(w: np.ndarray):
         raise DomainError("face centroid coincides with the pole")
     if np.any(w == _DEGENERATE):
         raise DomainError("degenerate face in radial gradient computation")
-
-
-def radial_gradient_norms(verts, faces, pole) -> np.ndarray:
-    """|grad of r along the surface| per face: the ambient unit radial
-    direction at the face centroid projected onto the face plane."""
-    a, b, c = verts[faces[:, 0]], verts[faces[:, 1]], verts[faces[:, 2]]
-    w = _gradient_codes(a, b, c, triangle_normals(a, b, c), np.asarray(pole, float))
-    _check_gradients(w)
-    return w
 
 
 def _prefix_sums(values: np.ndarray) -> np.ndarray:
@@ -494,13 +476,6 @@ def flux(mesh: TriMesh, R: float, face_mask=None) -> float:
     ambient projection) is integrated against segment length."""
     index = radial_index(mesh)
     return float(index._fluxes(index._cuts([R], face_mask))[0])
-
-
-def radial_energy(mesh: TriMesh, region: ClippedRegion) -> float:
-    """Integral of |grad r|^2 over the region (per-face ambient projection)."""
-    w = radial_gradient_norms(mesh.verts, mesh.faces[region.parent_face], mesh.pole)
-    areas = face_areas(region.verts, region.faces)
-    return float((w * w * areas).sum())
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,9 @@ The checks read their mesh and model from a `Study`, which computes each
 gate, annulus capacity and end split once per run, however many checks read
 it.  The model holds the quadrature tolerances.
 
-The result dataclasses (`Check`, `EndsReport`, `ToneReport` and the model's
-results) are the report schema: `_json_safe` writes each as the dict of its
-fields, less those whose metadata says report: False.
+The result dataclasses (`Check`, `QuotientCurve`, `EndsReport`, `ToneReport`
+and the model's results) are the report schema: `_json_safe` writes each as
+the dict of its fields, less those whose metadata says report: False.
 """
 
 from __future__ import annotations
@@ -91,31 +91,35 @@ class QuotientCurve:
     """Volume and flux comparison quotients sampled on a radius grid."""
 
     grid: np.ndarray
-    vol_quot: np.ndarray
-    flux_quot: np.ndarray
+    vol_quotient: np.ndarray
+    flux_quotient: np.ndarray
 
     def w_volume_estimate(self) -> float:
-        return float(self.vol_quot.max())
+        return float(self.vol_quotient.max())
 
     def w_flux_estimate(self) -> float:
-        return float(self.flux_quot.max())
+        return float(self.flux_quotient.max())
 
     def stable(self) -> bool:
         """Whether the volume quotient moved less than _STABLE_TOL (relative)
         over the last tenth of the grid; grid maxima are supremum estimates
         only when this holds."""
-        window = self.vol_quot[_top_slice(len(self.grid))]
+        window = self.vol_quotient[_top_slice(len(self.grid))]
         if len(window) < 2:
             return False
         return float(window.max() - window.min()) <= _STABLE_TOL * float(abs(window.max()))
+
+
+def _check_surface_model(model: ModelSpace):
+    if model.m != 2:
+        raise DomainError("discrete meshes are surfaces; the model must have m = 2")
 
 
 def quotient_curves(mesh: TriMesh, model: ModelSpace, grid, end_mask=None) -> QuotientCurve:
     """Sample Vol(D_R)/Vol(B_R) and J(R)/volS(R) over the grid, optionally
     restricted to the faces of one end, by one sweep of the mesh's radial
     index."""
-    if model.m != 2:
-        raise DomainError("discrete meshes are surfaces; the model must have m = 2")
+    _check_surface_model(model)
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise DomainError("grid must be positive and strictly increasing")
@@ -141,13 +145,13 @@ def verify_isoperimetric(curve: QuotientCurve) -> list[Check]:
     """Volume quotient below flux quotient at every radius, and both
     quotients nondecreasing (up to mesh-dependent relative slack)."""
     checks = []
-    worst = int(np.argmin(curve.flux_quot - curve.vol_quot))
+    worst = int(np.argmin(curve.flux_quotient - curve.vol_quotient))
     checks.append(_leq_check(
         "isoperimetric.ordering",
         "Vol(D_R)/Vol(B_R) <= J(R)/J_w(R) at every grid radius",
-        float(curve.vol_quot[worst]), float(curve.flux_quot[worst]), _ISO_TOL,
+        float(curve.vol_quotient[worst]), float(curve.flux_quotient[worst]), _ISO_TOL,
         notes=f"worst radius R={curve.grid[worst]:.6g}"))
-    for name, series in (("volume", curve.vol_quot), ("flux", curve.flux_quot)):
+    for name, series in (("volume", curve.vol_quotient), ("flux", curve.flux_quotient)):
         if len(series) < 2:
             continue
         ratios = series[1:] / np.maximum(series[:-1], 1e-300)
@@ -193,14 +197,19 @@ def _monotone_w_gate(model: ModelSpace, R: float, strict: bool = False) -> Check
 
 @dataclass(eq=False)
 class Study:
-    """One run's mesh (None for a model-only tone report) and model.  Each
-    gate, annulus capacity and end split is computed on first use and
-    memoised in a dict keyed by its arguments; only results are kept
-    (`Check`, `CapacityResult`, `EndsResult`), never a region."""
+    """One run's mesh (None for a model-only tone report) and model, which
+    must have dimension 2 when there is a mesh.  Each gate, annulus capacity
+    and end split is computed on first use and memoised in a dict keyed by
+    its arguments; only results are kept (`Check`, `CapacityResult`,
+    `EndsResult`), never a region."""
 
     mesh: TriMesh | None
     model: ModelSpace
     _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        if self.mesh is not None:
+            _check_surface_model(self.model)
 
     def _once(self, key: tuple, compute):
         if key not in self._memo:
@@ -462,13 +471,13 @@ def volume_flux_tail(curve: QuotientCurve) -> Check:
     """When the volume quotient has stabilized over the last tenth of the
     grid (finite w-volume detected), the flux and volume quotients must
     agree at the largest radius."""
-    window = curve.vol_quot[_top_slice(len(curve.grid))]
+    window = curve.vol_quotient[_top_slice(len(curve.grid))]
     spread = float(window.max() - window.min()) / max(float(window.max()), 1e-300)
     if len(window) < 2 or spread > _STABLE_TOL:
         return Check("volume_flux.tail", "w-flux equals w-volume for finite w-volume",
                      spread, _STABLE_TOL, 0.0, _STABLE_TOL, INCONCLUSIVE,
                      notes="volume quotient not stable over the last tenth of the grid")
-    v, f = float(curve.vol_quot[-1]), float(curve.flux_quot[-1])
+    v, f = float(curve.vol_quotient[-1]), float(curve.flux_quotient[-1])
     gap = abs(f - v) / max(abs(v), 1e-300)
     return Check("volume_flux.tail", "w-flux equals w-volume for finite w-volume",
                  f, v, gap, _TAIL_TOL, PASS if gap <= _TAIL_TOL else FAIL,
@@ -483,7 +492,7 @@ def volume_flux_tail(curve: QuotientCurve) -> Check:
 class VerificationReport:
     checks: list
     scalars: object = field(default_factory=dict)  # a dict or one result dataclass
-    curves: dict = field(default_factory=dict)
+    curves: object = field(default_factory=dict)  # {} or one QuotientCurve
     config: dict = field(default_factory=dict)
 
     def extend(self, checks):

@@ -34,7 +34,7 @@ from .errors import DomainError, EvalDomainError, QuadratureError
 _INF = float("inf")
 _REL_TOL_FLOOR = float(50 * np.finfo(float).eps)
 _MAX_SUBDIVISIONS = 200  # quadpack's interval limit
-_TAIL_MAX = 1e4  # top of the geometric ladder probing integrals to infinity
+_LADDER = (10.0, 100.0, 1000.0, 10000.0)  # the radii T probing integrals to infinity
 _EXIT_SAMPLES = 4097  # radii of the dense grid under mean_exit_profile
 
 
@@ -438,14 +438,9 @@ class ModelSpace:
         """
         if math.isfinite(self.warp.lam):
             raise DomainError("conformal-type probe requires Lambda = infinity")
-        ladder = []
-        top = 10.0
-        while top <= _TAIL_MAX * (1 + 1e-9):
-            ladder.append(top)
-            top *= 10.0
         incs = []
         prev = 1.0
-        for T in ladder:
+        for T in _LADDER:
             incs.append(max(self._resistance(prev, T), 0.0))
             prev = T
         incs_arr = np.array(incs)
@@ -474,7 +469,7 @@ class ModelSpace:
                 verdict = "inconclusive"
         return ParabolicityResult(
             verdict=verdict,
-            ladder=tuple(ladder),
+            ladder=_LADDER,
             increments=tuple(float(x) for x in incs),
             ratios=tuple(ratios),
         )

@@ -19,10 +19,9 @@ from .errors import CoverageError, DomainError, MeshFormatError, NonManifoldErro
 
 TAG_INTERIOR = 0
 TAG_TRUNCATION = 1
-TAG_SEAM = 2
 
 _IMMERSION_SAMPLES = 17  # interior sample points per axis of the immersion check
-_EDGE_SAMPLES = 512  # sample points per rectangle edge in boundary_min_radius
+_EDGE_SAMPLES = 512  # sample points per rectangle edge in _boundary_min_radius
 _RESIDUAL_PERCENTILE = 95.0  # of the minimality residual over interior vertices
 
 
@@ -65,11 +64,6 @@ class ParamSurface:
     def points(self, U: np.ndarray, V: np.ndarray) -> np.ndarray:
         x, y, z = self.fn(U, V)
         return np.stack([np.asarray(x, float), np.asarray(y, float), np.asarray(z, float)], axis=-1)
-
-    def boundary_min_radius(self) -> float:
-        """Smallest distance to the origin over the non-periodic rectangle edges."""
-        return _boundary_min_radius(self.fn, self.u0, self.u1, self.v0, self.v1,
-                                    self.periodic_u, self.periodic_v)
 
 
 def _boundary_min_radius(fn, u0, u1, v0, v1, periodic_u=False, periodic_v=False) -> float:
@@ -169,7 +163,7 @@ class TriMesh:
     """Immersed triangle mesh with per-vertex extrinsic distance.
 
     verts: (n,3) float64; faces: (m,3) int; r[i] = |verts[i] - pole|;
-    tags[i] in {interior, outer-truncation, seam}.  Arrays are frozen after
+    tags[i] in {interior, truncation (window edge)}.  Arrays are frozen after
     construction; every interior edge is shared by exactly two consistently
     oriented triangles.  radial_index_memo holds the mesh's dgeom.RadialIndex
     once a ball area or flux has built it, until a caller releases it.
@@ -221,9 +215,6 @@ class TriMesh:
         return _edge_vertices(i[counts == 1], j[counts == 1], n)
 
     # -- derived quantities -------------------------------------------------
-
-    def area(self) -> float:
-        return float(face_areas(self.verts, self.faces).sum())
 
     def max_r(self) -> float:
         return float(self.r.max())
@@ -330,12 +321,8 @@ def tessellate(surface: ParamSurface, nu: int, nv: int, refine_near=(),
     gj = np.arange(len(verts)) % vcount
     if not pu:
         tags[(gi == 0) | (gi == nu)] = TAG_TRUNCATION
-    else:
-        tags[gi == 0] = TAG_SEAM
     if not pv:
         tags[(gj == 0) | (gj == nv)] = TAG_TRUNCATION
-    else:
-        tags[np.logical_and(gj == 0, tags == TAG_INTERIOR)] = TAG_SEAM
 
     if refine_near:
         verts, faces, tags, uv = _refine_once(surface, verts, faces, tags, uv,
@@ -438,7 +425,7 @@ def load_mesh(path, fmt: str | None = None, pole=(0.0, 0.0, 0.0)) -> TriMesh:
     """Read an ASCII OFF or OBJ file (positions and faces only).
 
     Polygonal faces are fan-triangulated.  Boundary vertices are tagged as
-    outer-truncation; non-manifold input raises with the offending edges, a
+    truncation; non-manifold input raises with the offending edges, a
     face of (nearly) zero area with its index, and a malformed line or a
     non-finite coordinate with its line number.
     """

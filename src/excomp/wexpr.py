@@ -141,37 +141,6 @@ def neg(a: Expr) -> Expr:
     return Neg(a)
 
 
-def const_value(e: Expr) -> Fraction | None:
-    """Rational value of a constant subexpression, or None if non-constant
-    or irrational (e.g. sqrt(2), sin(1))."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Neg):
-        v = const_value(e.arg)
-        return None if v is None else -v
-    if isinstance(e, BinOp):
-        a, b = const_value(e.left), const_value(e.right)
-        if a is None or b is None:
-            return None
-        if e.op == "+":
-            return a + b
-        if e.op == "-":
-            return a - b
-        if e.op == "*":
-            return a * b
-        if b == 0:
-            return None
-        return a / b
-    if isinstance(e, Pow):
-        v = const_value(e.base)
-        if v is None or e.exponent.denominator != 1:
-            return None
-        if v == 0 and e.exponent < 0:
-            return None
-        return v ** int(e.exponent)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # tokenizer / parser
 
@@ -298,10 +267,10 @@ class _Parser:
         self.take()
         exp_tok = self.peek()
         exp_expr = self.parse_unary()  # unary includes power: right associativity
-        value = const_value(exp_expr)
-        if value is None:
+        # the smart constructors fold every rational constant to a Num
+        if not isinstance(exp_expr, Num):
             raise ParseError("exponent must be a rational constant", exp_tok.offset)
-        return pow_(base, value)
+        return pow_(base, exp_expr.value)
 
     def parse_atom(self) -> Expr:
         tok = self.peek()
@@ -398,10 +367,6 @@ def _eval_call(func: str, x: float) -> float:
         if func == "cosh":
             return math.cosh(x)
         if func == "exp":
-            if x == _INF:
-                return _INF
-            if x == -_INF:
-                return 0.0
             return math.exp(x)
         if func == "ln":
             if x <= 0.0:

@@ -109,8 +109,8 @@ def test_criterion_2_balance():
 def _plane_suite(mesh, tol_quot=0.01, tol_other=0.02):
     model = flat(2)
     curve = harness.quotient_curves(mesh, model, np.linspace(0.5, 3.0, 6))
-    assert np.abs(curve.vol_quot - 1.0).max() <= tol_quot, "volume quotient off 1"
-    assert np.abs(curve.flux_quot - 1.0).max() <= tol_quot, "flux quotient off 1"
+    assert np.abs(curve.vol_quotient - 1.0).max() <= tol_quot, "volume quotient off 1"
+    assert np.abs(curve.flux_quotient - 1.0).max() <= tol_quot, "flux quotient off 1"
 
     cap = dgeom.capacity_discrete(clip(mesh, 1.0, math.e)).capacity
     assert abs(cap / (2 * math.pi) - 1.0) <= tol_other, "capacity ratio off 1"
@@ -143,13 +143,13 @@ def _catenoid_suite(mesh):
     curve = harness.quotient_curves(mesh, model, grid)
 
     # (a) volume quotient monotone within 1% slack, and 2 +- 5% at R=20
-    ratios = curve.vol_quot[1:] / curve.vol_quot[:-1]
+    ratios = curve.vol_quotient[1:] / curve.vol_quotient[:-1]
     assert ratios.min() >= 1.0 - 0.01, "volume quotient not monotone"
-    assert abs(curve.vol_quot[-1] - 2.0) <= 0.10, \
-        f"volume quotient at 20 is {curve.vol_quot[-1]}"
+    assert abs(curve.vol_quotient[-1] - 2.0) <= 0.10, \
+        f"volume quotient at 20 is {curve.vol_quotient[-1]}"
 
     # (b) flux quotient equals volume quotient within 1% at each R >= 2
-    gap = np.abs(curve.flux_quot - curve.vol_quot) / curve.vol_quot
+    gap = np.abs(curve.flux_quotient - curve.vol_quotient) / curve.vol_quotient
     assert gap.max() <= 0.01, f"flux/volume gap {gap.max():.4f}"
 
     # (c) capacity ratio in [1*(1-3%), 2*(1+3%)]

@@ -507,6 +507,17 @@ class TestOtherSubcommands:
         assert code == 3
         assert err.startswith("error: degenerate triangles: 1 of area") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["capacity", "--surface", "plane", "--cover", "3.2", "--rho", "1", "--R", "2"],
+        ["exit-time", "--surface", "plane", "--cover", "3.2", "--R", "2"],
+        ["ends", "--surface", "catenoid", "--cover", "12", "--R", "2", "--t", "9"],
+    ], ids=["capacity", "exit-time", "ends"])
+    def test_mesh_against_a_model_of_dimension_3_is_exit_3(self, tmp_path, capsys, argv):
+        code = run([*argv, "--res", "64", "--dim", "3", "--warp", "r", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == "error: discrete meshes are surfaces; the model must have m = 2\n"
+
     def test_missing_mesh_file(self, tmp_path, capsys):
         code = run(["surface", "--mesh", str(tmp_path / "nope.off"),
                     "--out", str(tmp_path)])

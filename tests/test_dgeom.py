@@ -59,16 +59,21 @@ def _boundary_edges(reg):
     return edges[counts == 1]
 
 
+def _grad_norms(verts, faces, pole):
+    """|grad r| per face, in face order, as the radial index computes it."""
+    index = dgeom.RadialIndex(TriMesh(verts, faces, pole=pole))
+    return index.grad[np.argsort(index.ids)]
+
+
 class TestRadialGradientNorm:
     def test_plane_through_pole_is_one(self, plane_128):
-        vals = dgeom.radial_gradient_norms(plane_128.verts, plane_128.faces,
-                                           plane_128.pole)
+        vals = _grad_norms(plane_128.verts, plane_128.faces, plane_128.pole)
         assert np.allclose(vals, 1.0, rtol=0, atol=1e-12)
 
     def test_orthogonal_face_is_zero(self):
         verts = np.array([[1, 0, 1], [-0.5, math.sqrt(3) / 2, 1],
                           [-0.5, -math.sqrt(3) / 2, 1]], float)
-        vals = dgeom.radial_gradient_norms(verts, np.array([[0, 1, 2]]), np.zeros(3))
+        vals = _grad_norms(verts, np.array([[0, 1, 2]]), np.zeros(3))
         assert vals[0] < 1e-12
 
     def test_catenoid_neck_faces_small(self, catenoid_96):
@@ -76,13 +81,11 @@ class TestRadialGradientNorm:
         fr = catenoid_96.r[catenoid_96.faces]
         neck = np.flatnonzero((fr.min(axis=1) < 1.0 + 1e-9) & (fr.max(axis=1) < 1.01))
         assert len(neck)
-        vals = dgeom.radial_gradient_norms(catenoid_96.verts,
-                                           catenoid_96.faces[neck], catenoid_96.pole)
+        vals = _grad_norms(catenoid_96.verts, catenoid_96.faces[neck], catenoid_96.pole)
         assert vals.max() < 0.1
 
     def test_always_in_unit_interval(self, catenoid_96):
-        vals = dgeom.radial_gradient_norms(catenoid_96.verts, catenoid_96.faces,
-                                           catenoid_96.pole)
+        vals = _grad_norms(catenoid_96.verts, catenoid_96.faces, catenoid_96.pole)
         assert vals.min() >= 0.0 and vals.max() <= 1.0
 
 
@@ -448,7 +451,7 @@ def test_kernels_are_the_expressions_they_replace(catenoid_192, helicoid_64):
         nrm = np.cross(b - a, c - a)
         nrm /= np.linalg.norm(nrm, axis=1)[:, None]
         dot = (d * nrm).sum(axis=1)
-        assert np.array_equal(dgeom.radial_gradient_norms(v, f, mesh.pole),
+        assert np.array_equal(_grad_norms(v, f, mesh.pole),
                               np.sqrt(np.clip(1.0 - dot * dot, 0.0, 1.0)))
         inside = f[mesh.r[f].max(axis=1) < 6.0]
         for faces in (f, inside):
@@ -479,10 +482,11 @@ class TestFlux:
         assert flux_q == pytest.approx(vol_q, rel=1e-2)
 
     def test_coarea_derivative(self, plane_256):
-        # d/dR of the radial Dirichlet energy over D_R equals the flux
+        # d/dR of the radial Dirichlet energy over D_R equals the flux; on
+        # the plane through the pole |grad r| = 1, so that energy is the area
         R, h = 2.0, 0.05
-        e_hi = dgeom.radial_energy(plane_256, clip(plane_256, 0.0, R + h))
-        e_lo = dgeom.radial_energy(plane_256, clip(plane_256, 0.0, R - h))
+        e_hi = clip(plane_256, 0.0, R + h).area()
+        e_lo = clip(plane_256, 0.0, R - h).area()
         fd = (e_hi - e_lo) / (2 * h)
         assert fd == pytest.approx(flux(plane_256, R), rel=0.03)
 

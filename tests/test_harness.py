@@ -21,8 +21,8 @@ def sinh_model():
 class TestQuotientCurves:
     def test_plane_both_one(self, plane_256):
         curve = harness.quotient_curves(plane_256, flat_model(), np.linspace(0.5, 3, 6))
-        assert np.allclose(curve.vol_quot, 1.0, atol=5e-3)
-        assert np.allclose(curve.flux_quot, 1.0, atol=5e-3)
+        assert np.allclose(curve.vol_quotient, 1.0, atol=5e-3)
+        assert np.allclose(curve.flux_quotient, 1.0, atol=5e-3)
 
     def test_model_dimension_gate(self, plane_128):
         with pytest.raises(DomainError):
@@ -31,9 +31,9 @@ class TestQuotientCurves:
 
     def test_catenoid_volume_increasing_toward_two(self, catenoid_96):
         curve = harness.quotient_curves(catenoid_96, flat_model(), np.linspace(2, 20, 10))
-        assert curve.vol_quot[0] > 1.0
-        assert np.all(np.diff(curve.vol_quot) > -1e-6)
-        assert curve.vol_quot[-1] == pytest.approx(1.9485, rel=0.02)
+        assert curve.vol_quotient[0] > 1.0
+        assert np.all(np.diff(curve.vol_quotient) > -1e-6)
+        assert curve.vol_quotient[-1] == pytest.approx(1.9485, rel=0.02)
 
     @pytest.mark.parametrize("grid,error", [
         ([3.0, 3.2, 4.0], "radius 3.2 outside"),  # the sphere's Lambda = pi comes first

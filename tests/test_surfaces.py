@@ -55,14 +55,15 @@ class TestBuiltins:
     def test_coverage_sized_windows(self):
         for name in ("plane", "catenoid", "helicoid", "enneper"):
             s = builtin(name, cover_radius=5.0)
-            assert s.boundary_min_radius() >= 5.0
+            assert surfaces._boundary_min_radius(s.fn, s.u0, s.u1, s.v0, s.v1,
+                                                 s.periodic_u, s.periodic_v) >= 5.0
 
     @pytest.mark.parametrize("cover", [0.5, 5.0, 12.0, 30.0])
     def test_enneper_extent_is_the_first_square_that_covers(self, cover):
         # reference: the square grown by 8% until a surface built on it covers
         fn = builtin("enneper").fn
         E = 1.0
-        while surfaces.ParamSurface("enneper", fn, -E, E, -E, E).boundary_min_radius() < 1.1 * cover:
+        while surfaces._boundary_min_radius(fn, -E, E, -E, E) < 1.1 * cover:
             E *= 1.08
         s = builtin("enneper", cover_radius=cover)
         assert (s.u0, s.u1, s.v0, s.v1) == (-E, E, -E, E)
@@ -80,7 +81,7 @@ class TestTessellate:
     def test_plane_area_exact(self):
         s = builtin("plane", extent=4.0)
         mesh = tessellate(s, 32, 32)
-        assert mesh.area() == pytest.approx(64.0, rel=1e-12)
+        assert surfaces.face_areas(mesh.verts, mesh.faces).sum() == pytest.approx(64.0, rel=1e-12)
 
     def test_catenoid_reach(self):
         mesh = tessellate(builtin("catenoid", a=1.0, extent=3.0), 64, 64)

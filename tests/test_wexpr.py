@@ -39,11 +39,18 @@ class TestParse:
             wexpr.parse("2^r")
         with pytest.raises(ParseError, match="rational constant"):
             wexpr.parse("r^sqrt(2)")  # constant but irrational
+        for src in ("r^(1/0)", "r^(0^-1)", "r^(2^(1/2))"):  # constant but no rational
+            with pytest.raises(ParseError, match="rational constant") as err:
+                wexpr.parse(src)
+            assert err.value.offset == 2
 
     def test_rational_exponent(self):
         e = wexpr.parse("r^(1/2)")
         assert isinstance(e, wexpr.Pow) and e.exponent == Fraction(1, 2)
         assert wexpr.evaluate(e, 4.0) == 2.0
+        for src, exponent in (("r^((1+1)^2)", Fraction(4)), ("r^(-(3/4))", Fraction(-3, 4))):
+            e = wexpr.parse(src)
+            assert isinstance(e, wexpr.Pow) and e.base == wexpr.Var() and e.exponent == exponent
 
     def test_precedence(self):
         # ^ binds tighter than unary minus, which binds tighter than *
@@ -122,6 +129,8 @@ class TestEvaluate:
         assert wexpr.evaluate(wexpr.parse("sinh(r)"), 1e6) == math.inf
         assert wexpr.evaluate(wexpr.parse("sinh(-r)"), 1e6) == -math.inf
         assert wexpr.evaluate(wexpr.parse("exp(r)"), 1e6) == math.inf
+        assert wexpr.evaluate(wexpr.parse("exp(r)"), math.inf) == math.inf
+        assert wexpr.evaluate(wexpr.parse("exp(-r)"), math.inf) == 0.0
 
     def test_deterministic(self):
         e = wexpr.parse("sin(r)*exp(r/3) + r^(5/2)")
