@@ -554,6 +554,9 @@ def main(argv=None) -> int:
     except OSError as exc:  # an output path that is a file, a mesh path that is a directory
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:  # e.g. a --res whose grid numpy cannot allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

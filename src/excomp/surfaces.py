@@ -66,21 +66,14 @@ class ParamSurface:
         return np.stack([np.asarray(x, float), np.asarray(y, float), np.asarray(z, float)], axis=-1)
 
 
-def _boundary_min_radius(fn, u0, u1, v0, v1, periodic_u=False, periodic_v=False) -> float:
-    """Smallest distance to the origin of the map fn over the non-periodic
-    edges of the rectangle [u0, u1] x [v0, v1]."""
-    best = math.inf
+def _boundary_min_radius(fn, u0, u1, v0, v1) -> float:
+    """Smallest distance to the origin of the map fn over the edges of the
+    rectangle [u0, u1] x [v0, v1]."""
     ts = np.linspace(0.0, 1.0, _EDGE_SAMPLES)
-    edges = []
-    if not periodic_v:
-        edges.append((u0 + ts * (u1 - u0), np.full_like(ts, v0)))
-        edges.append((u0 + ts * (u1 - u0), np.full_like(ts, v1)))
-    if not periodic_u:
-        edges.append((np.full_like(ts, u0), v0 + ts * (v1 - v0)))
-        edges.append((np.full_like(ts, u1), v0 + ts * (v1 - v0)))
-    for U, V in edges:
-        best = min(best, float(np.linalg.norm(np.stack(fn(U, V), axis=-1), axis=1).min()))
-    return best
+    us, vs = u0 + ts * (u1 - u0), v0 + ts * (v1 - v0)
+    edges = ((us, np.full_like(ts, v0)), (us, np.full_like(ts, v1)),
+             (np.full_like(ts, u0), vs), (np.full_like(ts, u1), vs))
+    return min(float(np.linalg.norm(np.stack(fn(U, V), axis=-1), axis=1).min()) for U, V in edges)
 
 
 BUILTIN_NAMES = ("plane", "catenoid", "helicoid", "enneper")
@@ -99,6 +92,8 @@ def builtin(name: str, a: float = 1.0, c: float = 1.0, cover_radius: float | Non
     for key, val in (("a", a), ("c", c), ("cover_radius", cover_radius), ("extent", extent)):
         if val is not None and not math.isfinite(val):
             raise DomainError(f"{name} parameter {key} must be finite, got {val!r}")
+    if cover_radius is not None and cover_radius <= 0:
+        raise DomainError(f"{name} cover radius must be positive, got {cover_radius!r}")
     if name == "plane":
         L = extent if extent is not None else (_COVER_MARGIN * cover_radius if cover_radius else 8.0)
         return ParamSurface("plane", lambda u, v: (u, v, np.zeros_like(u + v)),
@@ -163,14 +158,15 @@ class TriMesh:
     """Immersed triangle mesh with per-vertex extrinsic distance.
 
     verts: (n,3) float64; faces: (m,3) int; r[i] = |verts[i] - pole|;
-    tags[i] in {interior, truncation (window edge)}.  Arrays are frozen after
-    construction; every interior edge is shared by exactly two consistently
-    oriented triangles.  radial_index_memo holds the mesh's dgeom.RadialIndex
-    once a ball area or flux has built it, until a caller releases it.
+    tags[i] in {interior, truncation (window edge)}: unless the caller passes
+    tags, exactly the boundary vertices (on an edge of one face) are
+    truncation.  Arrays are frozen after construction; every interior edge is
+    shared by exactly two consistently oriented triangles.  radial_index_memo
+    holds the mesh's dgeom.RadialIndex once a ball area or flux has built it,
+    until a caller releases it.
     """
 
-    def __init__(self, verts, faces, pole=(0.0, 0.0, 0.0), tags=None, name="mesh",
-                 validate: bool = True):
+    def __init__(self, verts, faces, pole=(0.0, 0.0, 0.0), tags=None, name="mesh"):
         self.verts = np.ascontiguousarray(verts, dtype=np.float64)
         self.faces = np.ascontiguousarray(faces, dtype=np.int64)
         self.pole = np.asarray(pole, dtype=np.float64).reshape(3)
@@ -180,10 +176,9 @@ class TriMesh:
         if self.faces.ndim != 2 or self.faces.shape[1] != 3:
             raise DomainError("faces must be (m, 3)")
         self.r = np.linalg.norm(self.verts - self.pole, axis=1)
-        self.tags = (np.zeros(len(self.verts), dtype=np.uint8) if tags is None
-                     else np.asarray(tags, dtype=np.uint8).copy())
-        if validate:
-            self._validate()
+        boundary = self._validate()
+        self.tags = np.array(np.where(boundary, TAG_TRUNCATION, TAG_INTERIOR) if tags is None
+                             else tags, dtype=np.uint8)
         for arr in (self.verts, self.faces, self.r, self.tags, self.pole):
             arr.setflags(write=False)
         self.radial_index_memo = None
@@ -212,16 +207,14 @@ class TriMesh:
             bad = duniq[dcounts > 1]
             edges = [(int(k // n), int(k % n)) for k in bad[:16]]
             raise DomainError(f"inconsistently oriented edges: {edges}")
-        return _edge_vertices(i[counts == 1], j[counts == 1], n)
+        boundary = np.zeros(n, dtype=bool)
+        boundary[i[counts == 1]] = boundary[j[counts == 1]] = True
+        return boundary
 
     # -- derived quantities -------------------------------------------------
 
     def max_r(self) -> float:
         return float(self.r.max())
-
-    def boundary_vertex_mask(self) -> np.ndarray:
-        i, j, counts = _edge_counts(self.faces, len(self.verts))
-        return _edge_vertices(i[counts == 1], j[counts == 1], len(self.verts))
 
     def save_off(self, path):
         with open(path, "w") as fh:
@@ -275,17 +268,10 @@ def _edge_counts(faces, n: int):
     return keys // n, keys % n, counts
 
 
-def _edge_vertices(i, j, n: int) -> np.ndarray:
-    """Mask of the n vertices that lie on one of the edges (i, j)."""
-    mask = np.zeros(n, dtype=bool)
-    mask[i] = True
-    mask[j] = True
-    return mask
-
-
 def tessellate(surface: ParamSurface, nu: int, nv: int, refine_near=(),
                pole=(0.0, 0.0, 0.0)) -> TriMesh:
-    """Regular-grid triangulation of the patch, stitched along periodic axes.
+    """Regular-grid triangulation of the patch, stitched along periodic axes,
+    so that its truncation vertices are the rectangle's non-periodic edges.
 
     Triangles whose extrinsic-radius range crosses any radius in refine_near
     receive one round of 1-to-4 subdivision (neighbors are bisected to keep
@@ -300,7 +286,6 @@ def tessellate(surface: ParamSurface, nu: int, nv: int, refine_near=(),
     vs = np.linspace(surface.v0, surface.v1, nv + 1)[:vcount]
     U, V = np.meshgrid(us, vs, indexing="ij")
     verts = surface.points(U, V).reshape(-1, 3)
-    uv = np.stack([U.ravel(), V.ravel()], axis=1)
 
     def vid(i, j):
         return (i % ucount) * vcount + (j % vcount)
@@ -316,19 +301,11 @@ def tessellate(surface: ParamSurface, nu: int, nv: int, refine_near=(),
     t2 = np.stack([v00, v11, v01], axis=-1).reshape(-1, 3)
     faces = np.concatenate([t1, t2])
 
-    tags = np.zeros(len(verts), dtype=np.uint8)
-    gi = np.arange(len(verts)) // vcount
-    gj = np.arange(len(verts)) % vcount
-    if not pu:
-        tags[(gi == 0) | (gi == nu)] = TAG_TRUNCATION
-    if not pv:
-        tags[(gj == 0) | (gj == nv)] = TAG_TRUNCATION
-
     if refine_near:
-        verts, faces, tags, uv = _refine_once(surface, verts, faces, tags, uv,
-                                              np.asarray(pole, float), refine_near)
+        uv = np.stack([U.ravel(), V.ravel()], axis=1)
+        verts, faces = _refine_once(surface, verts, faces, uv, np.asarray(pole, float), refine_near)
 
-    mesh = TriMesh(verts, faces, pole=pole, tags=tags, name=surface.name)
+    mesh = TriMesh(verts, faces, pole=pole, name=surface.name)
     _check_face_areas(mesh)
     if refine_near:
         needed = 1.2 * max(refine_near)
@@ -363,7 +340,7 @@ _CHILDREN = np.array([
 _CHILD_COUNT = np.array([1, 2, 2, 2, 4])
 
 
-def _refine_once(surface, verts, faces, tags, uv, pole, radii):
+def _refine_once(surface, verts, faces, uv, pole, radii):
     """Split in four each face whose radius range meets a radius, and each
     face with two or more split edges, in rounds until none is left; bisect
     each other face through its one split edge, if it has one.  Midpoints are
@@ -377,8 +354,7 @@ def _refine_once(surface, verts, faces, tags, uv, pole, radii):
         marked |= (lo <= rad) & (hi >= rad)
 
     n = len(verts)
-    keys, edge, counts = np.unique(edge_keys(_directed_edges(faces), n),
-                                   return_inverse=True, return_counts=True)
+    keys, edge = np.unique(edge_keys(_directed_edges(faces), n), return_inverse=True)
     edge = edge.reshape(3, -1).T  # edge ids of each face: 0-1, 1-2, 2-0
     never = len(faces)
     split_round = np.full(len(keys), never)
@@ -403,8 +379,6 @@ def _refine_once(surface, verts, faces, tags, uv, pole, radii):
             a[wraps & below, axis] += period
             b[wraps & ~below, axis] += period
     new_uv = 0.5 * (a + b)
-    # a midpoint is truncation only when its edge lies on the truncation boundary
-    trunc = (counts[split] == 1) & (tags[i] == TAG_TRUNCATION) & (tags[j] == TAG_TRUNCATION)
 
     face_mid = mid[edge]
     corners = np.column_stack([faces, face_mid])
@@ -412,9 +386,7 @@ def _refine_once(surface, verts, faces, tags, uv, pole, radii):
     kind = np.where(marked, 4, np.argmax(has_mid, axis=1) + has_mid.any(axis=1))
     children = corners[np.arange(len(faces))[:, None, None], _CHILDREN[kind]]
     return (np.concatenate([verts, surface.points(new_uv[:, 0], new_uv[:, 1])]),
-            children[np.arange(4) < _CHILD_COUNT[kind][:, None]],
-            np.concatenate([tags, np.where(trunc, TAG_TRUNCATION, TAG_INTERIOR).astype(np.uint8)]),
-            np.concatenate([uv, new_uv]))
+            children[np.arange(4) < _CHILD_COUNT[kind][:, None]])
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +396,10 @@ def _refine_once(surface, verts, faces, tags, uv, pole, radii):
 def load_mesh(path, fmt: str | None = None, pole=(0.0, 0.0, 0.0)) -> TriMesh:
     """Read an ASCII OFF or OBJ file (positions and faces only).
 
-    Polygonal faces are fan-triangulated.  Boundary vertices are tagged as
-    truncation; non-manifold input raises with the offending edges, a
-    face of (nearly) zero area with its index, and a malformed line or a
-    non-finite coordinate with its line number.
+    Polygonal faces are fan-triangulated, and TriMesh tags the boundary
+    vertices as truncation; non-manifold input raises with the offending
+    edges, a face of (nearly) zero area with its index, and a malformed line
+    or a non-finite coordinate with its line number.
     """
     path = str(path)
     if fmt is None:
@@ -440,12 +412,11 @@ def load_mesh(path, fmt: str | None = None, pole=(0.0, 0.0, 0.0)) -> TriMesh:
         verts, corners, sizes = readers[fmt](path)
     except UnicodeDecodeError as exc:
         raise DomainError(f"mesh file {path} is not UTF-8 text ({exc.reason})") from None
-    mesh = TriMesh(verts, _fan(corners, sizes), pole=pole, name=path, validate=False)
+    mesh = TriMesh(verts, _fan(corners, sizes), pole=pole, name=path)
     if not len(mesh.faces):
         raise DomainError("mesh has no faces")
-    tags = np.where(mesh._validate(), TAG_TRUNCATION, TAG_INTERIOR)
     _check_face_areas(mesh)
-    return TriMesh(mesh.verts, mesh.faces, pole=pole, tags=tags, name=path, validate=False)
+    return mesh
 
 
 def _fan(corners, sizes) -> np.ndarray:
@@ -606,7 +577,7 @@ def minimality_residual(mesh: TriMesh) -> float:
                            - np.bincount(cols, d[:, k], minlength=n) for k in range(3)])
     with np.errstate(divide="ignore", invalid="ignore"):
         hn = np.linalg.norm(lap, axis=1) / mass
-    interior = ~mesh.boundary_vertex_mask()
+    interior = mesh.tags != TAG_TRUNCATION
     if not interior.any():
         raise DomainError("mesh has no interior vertices")
     return float(np.percentile(hn[interior], _RESIDUAL_PERCENTILE))

@@ -176,6 +176,16 @@ class TestSurfaceCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "h" / "mesh.off").exists()
 
+    @pytest.mark.parametrize("cover", ["0", "-5"])
+    @pytest.mark.parametrize("surface", surfaces.BUILTIN_NAMES)
+    def test_non_positive_cover_is_exit_3(self, tmp_path, capsys, surface, cover):
+        code = run(["surface", "--surface", surface, "--cover", cover, "--res", "16",
+                    "--out", str(tmp_path), "--name", "s"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"error: {surface} cover radius must be positive, got {float(cover)!r}\n")
+        assert not (tmp_path / "s" / "mesh.off").exists()
+
     def test_ingest_roundtrip(self, tmp_path):
         run(["surface", "--surface", "plane", "--res", "16", "--cover", "2",
              "--out", str(tmp_path), "--name", "p"])
@@ -756,6 +766,26 @@ def test_numpy_only_runs_never_import_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY, str(tmp_path)],
                           env=_fresh_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+# `excomp surface` with a grid of 40001^2 vertices, under a 3 GiB address-space
+# limit set before excomp loads: the kernel refuses the allocation before any
+# memory is touched
+_OUT_OF_MEMORY = """
+import resource, runpy, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+sys.argv = ["excomp", "surface", "--surface", "plane", "--res", "40000", "--out", sys.argv[1]]
+runpy.run_module("excomp", run_name="__main__")
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS on Linux")
+def test_out_of_memory_is_exit_3(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _OUT_OF_MEMORY, str(tmp_path)],
+                          env=_fresh_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: out of memory: ") and proc.stderr.count("\n") == 1
 
 
 def _openblas_threads() -> bool:

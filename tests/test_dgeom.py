@@ -26,7 +26,7 @@ def _strip_mesh():
 def _untagged(mesh):
     """The mesh without vertex tags: clip then labels the window edges it
     meets from geometry instead of refusing them."""
-    return TriMesh(mesh.verts, mesh.faces)
+    return TriMesh(mesh.verts, mesh.faces, tags=np.zeros(len(mesh.verts), dtype=np.uint8))
 
 
 def _permuted_helicoid(res, seed, ext=13.2):
@@ -47,9 +47,7 @@ def _permuted_helicoid(res, seed, ext=13.2):
     faces = new_id[faces][rng.permutation(len(faces))]
     roll = (rng.integers(0, 3, len(faces))[:, None] + np.arange(3)) % 3
     faces = np.take_along_axis(faces, roll, axis=1)
-    mesh = TriMesh(verts, faces)
-    tags = np.where(mesh.boundary_vertex_mask(), TAG_TRUNCATION, 0)
-    return TriMesh(verts, faces, tags=tags)
+    return TriMesh(verts, faces)
 
 
 def _boundary_edges(reg):
@@ -515,7 +513,7 @@ class TestLaplacianWeights:
         K, _ = cotangent_laplacian(mesh.verts, mesh.faces)
         K = K.tocsr()
         # interior vertex: axis neighbors -1, diagonal neighbors 0, center 4
-        inner = np.flatnonzero(~mesh.boundary_vertex_mask())
+        inner = np.flatnonzero(mesh.tags != TAG_TRUNCATION)
         i = int(inner[len(inner) // 2])
         row = K.getrow(i).toarray().ravel()
         assert row[i] == pytest.approx(4.0, rel=1e-12)
@@ -829,6 +827,13 @@ def _plane_with_octahedron(plane, center=(0.8, 0.8, 0.5), h=0.25):
     return TriMesh(np.concatenate([plane.verts, corners]),
                    np.concatenate([plane.faces, np.array(oct_faces) + n]),
                    tags=np.concatenate([plane.tags, np.zeros(6, dtype=plane.tags.dtype)]))
+
+
+def test_closed_octahedron_has_no_truncation_vertex(plane_128):
+    mesh = _plane_with_octahedron(plane_128)
+    derived = TriMesh(mesh.verts, mesh.faces).tags
+    assert not derived[-6:].any()
+    assert np.array_equal(derived, mesh.tags)  # the plane's window ring and no more
 
 
 class TestEliminationRank:

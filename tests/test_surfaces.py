@@ -54,9 +54,8 @@ class TestBuiltins:
 
     def test_coverage_sized_windows(self):
         for name in ("plane", "catenoid", "helicoid", "enneper"):
-            s = builtin(name, cover_radius=5.0)
-            assert surfaces._boundary_min_radius(s.fn, s.u0, s.u1, s.v0, s.v1,
-                                                 s.periodic_u, s.periodic_v) >= 5.0
+            mesh = tessellate(builtin(name, cover_radius=5.0), 128, 128)
+            assert mesh.r[mesh.tags == TAG_TRUNCATION].min() >= 5.0
 
     @pytest.mark.parametrize("cover", [0.5, 5.0, 12.0, 30.0])
     def test_enneper_extent_is_the_first_square_that_covers(self, cover):
@@ -69,6 +68,42 @@ class TestBuiltins:
         assert (s.u0, s.u1, s.v0, s.v1) == (-E, E, -E, E)
         if cover == 12.0:
             assert s.u1 == 3.425942643334134
+
+
+def _square_grid(n, hole=None):
+    """Unit squares [0, n]^2, each split into two triangles, without the
+    square whose lower-left corner is hole; vertex (x, y) is x * (n + 1) + y."""
+    verts = np.array([(x, y, 0.0) for x in range(n + 1) for y in range(n + 1)])
+    faces = []
+    for x in range(n):
+        for y in range(n):
+            if (x, y) != hole:
+                a, b, c, d = (x * (n + 1) + y, (x + 1) * (n + 1) + y,
+                              (x + 1) * (n + 1) + y + 1, x * (n + 1) + y + 1)
+                faces += [(a, b, c), (a, c, d)]
+    return verts, np.array(faces)
+
+
+class TestDefaultTags:
+    def test_grid_tags_its_outer_ring(self):
+        verts, faces = _square_grid(4)
+        x, y = verts[:, 0], verts[:, 1]
+        ring = (x == 0) | (x == 4) | (y == 0) | (y == 4)
+        assert np.array_equal(TriMesh(verts, faces).tags == TAG_TRUNCATION, ring)
+
+    def test_annulus_tags_both_loops(self):
+        verts, faces = _square_grid(5, hole=(2, 2))
+        x, y = verts[:, 0], verts[:, 1]
+        outer = (x == 0) | (x == 5) | (y == 0) | (y == 5)
+        inner = np.isin(x, (2, 3)) & np.isin(y, (2, 3))
+        tags = TriMesh(verts, faces).tags
+        assert np.array_equal(tags == TAG_TRUNCATION, outer | inner)
+        assert np.count_nonzero(tags == surfaces.TAG_INTERIOR) == 36 - 20 - 4
+
+    def test_explicit_tags_are_kept(self):
+        verts, faces = _square_grid(4)
+        tags = TriMesh(verts, faces, tags=np.zeros(len(verts), dtype=np.uint8)).tags
+        assert tags.dtype == np.uint8 and not tags.any()
 
 
 class TestTessellate:
@@ -104,7 +139,7 @@ class TestTessellate:
     def test_catenoid_is_stitched_closed_in_u(self):
         mesh = tessellate(builtin("catenoid", a=1.0, extent=2.0), 32, 32)
         # only the two v-edges are boundary: 2 * nu boundary vertices
-        assert int(mesh.boundary_vertex_mask().sum()) == 2 * 32
+        assert int((mesh.tags == TAG_TRUNCATION).sum()) == 2 * 32
 
     def test_refinement_splits_marked_band(self):
         s = builtin("plane", extent=4.0)
@@ -126,9 +161,9 @@ class TestTessellate:
             surfaces.TriMesh(verts, np.array([[0, 1, 2], [1, 2, 3]]))
 
 
-def _refine_once_reference(surface, verts, faces, tags, uv, pole, radii):
+def _refine_once_reference(surface, verts, faces, uv, pole, radii):
     """The per-face loop refinement that surfaces._refine_once replaced, kept
-    as its reference: the same vertices, faces and tags in the same order."""
+    as its reference: the same vertices and faces in the same order."""
     r = np.linalg.norm(verts - pole, axis=1)
     fr = r[faces]
     lo, hi = fr.min(axis=1), fr.max(axis=1)
@@ -179,17 +214,6 @@ def _refine_once_reference(surface, verts, faces, tags, uv, pole, radii):
     new_uv = np.array(new_uv).reshape(-1, 2)
     mids = surface.points(new_uv[:, 0], new_uv[:, 1]) if len(new_uv) else np.zeros((0, 3))
 
-    # midpoint tags: truncation only when the edge lies on the truncation boundary
-    uniqk, counts = np.unique(ekeys, return_counts=True)
-    boundary_keys = set(uniqk[counts == 1].tolist())
-    new_tags = []
-    for k, idx in split.items():
-        i, j = int(k // n), int(k % n)
-        if k in boundary_keys and tags[i] == TAG_TRUNCATION and tags[j] == TAG_TRUNCATION:
-            new_tags.append(TAG_TRUNCATION)
-        else:
-            new_tags.append(surfaces.TAG_INTERIOR)
-
     out = []
     for fidx, tri in enumerate(faces):
         ks = [int(x) for x in face_ekeys[fidx]]
@@ -209,10 +233,7 @@ def _refine_once_reference(surface, verts, faces, tags, uv, pole, radii):
                     out += [(a, b, m12), (a, m12, c)]
                 else:
                     out += [(a, b, m20), (m20, b, c)]
-    verts = np.concatenate([verts, mids])
-    uv = np.concatenate([uv, new_uv])
-    tags = np.concatenate([tags, np.array(new_tags, dtype=np.uint8)])
-    return verts, np.array(out, dtype=np.int64), tags, uv
+    return np.concatenate([verts, mids]), np.array(out, dtype=np.int64)
 
 
 # 1 to 3 radii per surface; most of the plane, helicoid and Enneper cases
@@ -246,12 +267,14 @@ class TestRefineMatchesReference:
         # through the interior; their midpoints are interior
         s = builtin("plane", extent=3.0)
         grid = tessellate(s, 12, 10)
-        args = (s, grid.verts, grid.faces, grid.tags, grid.verts[:, :2].copy(), grid.pole,
-                (4.0, 4.2))
+        args = (s, grid.verts, grid.faces, grid.verts[:, :2].copy(), grid.pole, (4.0, 4.2))
         got, want = surfaces._refine_once(*args), _refine_once_reference(*args)
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
             assert g.tobytes() == w.tobytes()
+        mids = TriMesh(*got).tags[len(grid.verts):] == TAG_TRUNCATION
+        on_window = (np.abs(got[0][len(grid.verts):, :2]) == 3.0).any(axis=1)
+        assert np.array_equal(mids, on_window) and not on_window.all()
 
     def test_no_face_meets_the_radius(self):
         s = builtin("plane", extent=4.0)
