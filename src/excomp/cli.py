@@ -81,7 +81,10 @@ def make_model(dim: int, warp: str, lam: float = math.inf,
     elif warp == "r":
         spec = WarpingSpec.space_form(0.0)
     else:
-        spec = WarpingSpec.custom(warp, lam=lam)
+        return ModelSpace(dim, WarpingSpec.custom(warp, lam=lam), quad)
+    if lam != math.inf:  # a space form's domain follows from its curvature
+        raise UsageError(f"--lambda applies to a custom --warp only, got --lambda {lam!r} "
+                         f"with the space form --warp {warp!r}")
     return ModelSpace(dim, spec, quad)
 
 
@@ -420,7 +423,7 @@ def _study_command(body, mesh_optional: bool = False):
 def _quotient_checks(study: harness.Study, grid, report: VerificationReport):
     """The quotient curves over the grid, their gated isoperimetric and tail
     checks, and the curve itself, added to the report."""
-    curve = harness.quotient_curves(study.mesh, study.model, grid)
+    curve = harness.quotient_curves(study, grid)
     report.curves = curve
     report.extend(harness.gate_verdicts(
         harness.comparison_gates(study, float(grid[-1])),
@@ -465,7 +468,7 @@ def _cmd_ends(args, study, report):
         raise ExcompError("--R and --t are required")
     curve = None
     if args.grid is not None:
-        curve = harness.quotient_curves(study.mesh, study.model, _parse_grid(args.grid))
+        curve = harness.quotient_curves(study, _parse_grid(args.grid))
         report.curves = curve
     ends = harness.ends_bound(study, args.R, args.t, curve=curve)
     report.extend(ends.checks)

@@ -5,15 +5,14 @@ triangle clipping between level sets (extrinsic balls and annuli), ball
 areas and level polyline fluxes of r, cotangent-Laplacian Dirichlet and
 Poisson solves (capacity, mean exit time), a membrane eigenvalue estimate,
 and counting of ends as unbounded complement components.  Clipping is the
-only path to a solve.  Ball areas and fluxes come from one radial index per
-mesh, which the mesh keeps until a caller releases it: the faces sorted by
+only path to a solve.  Ball areas and fluxes come from a radial index of the
+mesh (harness.Study builds one per run and releases it): the faces sorted by
 their largest vertex radius, with the area and |grad r| of each (the one
 place |grad r| is computed) and prefix sums of the areas.  RadialIndex.sweep
 answers a whole radius grid, with or without a face mask, in one array pass
 over the (face, radius) pairs where the radius straddles the face; no region
-is built.  ball_area and flux are its one-radius forms, and ball_area equals
-clip(mesh, 0, R).area() to within 1e-12 relative (the summation order
-differs).
+is built.  Its ball areas equal clip(mesh, 0, R).area() to within 1e-12
+relative (the summation order differs).
 
 Conventions: level comparisons treat a vertex with r exactly equal to the
 level as lying above it (symbolic perturbation by one ulp), interpolated cut
@@ -236,18 +235,17 @@ def _label_boundary(region: ClippedRegion):
 
 
 # ---------------------------------------------------------------------------
-# radial gradient, ball areas and flux
+# radial gradient, ball areas and fluxes
 
-# |grad r| in place of a value on the faces where it is undefined
-_AT_POLE = -1.0  # the face centroid coincides with the pole
-_DEGENERATE = -2.0  # the face has no area
+_DEGENERATE = -1.0  # |grad r| in place of a value on a face of no area
 
 
 def _gradient_codes(a, b, c, normal, pole) -> np.ndarray:
     """|grad r| on each triangle with corners a, b, c and the normal
     triangle_normals(a, b, c): the ambient unit radial direction at the
     centroid projected onto the face plane.  A face with its centroid at the
-    pole reads _AT_POLE, and otherwise a face of no area reads _DEGENERATE."""
+    pole reads 1: the pole then lies in the face's plane, where r has unit
+    gradient.  A face of no area reads _DEGENERATE."""
     d = (a + b + c) / 3.0 - pole
     dn = norms(*d.T)
     nn = norms(*normal)
@@ -257,16 +255,9 @@ def _gradient_codes(a, b, c, normal, pole) -> np.ndarray:
     d /= dn[:, None]
     cos = d[:, 0] * (normal[0] / nn) + d[:, 1] * (normal[1] / nn) + d[:, 2] * (normal[2] / nn)
     w = np.sqrt(np.clip(1.0 - cos * cos, 0.0, 1.0))
+    w[at_pole] = 1.0
     w[degenerate] = _DEGENERATE
-    w[at_pole] = _AT_POLE
     return w
-
-
-def _check_gradients(w: np.ndarray):
-    if np.any(w == _AT_POLE):
-        raise DomainError("face centroid coincides with the pole")
-    if np.any(w == _DEGENERATE):
-        raise DomainError("degenerate face in radial gradient computation")
 
 
 def _prefix_sums(values: np.ndarray) -> np.ndarray:
@@ -351,11 +342,11 @@ class RadialIndex:
         """The ball area (of {r <= R}) and the level flux of r through r = R
         at each radius R, over the faces face_mask selects (all by default).
 
-        Each value is the one ball_area or flux returns at that radius alone,
-        bit for bit.  So are the errors: those of ball_area at each radius in
+        Each value is the one a sweep of that radius alone returns, bit for
+        bit.  So are the errors: those of the ball areas at each radius in
         turn (a radius that is not positive, a window that the ball leaks
-        through, a ball of no face), then those of flux (a level cutting a
-        face with no radial gradient); the first radius in grid order wins."""
+        through, a ball of no face), then those of the fluxes (a level
+        cutting a face of no area); the first radius in grid order wins."""
         cuts = self._cuts(radii, face_mask)
         return self._areas(cuts), self._fluxes(cuts)
 
@@ -432,11 +423,8 @@ class RadialIndex:
     def _fluxes(self, cuts: _Cuts) -> np.ndarray:
         """Level fluxes: the level segment of each straddled face, by
         marching triangles, times the face's |grad r|."""
-        if cuts.error is not None:
-            raise cuts.error
-        bad = cuts.grad < 0
-        if bad.any():
-            _check_gradients(cuts.grad[cuts.label == cuts.label[bad][0]])
+        if np.any(cuts.grad == _DEGENERATE):
+            raise DomainError("degenerate face in radial gradient computation")
         f, r, level = cuts.faces, cuts.r, cuts.levels[cuts.label]
         v0 = self.verts[f[:, 0]]
         p1 = v0 + ((level - r[:, 0]) / (r[:, 1] - r[:, 0]))[:, None] * (self.verts[f[:, 1]] - v0)
@@ -453,29 +441,6 @@ def _cut_parameter(p, q, rp, rq, level) -> np.ndarray:
     t = _edge_parameter(np.where(lo, rp, rq), np.where(lo, rq, rp), level)
     t = np.where(t <= _SNAP, 0.0, np.where(t >= 1.0 - _SNAP, 1.0, t))
     return np.where(lo, t, 1.0 - t)
-
-
-def radial_index(mesh: TriMesh) -> RadialIndex:
-    """The mesh's RadialIndex: built once, and kept on the mesh until a
-    caller releases it by clearing mesh.radial_index_memo."""
-    if mesh.radial_index_memo is None:
-        mesh.radial_index_memo = RadialIndex(mesh)
-    return mesh.radial_index_memo
-
-
-def ball_area(mesh: TriMesh, R: float, face_mask=None) -> float:
-    """Area of the extrinsic ball {r <= R}: clip(mesh, 0, R).area() to within
-    1e-12 relative, without building the region."""
-    index = radial_index(mesh)
-    return float(index._areas(index._cuts([R], face_mask))[0])
-
-
-def flux(mesh: TriMesh, R: float, face_mask=None) -> float:
-    """Flux of the extrinsic distance through the level r = R: the level
-    polyline is extracted by marching triangles and |grad r| (per face, by
-    ambient projection) is integrated against segment length."""
-    index = radial_index(mesh)
-    return float(index._fluxes(index._cuts([R], face_mask))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@ below, sign of w', ambient curvature bound) are evaluated first and a failed
 gate yields inconclusive, never pass.
 
 The checks read their mesh and model from a `Study`, which computes each
-gate, annulus capacity and end split once per run, however many checks read
-it.  The model holds the quadrature tolerances.
+gate, annulus capacity, end split and radial sweep once per run, however
+many checks read it, and owns the mesh's radial index.  The model holds the
+quadrature tolerances.
 
 The result dataclasses (`Check`, `QuotientCurve`, `EndsReport`, `ToneReport`
 and the model's results) are the report schema: `_json_safe` writes each as
@@ -110,23 +111,18 @@ class QuotientCurve:
         return float(window.max() - window.min()) <= _STABLE_TOL * float(abs(window.max()))
 
 
-def _check_surface_model(model: ModelSpace):
-    if model.m != 2:
-        raise DomainError("discrete meshes are surfaces; the model must have m = 2")
-
-
-def quotient_curves(mesh: TriMesh, model: ModelSpace, grid, end_mask=None) -> QuotientCurve:
-    """Sample Vol(D_R)/Vol(B_R) and J(R)/volS(R) over the grid, optionally
-    restricted to the faces of one end, by one sweep of the mesh's radial
-    index."""
-    _check_surface_model(model)
+def quotient_curves(study: Study, grid, end_mask=None) -> QuotientCurve:
+    """Sample Vol(D_R)/Vol(B_R) and J(R)/volS(R) of the study's mesh and
+    model over the grid, optionally restricted to the faces of one end, by
+    one sweep of the study's radial index."""
     grid = np.asarray(grid, dtype=float)
     if np.any(np.diff(grid) <= 0) or grid[0] <= 0:
         raise DomainError("grid must be positive and strictly increasing")
 
+    model = study.model
     radii = [float(R) for R in grid]
     try:
-        areas, fluxes = dgeom.radial_index(mesh).sweep(grid, end_mask)
+        areas, fluxes = study.sweep(grid, end_mask)
     except CoverageError as exc:
         # radius by radius, a model volume failing below the leaking ball comes first
         for R in radii[:radii.index(exc.radius)]:
@@ -198,18 +194,21 @@ def _monotone_w_gate(model: ModelSpace, R: float, strict: bool = False) -> Check
 @dataclass(eq=False)
 class Study:
     """One run's mesh (None for a model-only tone report) and model, which
-    must have dimension 2 when there is a mesh.  Each gate, annulus capacity
-    and end split is computed on first use and memoised in a dict keyed by
-    its arguments; only results are kept (`Check`, `CapacityResult`,
-    `EndsResult`), never a region."""
+    must have dimension 2 when there is a mesh.  Each gate, annulus capacity,
+    end split and sweep of all faces is computed on first use and memoised in
+    a dict keyed by its arguments; only results are kept (`Check`,
+    `CapacityResult`, `EndsResult`, arrays), never a region.  index is the
+    mesh's radial index, built by the first sweep and held until tone_report
+    releases it."""
 
     mesh: TriMesh | None
     model: ModelSpace
+    index: dgeom.RadialIndex | None = field(default=None, init=False, repr=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        if self.mesh is not None:
-            _check_surface_model(self.model)
+        if self.mesh is not None and self.model.m != 2:
+            raise DomainError("discrete meshes are surfaces; the model must have m = 2")
 
     def _once(self, key: tuple, compute):
         if key not in self._memo:
@@ -235,6 +234,18 @@ class Study:
         """Components of {r > R} that reach the truncation boundary."""
         return self._once(("ends", R), lambda: dgeom.end_components(self.mesh, R))
 
+    def sweep(self, radii, end_mask=None) -> tuple[np.ndarray, np.ndarray]:
+        """The ball area and level flux at each radius, over the faces
+        end_mask selects (all by default): RadialIndex.sweep, values and
+        errors alike.  A sweep of all faces is memoised per radius list."""
+        def compute():
+            if self.index is None:
+                self.index = dgeom.RadialIndex(self.mesh)
+            return self.index.sweep(radii, end_mask)
+        if end_mask is not None:
+            return compute()
+        return self._once(("sweep", *map(float, radii)), compute)
+
 
 def comparison_gates(study: Study, R: float, monotone: bool = True) -> list[Check]:
     """Hypotheses shared by the comparison theorems for a Euclidean
@@ -254,10 +265,11 @@ def verify_capacity_sandwich(study: Study, rho: float, R: float) -> list[Check]:
             "capacity.sandwich", "capacity quotient sandwiched by flux quotients",
             math.nan, math.nan, math.nan, _SANDWICH_TOL, INCONCLUSIVE)])
     checks = list(gates)
-    model, mesh = study.model, study.mesh
+    model = study.model
     ratio = study.capacity(rho, R).capacity / model.capacity(rho, R)
-    lower = dgeom.flux(mesh, rho) / model.vol_sphere(rho)
-    upper = dgeom.flux(mesh, R) / model.vol_sphere(R)
+    _, fluxes = study.sweep([rho, R])
+    lower = float(fluxes[0]) / model.vol_sphere(rho)
+    upper = float(fluxes[1]) / model.vol_sphere(R)
     checks.append(_leq_check(
         "capacity.lower", "J(rho)/J_w(rho) <= Cap/Cap_w", lower, ratio, _SANDWICH_TOL,
         notes=f"rho={rho:.6g}, R={R:.6g}"))
@@ -272,8 +284,9 @@ def verify_euclidean_sandwich(study: Study, rho: float, R: float) -> list[Check]
     model (Euclidean ambient, m = 2), whatever the study's model."""
     model = ModelSpace(2, WarpingSpec.space_form(0.0), study.model.quad)
     ratio = study.capacity(rho, R).capacity / model.capacity(rho, R)
-    lower = dgeom.ball_area(study.mesh, rho) / model.vol_ball(rho)
-    upper = dgeom.ball_area(study.mesh, R) / model.vol_ball(R)
+    areas, _ = study.sweep([rho, R])
+    lower = float(areas[0]) / model.vol_ball(rho)
+    upper = float(areas[1]) / model.vol_ball(R)
     return [
         _leq_check("euclidean.lower", "Vol(D_rho)/(pi rho^2) <= Cap/Cap_flat",
                    lower, ratio, _SANDWICH_TOL, notes=f"rho={rho:.6g}"),
@@ -292,8 +305,8 @@ def exit_time_comparison(study: Study, R: float) -> list[Check]:
             "exit_time.domination", "E_P >= E_w(r) pointwise",
             math.nan, math.nan, math.nan, _EXIT_TOL, INCONCLUSIVE)])
     checks = list(gates)
-    mesh, model = study.mesh, study.model
-    region = dgeom.clip(mesh, 0.0, R)
+    model = study.model
+    region = dgeom.clip(study.mesh, 0.0, R)
     field = dgeom.exit_time_discrete(region)
     ew = model.mean_exit_profile(R, region.r)
     scale = float(ew.max())
@@ -307,8 +320,9 @@ def exit_time_comparison(study: Study, R: float) -> list[Check]:
         notes=f"worst vertex r={region.r[worst]:.6g}, slack {slack:.4g}"))
 
     def quots(radius):
-        return (dgeom.ball_area(mesh, radius) / model.vol_ball(radius),
-                dgeom.flux(mesh, radius) / model.vol_sphere(radius))
+        (area,), (level_flux,) = study.sweep([radius])
+        return (float(area) / model.vol_ball(radius),
+                float(level_flux) / model.vol_sphere(radius))
 
     vR, fR = quots(R)
     try:
@@ -354,7 +368,7 @@ def ends_bound(study: Study, R: float, t: float,
     asymptotic form 2^m * C_w * Vol_w when the coefficient is finite."""
     if not t > R:
         raise DomainError(f"need t > R, got R={R!r}, t={t!r}")
-    mesh, model = study.mesh, study.model
+    model = study.model
     gates = [
         study.curvature_gate(t),
         study.balance_gate(t),
@@ -374,7 +388,8 @@ def ends_bound(study: Study, R: float, t: float,
         return EndsReport(R, t, math.nan, ends.count, None, None, checks, ends.warning)
     m = model.m
     coeff = m * model.vol_ball(t) / (model.V0 * t ** m)
-    vol_quot_t = dgeom.ball_area(mesh, t) / model.vol_ball(t)
+    (area_t,), _ = study.sweep([t])
+    vol_quot_t = float(area_t) / model.vol_ball(t)
     bound = (2.0 / (1.0 - R / t)) ** m * coeff * vol_quot_t
     checks.append(_leq_check(
         "ends.bound",
@@ -427,10 +442,10 @@ def tone_report(study: Study, R0: float, grid) -> ToneReport:
         if len(sub) < 2:
             raise DomainError("grid must extend beyond R0 for end-restricted quotients")
         for mask in ends.face_masks:
-            c = quotient_curves(mesh, model, sub, end_mask=mask)
+            c = quotient_curves(study, sub, end_mask=mask)
             factors.append(c.w_flux_estimate() / c.w_volume_estimate())
         # the sweeps are done: the eigenvalue LUs below peak without their index
-        mesh.radial_index_memo = None
+        study.index = None
     factor = min(factors) if factors else 1.0
     upper = factor * tone.reported_limsup
     lower = cheeger.lower_bound
@@ -471,9 +486,9 @@ def volume_flux_tail(curve: QuotientCurve) -> Check:
     """When the volume quotient has stabilized over the last tenth of the
     grid (finite w-volume detected), the flux and volume quotients must
     agree at the largest radius."""
-    window = curve.vol_quotient[_top_slice(len(curve.grid))]
-    spread = float(window.max() - window.min()) / max(float(window.max()), 1e-300)
-    if len(window) < 2 or spread > _STABLE_TOL:
+    if not curve.stable():
+        window = curve.vol_quotient[_top_slice(len(curve.grid))]
+        spread = float(window.max() - window.min()) / max(float(window.max()), 1e-300)
         return Check("volume_flux.tail", "w-flux equals w-volume for finite w-volume",
                      spread, _STABLE_TOL, 0.0, _STABLE_TOL, INCONCLUSIVE,
                      notes="volume quotient not stable over the last tenth of the grid")

@@ -161,9 +161,7 @@ class TriMesh:
     tags[i] in {interior, truncation (window edge)}: unless the caller passes
     tags, exactly the boundary vertices (on an edge of one face) are
     truncation.  Arrays are frozen after construction; every interior edge is
-    shared by exactly two consistently oriented triangles.  radial_index_memo
-    holds the mesh's dgeom.RadialIndex once a ball area or flux has built it,
-    until a caller releases it.
+    shared by exactly two consistently oriented triangles.
     """
 
     def __init__(self, verts, faces, pole=(0.0, 0.0, 0.0), tags=None, name="mesh"):
@@ -181,7 +179,6 @@ class TriMesh:
                              else tags, dtype=np.uint8)
         for arr in (self.verts, self.faces, self.r, self.tags, self.pole):
             arr.setflags(write=False)
-        self.radial_index_memo = None
 
     def _validate(self) -> np.ndarray:
         """Raise on an out-of-range index, a face with a repeated vertex, an

@@ -108,7 +108,7 @@ def test_criterion_2_balance():
 
 def _plane_suite(mesh, tol_quot=0.01, tol_other=0.02):
     model = flat(2)
-    curve = harness.quotient_curves(mesh, model, np.linspace(0.5, 3.0, 6))
+    curve = harness.quotient_curves(Study(mesh, model), np.linspace(0.5, 3.0, 6))
     assert np.abs(curve.vol_quotient - 1.0).max() <= tol_quot, "volume quotient off 1"
     assert np.abs(curve.flux_quotient - 1.0).max() <= tol_quot, "flux quotient off 1"
 
@@ -140,7 +140,8 @@ def test_criterion_3_plane_self_test():
 def _catenoid_suite(mesh):
     model = flat(2)
     grid = np.linspace(2.0, 20.0, 10)
-    curve = harness.quotient_curves(mesh, model, grid)
+    study = Study(mesh, model)
+    curve = harness.quotient_curves(study, grid)
 
     # (a) volume quotient monotone within 1% slack, and 2 +- 5% at R=20
     ratios = curve.vol_quotient[1:] / curve.vol_quotient[:-1]
@@ -164,7 +165,7 @@ def _catenoid_suite(mesh):
     assert (E - Ew).min() >= -0.02 * Ew.max(), "exit-time domination failed"
 
     # (e) two ends; finite-radius and asymptotic bounds dominate the count
-    report = harness.ends_bound(Study(mesh, model), 2.0, 20.0, curve=curve)
+    report = harness.ends_bound(study, 2.0, 20.0, curve=curve)
     assert report.count == 2, f"end count {report.count}"
     assert report.bound >= 2.0
     assert report.asymptotic_bound is not None

@@ -336,9 +336,14 @@ class TestReportSchema:
         }
 
 
+_ONCE_PER_RUN_VERIFY = ["verify", "--surface", "catenoid", "--a", "1", "--res", "64",
+                        "--cover", "12", "--dim", "2", "--warp", "r", "--grid", "2:10:5",
+                        "--rho", "1.5", "--R", "6", "--t", "9", "--R0", "2"]
+
+
 class TestOncePerRun:
-    """Each capacity solve, end split and gate radius of a run is computed
-    once, however many checks read it."""
+    """Each capacity solve, end split, gate radius and radial sweep of a run
+    is computed once, however many checks read it."""
 
     @staticmethod
     def _count(monkeypatch, module, name) -> list:
@@ -358,19 +363,18 @@ class TestOncePerRun:
         balance = self._count(monkeypatch, harness, "_balance_gate")
         sweeps = self._count(monkeypatch, dgeom.RadialIndex, "sweep")
         indexes = self._count(monkeypatch, dgeom, "RadialIndex")
-        code = run(["verify", "--surface", "catenoid", "--a", "1", "--res", "64",
-                    "--cover", "12", "--dim", "2", "--warp", "r", "--grid", "2:10:5",
-                    "--rho", "1.5", "--R", "6", "--t", "9", "--R0", "2",
-                    "--out", str(tmp_path)])
+        code = run(_ONCE_PER_RUN_VERIFY + ["--out", str(tmp_path)])
         assert code == 0
         assert len(solves) == 1
         assert len(ends) == 1
         # five gate sets read three radii: grid[-1] twice, R twice, t once
         assert sorted(args[1] for args in balance) == [6.0, 9.0, 10.0]
-        # one index serves every ball area and flux; one sweep per quotient
-        # curve, the run's and one for each of the catenoid's two ends
+        # one index serves every ball area and flux, and each radius list is
+        # swept once: the run's curve, the capacity and Euclidean sandwiches'
+        # (rho, R), the exit-time proxy's R and R/2, the ends bound's t and
+        # one curve for each of the catenoid's two ends
         assert len(indexes) == 1
-        assert len(sweeps) == 3
+        assert len(sweeps) == 7
 
     def test_capacity(self, tmp_path, monkeypatch):
         solves = self._count(monkeypatch, dgeom, "capacity_discrete")
@@ -452,6 +456,17 @@ class TestOtherSubcommands:
         report = json.loads((tmp_path / "cap" / "report.json").read_text())
         assert report["scalars"]["capacity_model"] == pytest.approx(
             2 * 3.141592653589793 / 0.6931471805599453, rel=1e-9)
+
+    def test_pole_at_a_face_centroid(self, tmp_path):
+        # the pole lies in the plane of the face it centres, where |grad r| = 1
+        pole = "-0.09166666666666679,0.09166666666666679,0.0"
+        mesh = surfaces.tessellate(surfaces.builtin("plane", cover_radius=8.0), 64, 64)
+        centroids = mesh.verts[mesh.faces].mean(axis=1)
+        assert np.linalg.norm(centroids - np.array(pole.split(","), float), axis=1).min() < 1e-14
+        code = run(["capacity", "--surface", "plane", "--res", "64", "--cover", "8",
+                    "--dim", "2", "--warp", "r", f"--pole={pole}", "--rho", "0.15", "--R", "4",
+                    "--out", str(tmp_path)])
+        assert code == 0
 
     def test_exit_time_subcommand(self, tmp_path):
         code = run(["exit-time", "--surface", "plane", "--res", "64", "--cover", "3.2",
@@ -673,6 +688,18 @@ class TestValueErrors:
     def test_lambda_inf_is_the_default(self, tmp_path):
         assert run(["model", "--warp", "sinh(r)", "--lambda=inf", "--out", str(tmp_path)]) == 0
 
+    @pytest.mark.parametrize("warp", ["r", "b=1", "b=-1"])
+    def test_lambda_with_a_space_form(self, tmp_path, capsys, warp):
+        # a space form's domain follows from its curvature
+        err = self._usage_error(["model", "--dim", "2", f"--warp={warp}", "--lambda", "2",
+                                 "--grid", "0.5:3:4", "--out", str(tmp_path)], capsys)
+        assert "--lambda" in err and "space form" in err
+        assert not (tmp_path / "model").exists()
+
+    def test_lambda_with_a_space_form_in_config(self, tmp_path, capsys):
+        err = self._config_error(tmp_path, capsys, {"warp": "b=1", "lam": 2})
+        assert "--lambda" in err and "space form" in err
+
     def test_non_finite_config_radius(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text('{"t": Infinity}')
@@ -777,6 +804,24 @@ resource.setrlimit(resource.RLIMIT_AS, (3 << 30, resource.getrlimit(resource.RLI
 sys.argv = ["excomp", "surface", "--surface", "plane", "--res", "40000", "--out", sys.argv[1]]
 runpy.run_module("excomp", run_name="__main__")
 """
+
+
+def test_traced_benchmark_mode_runs_verify(tmp_path, monkeypatch):
+    # perfbench/traced.py wraps excomp's functions from outside the package
+    # and binds some of their parameters by name (face_mask, path): a rename
+    # would crash its runs
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    spans = tmp_path / "spans.json"
+    proc = subprocess.run([sys.executable, str(perfbench / "traced.py"), str(spans),
+                           *_ONCE_PER_RUN_VERIFY, "--out", str(tmp_path)],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.syspath_prepend(str(perfbench))
+    import traced
+    metrics = traced.layer_metrics(json.loads(spans.read_text()))
+    for name in ("dgeom.clip_calls", "dgeom.cg_calls", "dgeom.lu_calls",
+                 "harness.curve_radii", "harness.gate_calls"):
+        assert metrics[name] > 0, name
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="needs RLIMIT_AS on Linux")

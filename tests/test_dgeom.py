@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -11,9 +12,11 @@ from scipy import sparse, special
 
 from excomp import dgeom, surfaces
 from excomp.dgeom import (LABEL_INNER, LABEL_INTERIOR, LABEL_OUTER, LABEL_TRUNCATION,
-                          ball_area, capacity_discrete, clip, elimination_rank, end_components,
-                          exit_time_discrete, first_eigenvalue_estimate, flux, solve_dirichlet)
+                          capacity_discrete, clip, elimination_rank, end_components,
+                          exit_time_discrete, first_eigenvalue_estimate, solve_dirichlet)
 from excomp.errors import CoverageError, DomainError, SolveError
+from excomp.harness import Study
+from excomp.modelspace import ModelSpace, WarpingSpec
 from excomp.surfaces import TAG_TRUNCATION, TriMesh, builtin, cotangent_laplacian, tessellate
 
 
@@ -218,6 +221,21 @@ def helicoid_64():
     return _permuted_helicoid(64, seed=3)
 
 
+@functools.cache
+def _index(mesh) -> dgeom.RadialIndex:
+    return dgeom.RadialIndex(mesh)
+
+
+def _ball_area(mesh, R, mask=None) -> float:
+    """The ball area at R, from a sweep of that radius alone."""
+    return float(_index(mesh).sweep([R], mask)[0][0])
+
+
+def _flux(mesh, R, mask=None) -> float:
+    """The level flux at R, from a sweep of that radius alone."""
+    return float(_index(mesh).sweep([R], mask)[1][0])
+
+
 def _radius(mesh, s, snap) -> float:
     """A radius up to 5% past the mesh, or, by snap, a vertex radius or one
     ulp to either side of it."""
@@ -234,7 +252,7 @@ def _radius(mesh, s, snap) -> float:
 @given(s=st.floats(0.0, 1.0), snap=st.sampled_from([None, -1, 0, 1]))
 def test_ball_area_matches_clip(request, mesh_name, ends_at, end, s, snap):
     # radii run past the window: where clip succeeds the areas agree, and
-    # where clip raises, ball_area raises the same error
+    # where clip raises, the sweep raises the same error
     mesh = request.getfixturevalue(mesh_name)
     mask = end_components(mesh, ends_at).face_masks[0] if end else None
     R = _radius(mesh, s, snap)
@@ -242,14 +260,14 @@ def test_ball_area_matches_clip(request, mesh_name, ends_at, end, s, snap):
         expected = clip(mesh, 0.0, R, face_mask=mask).area()
     except CoverageError as exc:
         with pytest.raises(CoverageError) as err:
-            ball_area(mesh, R, face_mask=mask)
+            _ball_area(mesh, R, mask)
         assert str(err.value) == str(exc)
         return
     except DomainError:
         with pytest.raises(DomainError):
-            ball_area(mesh, R, face_mask=mask)
+            _ball_area(mesh, R, mask)
         return
-    assert ball_area(mesh, R, face_mask=mask) == pytest.approx(expected, rel=1e-12)
+    assert _ball_area(mesh, R, mask) == pytest.approx(expected, rel=1e-12)
 
 
 def test_ball_area_errors(catenoid_96):
@@ -261,17 +279,17 @@ def test_ball_area_errors(catenoid_96):
     edge = float(mesh.r[mesh.faces[mask]][trunc[mesh.faces[mask]]].min())
     above = float(np.nextafter(edge, np.inf))
     with pytest.raises(CoverageError) as err:
-        ball_area(mesh, above, face_mask=mask)
+        _ball_area(mesh, above, mask)
     with pytest.raises(CoverageError) as ref:
         clip(mesh, 0.0, above, face_mask=mask)
     assert str(err.value) == str(ref.value)
-    assert ball_area(mesh, edge, face_mask=mask) == pytest.approx(
+    assert _ball_area(mesh, edge, mask) == pytest.approx(
         clip(mesh, 0.0, edge, face_mask=mask).area(), rel=1e-12)
     # a ball at or below the smallest vertex radius has no face
     rmin = float(catenoid_96.r.min())
     for R in (-1.0, 0.0, 0.5 * rmin, rmin, math.nan):
         with pytest.raises(DomainError):
-            ball_area(catenoid_96, R)
+            _ball_area(catenoid_96, R)
 
 
 @pytest.mark.parametrize("mesh_name", ["plane_128", "catenoid_96", "helicoid_64"])
@@ -281,16 +299,16 @@ def test_ball_area_monotone_in_R(request, mesh_name, s, t):
     lo = float(mesh.r.min()) + 1e-3
     hi = float(mesh.r[mesh.tags == TAG_TRUNCATION].min())
     small, large = (lo + (hi - lo) * x for x in sorted((s, t)))
-    assert ball_area(mesh, small) <= ball_area(mesh, large) * (1.0 + 1e-12)
+    assert _ball_area(mesh, small) <= _ball_area(mesh, large) * (1.0 + 1e-12)
 
 
-def _flux_by_face_scan(mesh, R, faces):
-    """Reference flux: every face is scanned and each face R cuts adds its
-    level segment, interpolated along each edge that changes side, times
-    |grad r| from the face normal."""
+def _level_segments(mesh, R, faces):
+    """Every face is scanned: the faces R cuts, and the length of the level
+    segment of each, interpolated along each edge that changes side."""
     rf = mesh.r[faces]
-    total = 0.0
-    for face in faces[(rf < R).any(axis=1) & (rf >= R).any(axis=1)]:
+    cut = faces[(rf < R).any(axis=1) & (rf >= R).any(axis=1)]
+    lengths = []
+    for face in cut:
         below = mesh.r[face] < R
         ends = []
         for i, j in ((0, 1), (1, 2), (2, 0)):
@@ -298,11 +316,20 @@ def _flux_by_face_scan(mesh, R, faces):
                 a, b = face[i], face[j]
                 t = (R - mesh.r[a]) / (mesh.r[b] - mesh.r[a])
                 ends.append(mesh.verts[a] + t * (mesh.verts[b] - mesh.verts[a]))
+        lengths.append(float(np.linalg.norm(ends[0] - ends[1])))
+    return cut, lengths
+
+
+def _flux_by_face_scan(mesh, R, faces):
+    """Reference flux: each level segment times |grad r| from the face
+    normal."""
+    total = 0.0
+    for face, length in zip(*_level_segments(mesh, R, faces)):
         p = mesh.verts[face]
         d = p.mean(axis=0) - mesh.pole
         n = np.cross(p[1] - p[0], p[2] - p[0])
         cos = float(d @ n) / (np.linalg.norm(d) * np.linalg.norm(n))
-        total += math.sqrt(max(1.0 - cos * cos, 0.0)) * float(np.linalg.norm(ends[0] - ends[1]))
+        total += math.sqrt(max(1.0 - cos * cos, 0.0)) * length
     return total
 
 
@@ -316,19 +343,25 @@ def test_flux_matches_face_scan(request, mesh_name, ends_at, end, s, snap):
     R = _radius(mesh, s, snap)
     if not R > 0:
         with pytest.raises(DomainError):
-            flux(mesh, R, face_mask=mask)
+            _flux(mesh, R, mask)
         return
     faces = mesh.faces if mask is None else mesh.faces[mask]
     rt = mesh.r[faces][mesh.tags[faces] == TAG_TRUNCATION]
     if np.any((rt > 0) & (rt < R)):  # the level crosses the window: clip's error
         with pytest.raises(CoverageError) as err:
-            flux(mesh, R, face_mask=mask)
+            _flux(mesh, R, mask)
         with pytest.raises(CoverageError) as ref:
             clip(mesh, 0.0, R, face_mask=mask)
         assert str(err.value) == str(ref.value)
         return
+    try:
+        clip(mesh, 0.0, R, face_mask=mask)
+    except DomainError:  # a ball of no face, such as one below the catenoid's neck
+        with pytest.raises(DomainError, match="contains no face"):
+            _flux(mesh, R, mask)
+        return
     # abs covers levels within ulps of a vertex, whose segments are rounding-sized
-    assert flux(mesh, R, face_mask=mask) == pytest.approx(
+    assert _flux(mesh, R, mask) == pytest.approx(
         _flux_by_face_scan(mesh, R, faces), rel=1e-12, abs=1e-12)
 
 
@@ -341,9 +374,10 @@ def _outcome(compute):
 
 
 def _per_radius(mesh, radii, mask):
-    """Every ball area, then every flux, one radius at a time."""
-    return ([ball_area(mesh, R, face_mask=mask) for R in radii],
-            [flux(mesh, R, face_mask=mask) for R in radii])
+    """The ball areas and fluxes, by a sweep of one radius at a time."""
+    index = dgeom.RadialIndex(mesh)
+    swept = [index.sweep([R], mask) for R in radii]
+    return [area[0] for area, _ in swept], [level_flux[0] for _, level_flux in swept]
 
 
 @pytest.mark.parametrize("end", [False, True])
@@ -355,7 +389,7 @@ def test_sweep_matches_clip_and_face_scan(request, mesh_name, ends_at, end, pick
     mesh = request.getfixturevalue(mesh_name)
     mask = end_components(mesh, ends_at).face_masks[0] if end else None
     radii = [_radius(mesh, s, snap) for s, snap in picks]
-    swept = _outcome(lambda: dgeom.radial_index(mesh).sweep(radii, mask))
+    swept = _outcome(lambda: _index(mesh).sweep(radii, mask))
     loop = _outcome(lambda: _per_radius(mesh, radii, mask))
     if isinstance(loop[0], type):  # the loop raised: the sweep raises the same
         assert swept == loop
@@ -376,12 +410,12 @@ def test_sweep_is_its_one_radius_sweeps_bit_for_bit(catenoid_96, end, fractions)
     lo = float(mesh.r[faces].max(axis=1).min())  # a whole face lies in every ball
     hi = float(mesh.r[faces][mesh.tags[faces] == TAG_TRUNCATION].min())
     radii = [lo + (hi - lo) * x for x in fractions]
-    index = dgeom.radial_index(mesh)
+    index = dgeom.RadialIndex(mesh)
     areas, fluxes = index.sweep(radii, mask)
     for i, R in enumerate(radii):
         area, level_flux = index.sweep([R], mask)
-        assert areas[i] == area[0] == ball_area(mesh, R, face_mask=mask)
-        assert fluxes[i] == level_flux[0] == flux(mesh, R, face_mask=mask)
+        assert areas[i] == area[0]
+        assert fluxes[i] == level_flux[0]
 
 
 @pytest.mark.parametrize("end", [False, True])
@@ -394,28 +428,28 @@ def test_sweep_is_its_one_radius_sweeps_bit_for_bit(catenoid_96, end, fractions)
 ])
 def test_sweep_raises_as_the_per_radius_loop(catenoid_96, end, radii, error):
     mask = end_components(catenoid_96, 2.0).face_masks[0] if end else None
-    swept = _outcome(lambda: dgeom.radial_index(catenoid_96).sweep(radii, mask))
+    swept = _outcome(lambda: _index(catenoid_96).sweep(radii, mask))
     assert swept == _outcome(lambda: _per_radius(catenoid_96, radii, mask))
     assert error in swept[1]
     if error == "intrudes":
         assert swept[1].endswith("band (0, 25)")
 
 
-def test_sweep_raises_gradient_errors_after_area_errors(plane_128):
-    # the pole at a face centroid: a level cutting that face has no flux
+def test_a_level_through_the_pole_face_has_its_segment_length_as_flux(plane_128):
+    # the pole at a face centroid lies in that face's plane, where r has
+    # unit gradient: a level cutting the face marches it like any other
     centroids = plane_128.verts[plane_128.faces].mean(axis=1)
-    face = plane_128.faces[np.argmin(np.linalg.norm(centroids, axis=1))]
-    mesh = TriMesh(plane_128.verts, plane_128.faces, pole=plane_128.verts[face].mean(axis=0),
-                   tags=plane_128.tags)
+    k = int(np.argmin(np.linalg.norm(centroids, axis=1)))
+    face = plane_128.faces[k]
+    mesh = TriMesh(plane_128.verts, plane_128.faces, pole=centroids[k], tags=plane_128.tags)
+    assert _grad_norms(mesh.verts, mesh.faces, mesh.pole)[k] == 1.0
     rv = np.sort(mesh.r[face])
     R = float(rv[0] + rv[2]) / 2.0
-    assert ball_area(mesh, R) > 0.0
-    for radii, error in (([R, 1.0], "centroid coincides with the pole"),
-                         ([1.0, R], "centroid coincides with the pole"),
-                         ([R, 1.0, 100.0], "intrudes")):
-        swept = _outcome(lambda: dgeom.radial_index(mesh).sweep(radii))
-        assert swept == _outcome(lambda: _per_radius(mesh, radii, None))
-        assert error in swept[1]
+    cut, lengths = _level_segments(mesh, R, mesh.faces)
+    assert any(np.array_equal(f, face) for f in cut)
+    (area,), (level_flux,) = dgeom.RadialIndex(mesh).sweep([R])
+    assert area == pytest.approx(clip(mesh, 0.0, R).area(), rel=1e-12)
+    assert level_flux == pytest.approx(sum(lengths), rel=1e-12)
 
 
 def test_one_radial_index_per_mesh(monkeypatch):
@@ -428,14 +462,21 @@ def test_one_radial_index_per_mesh(monkeypatch):
 
     monkeypatch.setattr(dgeom.RadialIndex, "__init__", counted)
     mesh = _strip_mesh()
+    study = Study(mesh, ModelSpace(2, WarpingSpec.space_form(0.0)))
     x = mesh.verts[mesh.faces][:, :, 0]
     right, left = x.min(axis=1) > -0.5, x.max(axis=1) < 0.5
     for mask in (None, right, left, right.copy()):
         for R in (0.3, 0.6, 0.9):
-            ball_area(mesh, R, face_mask=mask)
-            flux(mesh, R, face_mask=mask)
-        dgeom.radial_index(mesh).sweep([0.3, 0.6, 0.9], mask)
+            study.sweep([R], mask)
+        study.sweep([0.3, 0.6, 0.9], mask)
     assert builds == [mesh]
+    # a sweep of all faces is kept, one of an end's faces is not
+    assert study.sweep([0.3, 0.6]) is study.sweep([0.3, 0.6])
+    assert study.sweep([0.3], right) is not study.sweep([0.3], right)
+    # once released, the index is built again by the next sweep
+    study.index = None
+    study.sweep([0.4])
+    assert builds == [mesh, mesh]
 
 
 def test_kernels_are_the_expressions_they_replace(catenoid_192, helicoid_64):
@@ -457,18 +498,24 @@ def test_kernels_are_the_expressions_they_replace(catenoid_192, helicoid_64):
                                   np.unique(faces))
 
 
+def _level_flux(mesh, R) -> float:
+    index = _index(mesh)
+    return float(index._fluxes(index._cuts([R], None))[0])
+
+
 class TestFlux:
     def test_level_must_be_positive(self, plane_128):
         for R in (-1.0, 0.0, math.nan):
             with pytest.raises(DomainError):
-                flux(plane_128, R)
+                _flux(plane_128, R)
 
     def test_plane_circle(self, plane_256):
-        assert flux(plane_256, 2.0) == pytest.approx(4 * math.pi, rel=5e-3)
+        assert _flux(plane_256, 2.0) == pytest.approx(4 * math.pi, rel=5e-3)
 
     def test_catenoid_neck_flux_vanishes(self, catenoid_96, catenoid_192):
-        coarse = flux(catenoid_96, 1.0)
-        fine = flux(catenoid_192, 1.0)
+        # the ball of radius 1 holds no face, so no sweep reads this level:
+        # the index's marching flux is read on its own
+        coarse, fine = (_level_flux(mesh, 1.0) for mesh in (catenoid_96, catenoid_192))
         assert coarse < 0.1 * 2 * math.pi
         assert fine < 0.6 * coarse  # decreasing under refinement
 
@@ -476,7 +523,7 @@ class TestFlux:
         # Euclidean ambient identity at R = 20
         R = 20.0
         vol_q = clip(catenoid_96, 0.0, R).area() / (math.pi * R * R)
-        flux_q = flux(catenoid_96, R) / (2 * math.pi * R)
+        flux_q = _flux(catenoid_96, R) / (2 * math.pi * R)
         assert flux_q == pytest.approx(vol_q, rel=1e-2)
 
     def test_coarea_derivative(self, plane_256):
@@ -486,7 +533,7 @@ class TestFlux:
         e_hi = clip(plane_256, 0.0, R + h).area()
         e_lo = clip(plane_256, 0.0, R - h).area()
         fd = (e_hi - e_lo) / (2 * h)
-        assert fd == pytest.approx(flux(plane_256, R), rel=0.03)
+        assert fd == pytest.approx(_flux(plane_256, R), rel=0.03)
 
 
 class TestLaplacianWeights:

@@ -20,17 +20,16 @@ def sinh_model():
 
 class TestQuotientCurves:
     def test_plane_both_one(self, plane_256):
-        curve = harness.quotient_curves(plane_256, flat_model(), np.linspace(0.5, 3, 6))
+        curve = harness.quotient_curves(Study(plane_256, flat_model()), np.linspace(0.5, 3, 6))
         assert np.allclose(curve.vol_quotient, 1.0, atol=5e-3)
         assert np.allclose(curve.flux_quotient, 1.0, atol=5e-3)
 
     def test_model_dimension_gate(self, plane_128):
-        with pytest.raises(DomainError):
-            harness.quotient_curves(plane_128, ModelSpace(3, WarpingSpec.space_form(0.0)),
-                                    np.linspace(0.5, 3, 4))
+        with pytest.raises(DomainError, match="m = 2"):
+            Study(plane_128, ModelSpace(3, WarpingSpec.space_form(0.0)))
 
     def test_catenoid_volume_increasing_toward_two(self, catenoid_96):
-        curve = harness.quotient_curves(catenoid_96, flat_model(), np.linspace(2, 20, 10))
+        curve = harness.quotient_curves(Study(catenoid_96, flat_model()), np.linspace(2, 20, 10))
         assert curve.vol_quotient[0] > 1.0
         assert np.all(np.diff(curve.vol_quotient) > -1e-6)
         assert curve.vol_quotient[-1] == pytest.approx(1.9485, rel=0.02)
@@ -42,7 +41,7 @@ class TestQuotientCurves:
     def test_the_first_failing_radius_names_the_error(self, plane_128, grid, error):
         # the plane's window ends at r = 3.52
         with pytest.raises(DomainError if "outside" in error else CoverageError, match=error):
-            harness.quotient_curves(plane_128, ModelSpace(2, WarpingSpec.space_form(1.0)),
+            harness.quotient_curves(Study(plane_128, ModelSpace(2, WarpingSpec.space_form(1.0))),
                                     np.array(grid))
 
 
@@ -62,7 +61,7 @@ class TestStudy:
 
 class TestVerifyIsoperimetric:
     def test_plane_passes_with_tiny_margins(self, plane_128):
-        curve = harness.quotient_curves(plane_128, flat_model(), np.linspace(0.5, 3, 6))
+        curve = harness.quotient_curves(Study(plane_128, flat_model()), np.linspace(0.5, 3, 6))
         checks = harness.verify_isoperimetric(curve)
         assert all(c.verdict == PASS for c in checks)
 
@@ -136,8 +135,9 @@ class TestEndsBound:
         assert report.bound == pytest.approx(expected, rel=0.01)
 
     def test_catenoid(self, catenoid_96):
-        curve = harness.quotient_curves(catenoid_96, flat_model(), np.linspace(2, 20, 10))
-        report = harness.ends_bound(Study(catenoid_96, flat_model()), 2.0, 20.0, curve=curve)
+        study = Study(catenoid_96, flat_model())
+        curve = harness.quotient_curves(study, np.linspace(2, 20, 10))
+        report = harness.ends_bound(study, 2.0, 20.0, curve=curve)
         assert report.count == 2
         assert report.bound >= 2.0
         assert report.asymptotic_bound == pytest.approx(4.0 * 1.0 * curve.w_volume_estimate(),
@@ -180,30 +180,47 @@ class TestToneReport:
         assert all(c.verdict == PASS for c in report.checks)
 
     def test_eigenvalue_lus_run_with_the_radial_index_released(self, monkeypatch, catenoid_96):
-        # the end-restricted curves build an index; the LUs must not hold it
-        held = []
-        real = dgeom.splu
+        # the end-restricted curves build the study's index; the LUs must not
+        # run while it holds one
+        study = Study(catenoid_96, flat_model())
+        built, held = [], []
+        real_index, real_splu = dgeom.RadialIndex, dgeom.splu
+
+        def counted(mesh):
+            built.append(mesh)
+            return real_index(mesh)
 
         def watched(*args, **kwargs):
-            held.append(catenoid_96.radial_index_memo is not None)
-            return real(*args, **kwargs)
+            held.append(study.index is not None)
+            return real_splu(*args, **kwargs)
+        monkeypatch.setattr(dgeom, "RadialIndex", counted)
         monkeypatch.setattr(dgeom, "splu", watched)
-        report = harness.tone_report(Study(catenoid_96, flat_model()), 2.0,
-                                     np.linspace(2, 20, 10))
+        report = harness.tone_report(study, 2.0, np.linspace(2, 20, 10))
         assert len(report.end_factors) == 2
+        assert built == [catenoid_96]
         assert held == [False] * 4
+        assert study.index is None
 
 
 class TestVolumeFluxTail:
     def test_plane_passes(self, plane_128):
-        curve = harness.quotient_curves(plane_128, flat_model(), np.linspace(0.5, 3, 8))
+        curve = harness.quotient_curves(Study(plane_128, flat_model()), np.linspace(0.5, 3, 8))
         assert harness.volume_flux_tail(curve).verdict == PASS
 
     def test_catenoid_passes(self, catenoid_96):
-        curve = harness.quotient_curves(catenoid_96, flat_model(), np.linspace(2, 20, 10))
+        curve = harness.quotient_curves(Study(catenoid_96, flat_model()), np.linspace(2, 20, 10))
         check = harness.volume_flux_tail(curve)
         assert check.verdict == PASS
         assert check.margin <= 0.01
+
+    @pytest.mark.parametrize("top", [1.0, 1.02, math.nan])
+    def test_tail_is_stable_exactly_when_the_curve_is(self, top):
+        grid = np.linspace(1, 10, 10)
+        vol = np.ones(10)
+        vol[-1] = top
+        curve = QuotientCurve(grid, vol, vol.copy())
+        check = harness.volume_flux_tail(curve)
+        assert (check.verdict == INCONCLUSIVE) == (not curve.stable())
 
     def test_divergent_curve_inconclusive(self):
         grid = np.linspace(1, 10, 10)
@@ -215,7 +232,7 @@ class TestVolumeFluxTail:
 class TestReport:
     def test_json_is_strict_and_deterministic(self, plane_128):
         import json
-        curve = harness.quotient_curves(plane_128, flat_model(), np.linspace(0.5, 3, 5))
+        curve = harness.quotient_curves(Study(plane_128, flat_model()), np.linspace(0.5, 3, 5))
         rep = harness.VerificationReport(harness.verify_isoperimetric(curve),
                                          scalars={"inf_value": math.inf})
         text1 = rep.to_json()
