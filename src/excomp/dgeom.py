@@ -25,11 +25,13 @@ maximum principle.
 
 Solves make no BLAS vector call: the conjugate gradients (cg) are numpy code
 and every inner product goes through _dot, so no solve wakes BLAS worker
-threads.  The eigenvalue LU eliminates in a nested-dissection order of the
-mesh graph (elimination_rank), which one caller computes once for the
-largest of a family of nested balls and passes to each.  scipy supplies the
-sparse matrices, SuperLU (splu) and csgraph (the breadth-first searches of
-that order and the end components).
+threads.  The eigenvalue estimate factors its free block by a multifrontal
+Cholesky (cholesky) on the tree of a nested dissection of the mesh graph
+(elimination_rank), which one caller computes once for the largest of a
+family of nested balls and passes to each; its dense kernels stay below the
+sizes at which OpenBLAS starts worker threads.  The breadth-first searches and
+graph components are numpy frontier code.  scipy supplies only the sparse
+matrices.
 """
 
 from __future__ import annotations
@@ -457,9 +459,8 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
-# The solvers call the module-level names cg and splu, which a tracer may
-# wrap (perfbench/traced.py does).  splu imports scipy when called, so a run
-# that only clips and sweeps never loads it.
+# The solvers call the module-level names cg and cholesky, which a tracer may
+# wrap (perfbench/traced.py wraps cg).
 def cg(A, b, *, rtol, atol, maxiter, M, callback=None):
     """Conjugate gradients for the SPD system A x = b from x = 0, with M the
     Jacobi preconditioner as a vector (the inverse of A's diagonal).  The
@@ -493,11 +494,6 @@ def cg(A, b, *, rtol, atol, maxiter, M, callback=None):
         if callback is not None:
             callback(x)
     return x, maxiter
-
-
-def splu(*args, **kwargs):
-    from scipy.sparse.linalg import splu
-    return splu(*args, **kwargs)
 
 
 @dataclass(eq=False)
@@ -543,10 +539,6 @@ def solve_dirichlet(system: SparseSPDSystem, source: np.ndarray | None = None) -
     Jacobi-preconditioned conjugate gradients (cg above, numpy code that makes
     no BLAS call) to the relative residual _CG_RTOL.  With clamped weights the
     harmonic case obeys the discrete maximum principle."""
-    # scipy's sparse solvers load at the first solve, not at the first splu:
-    # loaded that late, they raised a verify run's peak memory by about 5 MB
-    import scipy.sparse.linalg  # noqa: F401
-
     n = system.K.shape[0]
     free = system.free_mask()
     nfree = int(free.sum())
@@ -606,30 +598,65 @@ def exit_time_discrete(region: ClippedRegion) -> np.ndarray:
     return solve_dirichlet(system, source=system.mass)
 
 
-def _breadth_first(indptr, indices, sources, levels=False):
-    """Breadth-first order of the vertices that the CSR graph (indptr,
-    indices) reaches from any of `sources`, by one search from a super-source
-    joined to each source; with levels, also the level of each (1 at the
-    sources)."""
-    from scipy import sparse
-    from scipy.sparse.csgraph import breadth_first_order
-
+def _adjacency(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """The graph of the m vertices of a CSR structure as one row per vertex
+    listing its neighbours in CSR order, padded with m; row m, of the padding
+    vertex, holds only m."""
     m = len(indptr) - 1
-    g = sparse.csr_matrix((np.ones(len(indices) + len(sources)),
-                           np.concatenate([indices, sources]),
-                           np.append(indptr, indptr[-1] + len(sources))), shape=(m + 1, m + 1))
+    degree = np.diff(indptr)
+    nbr = np.full((m + 1, int(degree.max(initial=0))), m, dtype=np.int64)
+    rows = np.repeat(np.arange(m), degree)
+    nbr[rows, np.arange(len(indices)) - indptr[rows]] = indices
+    return nbr
+
+
+def _breadth_first(nbr, sources, seen, levels=False):
+    """Breadth-first order of the vertices that the graph nbr (_adjacency)
+    reaches from any of `sources` without entering a vertex that `seen`
+    marks: the order of one search from a super-source joined to each source,
+    which visits each level's vertices in the order of their first discovery.
+    With levels, also the level of each (1 at the sources)."""
+    fresh = ~seen
+    fresh[-1] = False  # the padding vertex
+    positions = np.arange(nbr.size, dtype=np.int32)
+    first = np.full(len(seen), nbr.size, dtype=np.int32)
+    front = np.asarray(sources, dtype=np.int64)
+    fresh[front] = False
+    fronts = [front]
+    while True:
+        found = np.take(nbr, front, axis=0).ravel()
+        found = found[fresh[found]]
+        if not len(found):
+            break
+        fresh[found] = False
+        # a vertex found twice joins the level at its first discovery
+        at = positions[:len(found)]
+        np.minimum.at(first, found, at)
+        front = found[np.take(first, found) == at]
+        fronts.append(front)
+    order = np.concatenate(fronts)
     if not levels:
-        return breadth_first_order(g, m, return_predecessors=False)[1:]
-    order, pred = breadth_first_order(g, m, return_predecessors=True)
-    # each level is a run of the order, and the positions of the
-    # predecessors never decrease along it
-    pos = np.empty(m + 1, np.int64)
-    pos[order] = np.arange(len(order))
-    parent = pos[pred[order[1:]]]
-    ends = [1]
-    while ends[-1] < len(order):
-        ends.append(int(np.searchsorted(parent, ends[-1])) + 1)
-    return order[1:], np.repeat(np.arange(1, len(ends)), np.diff(ends))
+        return order
+    return order, np.repeat(np.arange(1, len(fronts) + 1), [len(f) for f in fronts])
+
+
+def _components(i: np.ndarray, j: np.ndarray, m: int) -> np.ndarray:
+    """The least vertex of the connected component of each of m vertices, in
+    the graph with the edges (i, j): each round hooks every label to the
+    least label across its edges, then follows the labels to their roots."""
+    label = np.arange(m)
+    while True:
+        li, lj = label[i], label[j]
+        differ = li != lj
+        if not differ.any():
+            return label
+        li, lj = li[differ], lj[differ]
+        np.minimum.at(label, np.maximum(li, lj), np.minimum(li, lj))
+        while True:
+            root = label[label]
+            if np.array_equal(root, label):
+                break
+            label = root
 
 
 def _first_of_each(labels: np.ndarray, items: np.ndarray) -> np.ndarray:
@@ -639,9 +666,58 @@ def _first_of_each(labels: np.ndarray, items: np.ndarray) -> np.ndarray:
     return items[first[first < len(items)]]
 
 
-def elimination_rank(mesh: TriMesh, R: float) -> np.ndarray:
+@dataclass(eq=False)
+class EliminationTree:
+    """The nested-dissection tree of elimination_rank.  Each leaf part and
+    each separator is a node; a separator is the parent of the parts it
+    separates, and a node's depth counts the splits above it.  node holds the
+    node of each mesh vertex (-1 for a vertex outside the ball), parent and
+    depth one entry per node (parent -1 at a root).  The boundary of node s,
+    boundary[boundary_ptr[s]:boundary_ptr[s + 1]], is the set of ancestor
+    vertices adjacent to its subtree, in increasing order: the rows that
+    eliminating the subtree fills below the node's own."""
+
+    node: np.ndarray
+    parent: np.ndarray
+    depth: np.ndarray
+    boundary_ptr: np.ndarray
+    boundary: np.ndarray
+
+
+def _boundaries(i, j, node, parent, depth):
+    """Per node, the ancestor vertices adjacent to its subtree, as (ptr,
+    vertices).  An edge joins two vertices of one node, or a vertex to one of
+    an ancestor's (parts and separators of one depth never touch), so the
+    boundary of a node is its own edges to shallower vertices plus its
+    children's boundaries less its own vertices: one pass per depth, deepest
+    first.  Node numbers never decrease with depth."""
+    m = len(node)
+    ni, nj = node[i], node[j]
+    down = depth[ni] > depth[nj]
+    up = depth[nj] > depth[ni]
+    # node * m + vertex of each edge to a shallower vertex, sorted: the run
+    # of each depth's nodes is one slice
+    own = np.sort(np.concatenate([ni[down] * m + j[down], nj[up] * m + i[up]]))
+    first_node = np.searchsorted(depth, np.arange(int(depth.max(initial=-1)) + 2))
+    cuts = np.searchsorted(own, first_node * m)
+    keys, carried = [], np.zeros(0, dtype=np.int64)
+    for d in range(len(cuts) - 2, -1, -1):
+        key = np.sort(np.concatenate([own[cuts[d]:cuts[d + 1]], carried]))
+        key = key[np.concatenate([[True], key[1:] != key[:-1]])] if len(key) else key
+        keys.append(key)
+        s, v = key // m, key % m
+        above = parent[s]
+        keep = (above >= 0) & (node[v] != above)
+        carried = above[keep] * m + v[keep]
+    key = np.concatenate(keys[::-1]) if keys else np.zeros(0, dtype=np.int64)
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(key // m, minlength=len(parent)))])
+    return ptr, key % m
+
+
+def elimination_rank(mesh: TriMesh, R: float) -> tuple[np.ndarray, EliminationTree]:
     """The rank of each mesh vertex in a nested-dissection elimination order
-    of the vertices with r < R; the other vertices rank after them.
+    of the vertices with r < R (the other vertices rank after them), and the
+    tree of that dissection.
 
     Each connected part of the graph of mesh edges among those vertices is
     split at the breadth-first level of its median vertex, counted from a
@@ -650,91 +726,502 @@ def elimination_rank(mesh: TriMesh, R: float) -> np.ndarray:
     come first, in breadth-first order, then the separators, deepest first,
     so every separator follows both of its sides.  All the parts of one depth
     are split together, by two searches over the whole graph.  A clipped ball
-    of radius at most R inherits the order: its free vertices are mesh
-    vertices with r < R and its free-free edges are mesh edges, so each
-    separator still separates."""
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-
+    of radius at most R inherits the order and the tree: its free vertices
+    are mesh vertices with r < R and its free-free edges are mesh edges, so
+    each separator still separates and each boundary still bounds."""
     inside = mesh.r < R
     m = int(inside.sum())
     local = np.cumsum(inside) - 1
     i, j, _ = _edge_counts(mesh.faces, len(inside))
     keep = inside[i] & inside[j]
     i, j = local[i[keep]], local[j[keep]]
-    adj = sparse.csr_matrix((np.ones(2 * len(i)), (np.concatenate([i, j]), np.concatenate([j, i]))),
-                            shape=(m, m))
-    rows, cols = np.repeat(np.arange(m, dtype=adj.indices.dtype), np.diff(adj.indptr)), adj.indices
-    alive = np.ones(m, dtype=bool)
+    rows = np.concatenate([i, j])
+    cols = np.sort(rows * m + np.concatenate([j, i])) % m  # by row, then column
+    nbr = _adjacency(np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))]), cols)
+    alive = np.ones(m + 1, dtype=bool)
+    alive[m] = False  # the padding vertex
     part = np.zeros(m, dtype=np.int64)
+    made_by = np.full(m, -1)  # the separator whose split made each vertex's part
+    node = np.empty(m, dtype=np.int64)
+    parent, depth = [], []
     leaves, separators = [np.zeros(0, dtype=np.int64)], []  # none, when no vertex is inside
     while alive.any():
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))])
         live = np.flatnonzero(alive)
-        order = _breadth_first(indptr, cols, _first_of_each(part[live], live))
+        order = _breadth_first(nbr, _first_of_each(part[live], live), ~alive)
         if len(order) < len(live):  # a part came apart: each piece becomes a part
-            _, part = connected_components(
-                sparse.csr_matrix((np.ones(len(cols)), cols, indptr), shape=(m, m)),
-                connection="strong")
-            order = _breadth_first(indptr, cols, _first_of_each(part[live], live))
+            both = alive[i] & alive[j]
+            part = _components(i[both], j[both], m)
+            order = _breadth_first(nbr, _first_of_each(part[live], live), ~alive)
         label = part[order]
         small = np.bincount(label)[label] <= _ND_LEAF
+        if small.any():  # each small part is a leaf
+            parts, leaf = np.unique(label[small], return_inverse=True)
+            node[order[small]] = len(parent) + leaf
+            firsts = np.empty(len(parts), dtype=np.int64)
+            firsts[leaf] = order[small]
+            parent.extend(made_by[firsts])
+            depth.extend([len(separators)] * len(parts))
         leaves.append(order[small])
         alive[order[small]] = False
         if small.all():
             break
         # the second search starts from the last vertex each part's first reached
         order, label = order[~small][::-1], label[~small][::-1]
-        order, level = _breadth_first(indptr, cols, _first_of_each(label, order), levels=True)
+        order, level = _breadth_first(nbr, _first_of_each(label, order), ~alive, levels=True)
         present = np.bincount(part[order]) > 0
         label = (np.cumsum(present) - 1)[part[order]]
-        depth = int(level.max()) + 1
-        upto = np.cumsum(np.bincount(label * depth + level, minlength=int(present.sum()) * depth)
-                         .reshape(-1, depth), axis=1)
+        count = int(present.sum())
+        top = int(level.max()) + 1
+        upto = np.cumsum(np.bincount(label * top + level, minlength=count * top)
+                         .reshape(-1, top), axis=1)
         median = np.argmax(2 * upto >= upto[:, -1:], axis=1)  # the level of each part's median
         side = np.sign(level - median[label])
+        firsts = np.empty(count, dtype=np.int64)
+        firsts[label] = order
+        separator = len(parent) + label
+        parent.extend(made_by[firsts])
+        depth.extend([len(separators)] * count)
+        node[order[side == 0]] = separator[side == 0]
+        made_by[order] = separator
         separators.append(order[side == 0])
         alive[order[side == 0]] = False
         part[order] = 2 * label + (side > 0)
-        keep = alive[rows] & alive[cols]
-        rows, cols = rows[keep], cols[keep]
     rank = np.empty(len(inside), dtype=np.int64)
     rank[np.flatnonzero(inside)[np.concatenate(leaves + separators[::-1])]] = np.arange(m)
     rank[~inside] = np.arange(m, len(inside))
-    return rank
+    parent, depth = np.array(parent, dtype=np.int64), np.array(depth, dtype=np.int64)
+    ptr, boundary = _boundaries(i, j, node, parent, depth)
+    mesh_node = np.full(len(inside), -1, dtype=np.int64)
+    mesh_node[inside] = node
+    return rank, EliminationTree(mesh_node, parent, depth, ptr, np.flatnonzero(inside)[boundary])
 
 
-def first_eigenvalue_estimate(region: ClippedRegion, rank: np.ndarray) -> float:
+# ---------------------------------------------------------------------------
+# the multifrontal Cholesky factorization of an eigenvalue ball's free block
+
+_PIVOTS = 64  # pivots of one dense block at most; a front with more eliminates several
+_PRODUCT = 1 << 18  # m * n * k of one dense product at most
+# Each block factorization is then at most 64 x 64 and each product at most
+# 64 x 64 x 64: below the sizes at which OpenBLAS hands work to its worker
+# threads.
+_BATCH = 1 << 18  # entries of the fronts that one batch holds at most, unless one front has more
+_SAVED = 1 << 15  # front entries whose padding costs about what one more batch does
+
+
+def _front_shape(blocks: int, width: int, nrows: int) -> tuple[int, int]:
+    """(tile, span) of a front of `blocks` pivot blocks of `width` slots and
+    at least nrows boundary rows: the rows come in tiles of `tile`, for which
+    a block's products stay within _PRODUCT (a block's own width when it has
+    later blocks), and span counts all slots."""
+    if blocks > 1:
+        tile = width
+    else:
+        most = min(math.isqrt(_PRODUCT // width), _PRODUCT // width ** 2) // 8 * 8
+        tile = int(_up8(-(-nrows // max(-(-nrows // most), 1))))
+    rows = -(-nrows // tile) * tile if nrows else 0
+    return tile, blocks * width + rows
+
+
+def _up8(count):
+    return -(-count // 8) * 8
+
+
+@dataclass(eq=False)
+class _Fronts:
+    """The dense fronts of one ball's free block, one per tree node with a
+    free vertex, and the elimination order that they make.
+
+    A front's pivots form `blocks` pivot blocks of at most _PIVOTS, each a
+    run of positions of the order.  Level l, the positions
+    level_start[l]:level_start[l + 1], holds blocks that are eliminated
+    together: the rows below a block (the later blocks of its front, then the
+    front's boundary) lie at later levels.  A front's padded dense array
+    holds `blocks` blocks of `width` slots, then `rows` boundary slots in
+    tiles of `tile`; its slots hold the position in each slot (-1 for
+    padding), and its targets the slot in the parent's array of each of its
+    boundary slots.  A batch is a run of fronts of one shape whose first
+    blocks share a level, sorted by their parents' batches."""
+
+    order: np.ndarray  # the free vertex at each position
+    front_of: np.ndarray  # per position, its front
+    slot_of: np.ndarray  # per position, its slot in its front
+    level_start: np.ndarray
+    level_rows: list  # per level, the positions of the rows below its blocks
+    column: np.ndarray  # per position, the entries of L in its column
+    boundary_key: np.ndarray  # front * n + position of each boundary row, increasing
+    boundary_ptr: np.ndarray  # per front, where its rows start in boundary_key
+    blocks: np.ndarray  # per front
+    width: np.ndarray
+    rows: np.ndarray
+    tile: np.ndarray
+    level: np.ndarray  # per front, the level of its first block
+    parent: np.ndarray  # per front, -1 at a root
+    slot_ptr: np.ndarray  # per front, its slots slots[slot_ptr[f]:slot_ptr[f + 1]]
+    slots: np.ndarray
+    target_ptr: np.ndarray  # per front, its targets targets[target_ptr[f]:...]
+    targets: np.ndarray
+    batch: np.ndarray  # per front
+    place: np.ndarray  # per front, its place in its batch
+    batches: list  # in elimination order
+
+
+def _fronts(tree: EliminationTree, vertices: np.ndarray) -> _Fronts:
+    """The fronts of the free block whose free vertices are the mesh
+    vertices `vertices`, on the tree of a ball that holds them.  A node with
+    no free vertex hands its children to its nearest ancestor with one.  The
+    free block's edges are mesh edges among the tree's vertices, so the
+    tree's boundaries, restricted to the free vertices, bound the fronts.
+    A front's first block goes one level above the last blocks of all its
+    children, so the leaves of every depth share level 0."""
+    n = len(vertices)
+    node = tree.node[vertices]
+    if np.any(node < 0):
+        raise DomainError("the elimination tree does not cover the region's free vertices")
+    nodes = len(tree.parent)
+    count = np.bincount(node, minlength=nodes)
+    above = np.full(nodes, -1)  # the nearest ancestor with a free vertex
+    for d in range(int(tree.depth.max(initial=-1)) + 1):
+        s = np.flatnonzero(tree.depth == d)
+        p = tree.parent[s]
+        above[s] = np.where(p < 0, -1, np.where(count[p] > 0, p, above[p]))
+    used = np.flatnonzero(count)
+    front_of = np.full(nodes, -1)
+    front_of[used] = np.arange(len(used))
+    front = front_of[node]
+    size = count[used]
+    blocks = -(-size // _PIVOTS)
+    parent = np.where(above[used] < 0, -1, front_of[np.maximum(above[used], 0)])
+    fronts = len(size)
+    depth = tree.depth[used]
+    level = np.zeros(fronts, dtype=np.int64)
+    for d in range(int(depth.max(initial=-1)), 0, -1):
+        f = np.flatnonzero((depth == d) & (parent >= 0))
+        np.maximum.at(level, parent[f], level[f] + blocks[f])
+
+    # the boundary rows of each front, as free vertices
+    owner = front_of[np.repeat(np.arange(nodes), np.diff(tree.boundary_ptr))]
+    ball = np.full(len(tree.node), -1)
+    ball[vertices] = np.arange(n)
+    member = ball[tree.boundary]
+    kept = (owner >= 0) & (member >= 0)
+    owner, member = owner[kept], member[kept]
+    nrows = np.bincount(owner, minlength=fronts)
+
+    # batches, from the top level down, so that each level's fronts can be
+    # sorted by their parents' batches.  Fronts of one level and block count
+    # share a batch, padded to its largest, while the padding costs less
+    # than the batch it saves
+    width, rows, tile = (np.zeros(fronts, dtype=np.int64) for _ in range(3))
+    batch = np.zeros(fronts, dtype=np.int64)
+    made = []
+    own_width = _up8(-(-size // blocks))
+    for lv in range(int(level.max(initial=-1)), -1, -1):
+        f = np.flatnonzero(level == lv)
+        if not len(f):  # a level of later blocks only
+            continue
+        f = f[np.lexsort((-nrows[f], -own_width[f], blocks[f]))]
+        shape = np.stack([blocks[f], own_width[f], _up8(nrows[f])])
+        groups = []  # [runs of fronts, blocks, width, boundary rows]
+        for run in np.split(f, np.flatnonzero(np.any(np.diff(shape, axis=1), axis=0)) + 1):
+            b, w, nr = int(blocks[run[0]]), int(own_width[run[0]]), int(nrows[run].max())
+            if groups and groups[-1][1] == b:
+                runs, _, gw, gnr = groups[-1]
+                members = sum(len(g) for g in runs)
+                cost = (members + len(run)) * _front_shape(b, max(gw, w), max(gnr, nr))[1] ** 2
+                if cost <= (members * _front_shape(b, gw, gnr)[1] ** 2
+                            + len(run) * _front_shape(b, w, nr)[1] ** 2 + _SAVED):
+                    groups[-1] = [runs + [run], b, max(gw, w), max(gnr, nr)]
+                    continue
+            groups.append([[run], b, w, nr])
+        for runs, b, w, nr in groups:
+            g = np.concatenate(runs)
+            tile[g], span_ = _front_shape(b, w, nr)
+            width[g], rows[g] = w, span_ - b * w
+            up = np.where(parent[g] < 0, -1, batch[np.maximum(parent[g], 0)])
+            g = g[np.argsort(up, kind="stable")]
+            per = max(1, _BATCH // span_ ** 2)
+            for k in range(0, len(g), per):
+                batch[g[k:k + per]] = len(made)
+                made.append(g[k:k + per])
+    span = blocks * width + rows
+    place = np.zeros(fronts, dtype=np.int64)
+    for fs in made:
+        place[fs] = np.arange(len(fs))
+
+    # the order: levels first; in a level, blocks by batch and place
+    by_front = np.argsort(front * (int(vertices.max(initial=0)) + 1) + vertices)
+    fb = front[by_front]
+    block = np.empty(n, dtype=np.int64)
+    block[by_front] = (np.arange(n) - (np.cumsum(size) - size)[fb]) * blocks[fb] // size[fb]
+    vlevel = level[front] + block
+    key = (vlevel * len(made) + batch[front]) * (int(place.max(initial=0)) + 1) + place[front]
+    order = by_front[np.argsort(key[by_front], kind="stable")]
+    pos = np.empty(n, dtype=np.int64)
+    pos[order] = np.arange(n)
+    levels = int(vlevel.max(initial=-1)) + 1
+    level_start = np.concatenate([[0], np.cumsum(np.bincount(vlevel, minlength=levels))])
+    pfront, pblock, plevel = front[order], block[order], vlevel[order]
+    first_block = np.cumsum(blocks) - blocks
+    block_id = first_block[pfront] + pblock
+    block_start = np.full(int(blocks.sum()), n)
+    np.minimum.at(block_start, block_id, np.arange(n))
+    r = np.arange(n) - block_start[block_id]
+    slot_of = pblock * width[pfront] + r
+    upto = np.cumsum(np.bincount(block_id, minlength=len(block_start)))
+    before = np.concatenate([[0], upto])
+    later = size[pfront] - (upto[block_id] - before[first_block[pfront]])  # later blocks' pivots
+    column = (upto[block_id] - before[block_id] - r) + later + nrows[pfront]
+
+    # the boundary rows of each front, its slots, and their targets
+    boundary_key = np.sort(owner * n + pos[member])
+    bfront, bpos = boundary_key // n, boundary_key % n
+    boundary_ptr = np.concatenate([[0], np.cumsum(nrows)])
+    within = np.arange(len(bpos)) - boundary_ptr[bfront]
+    slot_ptr = np.concatenate([[0], np.cumsum(span)])
+    slots = np.full(int(slot_ptr[-1]), -1, dtype=np.int32)
+    slots[slot_ptr[pfront] + slot_of] = np.arange(n)
+    slots[(slot_ptr[:-1] + blocks * width)[bfront] + within] = bpos
+    target_ptr = np.concatenate([[0], np.cumsum(rows)])
+    targets = np.full(int(target_ptr[-1]), -1, dtype=np.int32)
+    u = parent[bfront]
+    into = slot_of[bpos]  # a pivot of the parent, else a row of its boundary
+    out = pfront[bpos] != u
+    u, x = u[out], bpos[out]
+    into[out] = blocks[u] * width[u] + np.searchsorted(boundary_key, u * n + x) - boundary_ptr[u]
+    targets[target_ptr[bfront] + within] = into
+
+    # per level, the rows below its blocks: a pivot lies below the earlier
+    # blocks of its front, and a boundary row below all of them
+    below = np.zeros(levels * n, dtype=bool)
+    for b in range(int(blocks.max(initial=0))):
+        later, rows_b = pblock > b, blocks[bfront] > b
+        below[(plevel[later] - pblock[later] + b) * n + np.flatnonzero(later)] = True
+        below[(level[bfront[rows_b]] + b) * n + bpos[rows_b]] = True
+    level_rows = [np.flatnonzero(below[lv * n:(lv + 1) * n]) for lv in range(levels)]
+    return _Fronts(order, pfront, slot_of, level_start, level_rows, column, boundary_key,
+                   boundary_ptr, blocks, width, rows, tile, level, parent, slot_ptr, slots,
+                   target_ptr, targets, batch, place, made[::-1])
+
+
+def _diagonal_blocks(M: np.ndarray) -> np.ndarray:
+    """A view of the diagonal 8 x 8 blocks of a stack of matrices whose order
+    is a multiple of 8, with the shape (stack, blocks, 8, 8)."""
+    s0, s1, s2 = M.strides
+    return np.lib.stride_tricks.as_strided(
+        M, (len(M), M.shape[1] // 8, 8, 8), (s0, 8 * (s1 + s2), s1, s2))
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """The inverses of a stack of lower triangular matrices whose order is a
+    multiple of 8.  Each diagonal 8 x 8 block B = diag(B) (I - N), with N
+    strictly lower and so N^8 = 0, has the inverse
+    (I + N)(I + N^2)(I + N^4) diag(B)^-1; the blocks left of the diagonal
+    follow one block row at a time."""
+    k, n, _ = L.shape
+    B = np.ascontiguousarray(_diagonal_blocks(L)).reshape(-1, 8, 8)
+    scale = 1.0 / B.reshape(-1, 64)[:, ::9]
+    N = B * -scale[:, :, None]
+    N.reshape(-1, 64)[:, ::9] = 0.0  # each block's diagonal
+    N2 = N @ N
+    N4 = N2 @ N2
+    for M in (N, N2, N4):  # I + M, in place
+        M.reshape(-1, 64)[:, ::9] = 1.0
+    inverse = (N @ N2) @ N4
+    inverse *= scale[:, None, :]
+    if n == 8:
+        return inverse.reshape(k, 8, 8)
+    inverse = inverse.reshape(k, n // 8, 8, 8)
+    D = np.zeros_like(L)
+    _diagonal_blocks(D)[...] = inverse
+    for i in range(1, n // 8):
+        a = 8 * i
+        D[:, a:a + 8, :a] = -inverse[:, i] @ (L[:, a:a + 8, :a] @ D[:, :a, :a])
+    return D
+
+
+class CholeskyFactor:
+    """L L^T of a symmetric positive definite matrix, stored once.  Per
+    level of pivot blocks: the positions start:stop of its pivots, the
+    positions `rows` of the rows below them, and one matrix M (CSC) that
+    stacks D, the inverses of the blocks' diagonal parts L11, over
+    G = L21 D, the rows below times D.  A solve is two matrix-vector products
+    per level: a forward one with M and a backward one with its transpose."""
+
+    def __init__(self, levels: list, nnz: int):
+        self.levels = levels
+        self.nnz = nnz  # the entries of L that the factor stores
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        x = np.array(b, dtype=float)
+        for start, stop, rows, M, _ in self.levels:
+            y = M @ x[start:stop]
+            x[start:stop] = y[:stop - start]
+            x[rows] -= y[stop - start:]
+        for start, stop, rows, _, MT in reversed(self.levels):
+            x[start:stop] = MT @ np.concatenate([x[start:stop], -x[rows]])
+        return x
+
+
+def _assembly(A, f: _Fronts) -> list:
+    """Per batch, a list holding the places in its fronts of the entries of
+    A's lower triangle in its pivot columns, and their values."""
+    n = A.shape[0]
+    cols = np.repeat(np.arange(n), np.diff(A.indptr))
+    low = A.indices >= cols
+    rows, cols, values = A.indices[low], cols[low], A.data[low]
+    owner = f.front_of[cols]
+    r = f.slot_of[rows]
+    out = f.front_of[rows] != owner  # a row of the front's boundary
+    u = owner[out]
+    r[out] = f.blocks[u] * f.width[u] + np.searchsorted(f.boundary_key, u * n + rows[out]) \
+        - f.boundary_ptr[u]
+    span = (f.blocks * f.width + f.rows)[owner]
+    to = ((f.place[owner] * span + r) * span + f.slot_of[cols]).astype(np.int32)
+    by_batch = np.argsort(f.batch[owner], kind="stable")
+    cut = np.searchsorted(f.batch[owner][by_batch], np.arange(len(f.batches) + 1))
+    to, values = to[by_batch], values[by_batch]
+    return [[(to[cut[b]:cut[b + 1]], values[cut[b]:cut[b + 1]])]
+            for b in range(len(f.batches))]
+
+
+def cholesky(A, fronts: _Fronts) -> CholeskyFactor:
+    """The Cholesky factor of the symmetric positive definite A (CSR, in the
+    elimination order of fronts) by the multifrontal method on those fronts.
+
+    Each batch of fronts is assembled from A's lower triangle and its
+    children's updates, then each pivot block in turn is factored
+    (L11 = chol(F11), D = L11^-1) and eliminated from the rows below it
+    (L21 = F21 D^T, G = L21 D, F22 -= L21 L21^T by tiles on and below the
+    diagonal).  The lower triangle of what is left of the boundary block is
+    the update, which waits in its parent's batch and is freed once that is
+    assembled."""
+    from scipy import sparse
+
+    f = fronts
+    starts = f.level_start
+    levels = len(starts) - 1
+    indptr = [np.concatenate([[0], np.cumsum(f.column[starts[lv]:starts[lv + 1]])])
+              for lv in range(levels)]
+    data, indices = [None] * levels, [None] * levels  # made at a level's first block
+    # per batch, the entries that its fronts assemble, as (place, value):
+    # first A's lower triangle, then its children's updates
+    pending = _assembly(A, f)
+    for fs in f.batches:
+        k, blocks, width, rows, tile = (len(fs), int(f.blocks[fs[0]]), int(f.width[fs[0]]),
+                                        int(f.rows[fs[0]]), int(f.tile[fs[0]]))
+        P = blocks * width
+        span = P + rows
+        S = f.slots[f.slot_ptr[fs, None] + np.arange(span)]
+        F = np.zeros(k * span * span)
+        for to, values in pending[f.batch[fs[0]]]:
+            np.add.at(F, to, values)
+        pending[f.batch[fs[0]]] = None
+        F = F.reshape(k, span, span)
+        q, c = np.nonzero(S[:, :P] < 0)
+        F[q, c, c] = 1.0  # padding pivots
+
+        update = None  # L21 L21^T of a last block of one tile, not yet subtracted
+        for j in range(blocks):
+            a, e = j * width, (j + 1) * width
+            W = _lower_inverse(np.linalg.cholesky(F[:, a:e, a:e]))
+            X = W.transpose(0, 2, 1)  # per front, column c of D in row c
+            if e < span:
+                nt = (span - e) // tile
+                L21 = F[:, e:, a:e].reshape(k, nt, tile, width) @ X[:, None]
+                G = (L21 @ W[:, None]).reshape(k, span - e, width)
+                X = np.concatenate([X, G.transpose(0, 2, 1)], axis=2)
+                # F22 -= L21 L21^T, in tiles on and below the diagonal, one
+                # row of tiles at a time
+                if nt == 1 and e == P:
+                    update = L21[:, 0] @ L21[:, 0].transpose(0, 2, 1)
+                for i in range(nt if update is None else 0):
+                    r0 = e + i * tile
+                    F[:, r0:r0 + tile, e:r0 + tile].reshape(k, tile, i + 1, tile).transpose(
+                        0, 2, 1, 3)[...] -= L21[:, i:i + 1] @ L21[:, :i + 1].transpose(0, 1, 3, 2)
+                del L21, G
+            # the block's columns of M: its rows of D, then the rows below it
+            lv = int(f.level[fs[0]]) + j
+            lo = starts[lv]
+            below = S[:, e:]
+            ids = np.concatenate([S[:, a:e] - lo, np.where(
+                below >= 0, (starts[lv + 1] - lo) + np.searchsorted(f.level_rows[lv], below), -1)],
+                axis=1)
+            keep = (S[:, a:e] >= 0)[:, :, None] & (ids >= 0)[:, None, :]
+            keep[:, :, :width] &= np.tri(width, dtype=bool).T
+            if data[lv] is None:
+                data[lv] = np.empty(int(indptr[lv][-1]))
+                indices[lv] = np.empty(int(indptr[lv][-1]), dtype=np.int32)
+            begin = int(indptr[lv][S[0, a] - lo])
+            values = X[keep]
+            data[lv][begin:begin + len(values)] = values
+            indices[lv][begin:begin + len(values)] = np.broadcast_to(ids[:, None, :],
+                                                                     keep.shape)[keep]
+            del W, X, keep, ids
+
+        if rows:  # the update, lower triangle only, to the parents' batches
+            T = f.targets[f.target_ptr[fs, None] + np.arange(rows)]
+            real = np.count_nonzero(T >= 0, axis=1)  # the real rows come first
+            up = f.parent[fs]
+            up_span = f.blocks[up] * f.width[up] + f.rows[up]
+            to = (f.place[up] * up_span ** 2).astype(np.int32)[:, None, None] \
+                + (T * up_span[:, None].astype(np.int32))[:, :, None] + T[:, None, :]
+            keep = np.tri(rows, dtype=bool) & (np.arange(rows) < real[:, None])[:, :, None]
+            if update is None:
+                values = F[:, P:, P:][keep]
+            else:
+                values = np.subtract(F[:, P:, P:], update, out=update)[keep]
+            to = to[keep]
+            ends = np.cumsum(real * (real + 1) // 2)
+            up_batch = f.batch[up]
+            cuts = np.flatnonzero(np.diff(up_batch)) + 1
+            for lo_q, hi_q in zip(np.concatenate([[0], cuts]), np.concatenate([cuts, [k]])):
+                lo_e = ends[lo_q - 1] if lo_q else 0
+                pending[up_batch[lo_q]].append((to[lo_e:ends[hi_q - 1]],
+                                                values[lo_e:ends[hi_q - 1]]))
+            del to, values, keep
+        del F, update
+    levels_out = []
+    for lv in range(levels):
+        p = int(starts[lv + 1] - starts[lv])
+        M = sparse.csc_matrix((data[lv], indices[lv], indptr[lv]),
+                              shape=(p + len(f.level_rows[lv]), p))
+        levels_out.append((int(starts[lv]), int(starts[lv + 1]), f.level_rows[lv], M, M.T))
+    return CholeskyFactor(levels_out, sum(len(d) for d in data))
+
+
+def first_eigenvalue_estimate(region: ClippedRegion, tree: EliminationTree) -> float:
     """Smallest Dirichlet eigenvalue of (K, M) on the region by inverse
-    power iteration on one LU factorization of the free block.
+    power iteration on one Cholesky factorization of the free block.
 
-    rank is elimination_rank(parent mesh, R') for some R' >= region.R.  The
-    free vertices are eliminated in its order (each is a parent vertex: cut
-    vertices lie on the Dirichlet boundary), and SuperLU factors in that
-    order, keeping the diagonal pivots of the symmetric positive definite
-    block.  A part of the free vertices with no edge path to the Dirichlet
-    boundary (a closed component inside the ball) makes the block singular
-    and raises DomainError."""
+    tree is elimination_rank(parent mesh, R')[1] for some R' >= region.R.  The
+    free vertices (each a parent vertex: cut vertices lie on the Dirichlet
+    boundary) are eliminated front by front on that tree (_fronts, cholesky).
+    A part of the free vertices with no edge path to the Dirichlet boundary
+    (a closed component inside the ball) makes the block singular and raises
+    DomainError."""
     system = assemble_laplacian(region, {"inner": 0.0, "outer": 0.0, "truncation": 0.0})
     free = np.flatnonzero(system.free_mask())
     if len(free) == 0:
         raise DomainError("region has no interior vertices")
-    free = free[np.argsort(rank[region.vertex_parent[free]], kind="stable")]
-    Kff = system.K[free][:, free].tocsc()
+    fronts = _fronts(tree, region.vertex_parent[free])
+    free = free[fronts.order]
+    Kff = system.K[free][:, free]
     mf = system.mass[free]
     touching = np.zeros(len(system.mass), dtype=bool)
     touching[system.K[system.constrained].indices] = True
-    reached = _breadth_first(Kff.indptr, Kff.indices, np.flatnonzero(touching[free]))
+    touching = touching[free]
+    del system  # only the free block is factored
+    reached = _breadth_first(_adjacency(Kff.indptr, Kff.indices), np.flatnonzero(touching),
+                             np.zeros(len(free) + 1, dtype=bool))
     if len(reached) < len(free):
         raise DomainError(f"the free block is singular: {len(free) - len(reached)} free "
                           "vertices have no path to the Dirichlet boundary")
-    lu = splu(Kff, permc_spec="NATURAL", diag_pivot_thresh=0.0,
-              options={"SymmetricMode": True})
+    factor = cholesky(Kff, fronts)
     x = np.ones(len(free))
     x /= math.sqrt(float((x * x * mf).sum()))
     lam_prev = math.inf
     for _ in range(_EIGEN_MAXITER):
-        x = lu.solve(mf * x)
+        x = factor.solve(mf * x)
         x /= math.sqrt(float((x * x * mf).sum()))
         lam = _dot(x, Kff @ x) / float((x * x * mf).sum())
         change = abs(lam - lam_prev)
@@ -762,10 +1249,8 @@ class EndsResult:
 
 def end_components(mesh: TriMesh, R: float) -> EndsResult:
     """Connected components of the complement submesh {r > R} that touch the
-    truncation boundary (the discrete proxy for non-compact closure)."""
-    from scipy import sparse
-    from scipy.sparse.csgraph import connected_components
-
+    truncation boundary (the discrete proxy for non-compact closure), in the
+    order of their least vertex."""
     if R <= 0:
         raise DomainError(f"level radius must be positive, got {R!r}")
     warning = None
@@ -777,18 +1262,15 @@ def end_components(mesh: TriMesh, R: float) -> EndsResult:
     sub = mesh.faces[keep]
     if len(sub) == 0:
         return EndsResult(0, [], warning)
-    n = len(mesh.verts)
-    edges = np.concatenate([sub[:, [0, 1]], sub[:, [1, 2]], sub[:, [2, 0]]])
-    graph = sparse.coo_matrix(
-        (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
-    ncomp, labels = connected_components(graph, directed=False)
-    face_label = labels[sub[:, 0]]
-    trunc = mesh.tags == TAG_TRUNCATION
+    # two edges of each face join its three corners
+    labels = _components(sub[:, :2].ravel(), sub[:, 1:].ravel(), len(mesh.verts))
+    comps, face_comp = np.unique(labels[sub[:, 0]], return_inverse=True)
+    touching = np.zeros(len(comps), dtype=bool)
+    touching[face_comp[(mesh.tags[sub] == TAG_TRUNCATION).any(axis=1)]] = True
+    faces = np.flatnonzero(keep)
     masks = []
-    for comp in np.unique(face_label):
-        comp_verts = np.unique(sub[face_label == comp])
-        if trunc[comp_verts].any():
-            mask = np.zeros(len(mesh.faces), dtype=bool)
-            mask[np.flatnonzero(keep)[face_label == comp]] = True
-            masks.append(mask)
+    for comp in np.flatnonzero(touching):
+        mask = np.zeros(len(mesh.faces), dtype=bool)
+        mask[faces[face_comp == comp]] = True
+        masks.append(mask)
     return EndsResult(len(masks), masks, warning)

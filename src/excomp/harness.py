@@ -444,7 +444,7 @@ def tone_report(study: Study, R0: float, grid) -> ToneReport:
         for mask in ends.face_masks:
             c = quotient_curves(study, sub, end_mask=mask)
             factors.append(c.w_flux_estimate() / c.w_volume_estimate())
-        # the sweeps are done: the eigenvalue LUs below peak without their index
+        # the sweeps are done: the eigenvalue factorizations below peak without their index
         study.index = None
     factor = min(factors) if factors else 1.0
     upper = factor * tone.reported_limsup
@@ -463,11 +463,12 @@ def tone_report(study: Study, R0: float, grid) -> ToneReport:
     eigenvalues = []
     if mesh is not None:
         radii = np.linspace(grid[0] + (grid[-1] - grid[0]) * 0.25, grid[-1], 4)
-        # the balls are nested, so the largest one's order serves them all
-        rank = dgeom.elimination_rank(mesh, float(radii[-1]))
-        for R in radii:
-            eigenvalues.append((float(R), dgeom.first_eigenvalue_estimate(
-                dgeom.clip(mesh, 0.0, float(R)), rank)))
+        # the balls are nested, so the largest one's tree serves them all;
+        # it goes first, so that the smaller ones reuse the memory it took
+        _, tree = dgeom.elimination_rank(mesh, float(radii[-1]))
+        for R in radii[::-1]:
+            eigenvalues.insert(0, (float(R), dgeom.first_eigenvalue_estimate(
+                dgeom.clip(mesh, 0.0, float(R)), tree)))
         lams = np.array([lam for _, lam in eigenvalues])
         if len(lams) >= 2:
             worst = int(np.argmax(lams[1:] / lams[:-1]))

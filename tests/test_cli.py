@@ -795,6 +795,36 @@ def test_numpy_only_runs_never_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+# Runs of every solve: scipy supplies only the sparse matrices (and the
+# quadratures of parsed warps), so none loads scipy's dense or sparse linear
+# algebra or its graph routines
+_NO_SOLVER_MODULES = """
+import sys
+import excomp.cli
+
+out = sys.argv[1]
+for argv in (["verify", "--surface", "catenoid", "--a", "1", "--res", "32", "--cover", "8",
+              "--dim", "2", "--warp", "r", "--grid", "2:7:5", "--rho", "1.5", "--R", "4",
+              "--t", "7", "--R0", "2"],
+             ["capacity", "--surface", "plane", "--res", "32", "--cover", "3.2", "--dim", "2",
+              "--warp", "r", "--rho", "1.0", "--R", "2.0"],
+             ["exit-time", "--surface", "plane", "--res", "32", "--cover", "3.2", "--dim", "2",
+              "--warp", "r", "--R", "2.0"],
+             ["ends", "--surface", "catenoid", "--a", "1", "--res", "32", "--cover", "11",
+              "--dim", "2", "--warp", "r", "--R", "2.0", "--t", "10.0", "--grid", "2:10:5"]):
+    assert excomp.cli.main(argv + ["--out", out]) in (0, 1), argv
+    loaded = [m for m in ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
+              if m in sys.modules]
+    assert not loaded, (argv[0], loaded)
+"""
+
+
+def test_solves_never_import_scipy_linear_algebra(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _NO_SOLVER_MODULES, str(tmp_path)],
+                          env=_fresh_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 # `excomp surface` with a grid of 40001^2 vertices, under a 3 GiB address-space
 # limit set before excomp loads: the kernel refuses the allocation before any
 # memory is touched
@@ -819,7 +849,7 @@ def test_traced_benchmark_mode_runs_verify(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(perfbench))
     import traced
     metrics = traced.layer_metrics(json.loads(spans.read_text()))
-    for name in ("dgeom.clip_calls", "dgeom.cg_calls", "dgeom.lu_calls",
+    for name in ("dgeom.clip_calls", "dgeom.cg_calls", "dgeom.eigen_s",
                  "harness.curve_radii", "harness.gate_calls"):
         assert metrics[name] > 0, name
 

@@ -179,12 +179,13 @@ class TestToneReport:
         assert all(b <= a * 1.02 for a, b in zip(lams, lams[1:]))
         assert all(c.verdict == PASS for c in report.checks)
 
-    def test_eigenvalue_lus_run_with_the_radial_index_released(self, monkeypatch, catenoid_96):
-        # the end-restricted curves build the study's index; the LUs must not
-        # run while it holds one
+    def test_eigenvalue_factorizations_run_with_the_radial_index_released(self, monkeypatch,
+                                                                          catenoid_96):
+        # the end-restricted curves build the study's index; the eigenvalue
+        # factorizations must not run while it holds one
         study = Study(catenoid_96, flat_model())
         built, held = [], []
-        real_index, real_splu = dgeom.RadialIndex, dgeom.splu
+        real_index, real_cholesky = dgeom.RadialIndex, dgeom.cholesky
 
         def counted(mesh):
             built.append(mesh)
@@ -192,9 +193,9 @@ class TestToneReport:
 
         def watched(*args, **kwargs):
             held.append(study.index is not None)
-            return real_splu(*args, **kwargs)
+            return real_cholesky(*args, **kwargs)
         monkeypatch.setattr(dgeom, "RadialIndex", counted)
-        monkeypatch.setattr(dgeom, "splu", watched)
+        monkeypatch.setattr(dgeom, "cholesky", watched)
         report = harness.tone_report(study, 2.0, np.linspace(2, 20, 10))
         assert len(report.end_factors) == 2
         assert built == [catenoid_96]
