@@ -15,7 +15,7 @@ from .errors import (CoverageError, DomainError, EvalDomainError, ExcompError,
 from .modelspace import ModelSpace, QuadratureConfig, WarpingSpec
 from .surfaces import ParamSurface, TriMesh, builtin, load_mesh, minimality_residual, tessellate
 from .dgeom import (ClippedRegion, SparseSPDSystem, assemble_laplacian, capacity_discrete,
-                    clip, elimination_rank, end_components, exit_time_discrete,
+                    clip, elimination_tree, end_components, exit_time_discrete,
                     first_eigenvalue_estimate, solve_dirichlet)
 from .harness import (Check, EndsReport, QuotientCurve, Study, ToneReport, VerificationReport,
                       comparison_gates, ends_bound, exit_time_comparison, gate_verdicts,

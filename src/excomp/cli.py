@@ -63,11 +63,11 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(a, b, int(n))
 
 
-def _parse_finite(spec, sep: str, what: str, form: str, counts=None) -> tuple:
+def _parse_finite(spec, sep: str, what: str, form: str, counts) -> tuple:
     """The numbers of spec, separated by sep: each finite, and as many as
-    one of counts names (any number when counts is None)."""
+    one of counts names."""
     parts = _parse_numbers(spec, sep, float, what)
-    if (counts is not None and len(parts) not in counts) or not all(map(math.isfinite, parts)):
+    if len(parts) not in counts or not all(map(math.isfinite, parts)):
         raise UsageError(f"{what} must be {form} with every number finite, got {spec!r}")
     return parts
 
@@ -101,9 +101,7 @@ def make_surface(args) -> surfaces.TriMesh:
         raise UsageError(f"--res must be NU or NU:NV, got {args.res!r}")
     nu, nv = res[0], res[-1]
     surf = surfaces.builtin(args.surface, a=args.a, c=args.c, cover_radius=args.cover)
-    refine = (() if args.refine is None
-              else _parse_finite(args.refine, ",", "--refine", "a comma list of radii"))
-    return surfaces.tessellate(surf, nu, nv, refine_near=refine, pole=pole)
+    return surfaces.tessellate(surf, nu, nv, pole=pole)
 
 
 def _model_flags(p: argparse.ArgumentParser):
@@ -123,7 +121,6 @@ def _surface_flags(p: argparse.ArgumentParser):
     p.add_argument("--cover", type=float, default=None,
                    help="extrinsic radius the window must cover")
     p.add_argument("--res", default=None, help="grid resolution NU[:NV]")
-    p.add_argument("--refine", default=None, help="comma list of radii to refine near")
     p.add_argument("--mesh", default=None, help="path to an OFF/OBJ mesh to ingest")
     p.add_argument("--format", choices=("off", "obj"), default=None)
     p.add_argument("--pole", default=None, help="pole position x,y,z")
@@ -165,7 +162,7 @@ def _common_flags(p: argparse.ArgumentParser):
 
 _DEFAULTS = {
     "dim": 2, "warp": "r", "lam": math.inf,
-    "a": 1.0, "c": 1.0, "cover": None, "res": "128", "refine": None,
+    "a": 1.0, "c": 1.0, "cover": None, "res": "128",
     "mesh": None, "format": None, "pole": "0,0,0", "surface": None,
     "out": None, "name": None, "strict": False,
     "quad_abs_tol": DEFAULT_QUAD.abs_tol, "quad_rel_tol": DEFAULT_QUAD.rel_tol,

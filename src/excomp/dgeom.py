@@ -27,7 +27,7 @@ Solves make no BLAS vector call: the conjugate gradients (cg) are numpy code
 and every inner product goes through _dot, so no solve wakes BLAS worker
 threads.  The eigenvalue estimate factors its free block by a multifrontal
 Cholesky (cholesky) on the tree of a nested dissection of the mesh graph
-(elimination_rank), which one caller computes once for the largest of a
+(elimination_tree), which one caller computes once for the largest of a
 family of nested balls and passes to each; its dense kernels stay below the
 sizes at which OpenBLAS starts worker threads.  The breadth-first searches and
 graph components are numpy frontier code.  scipy supplies only the sparse
@@ -332,10 +332,11 @@ class RadialIndex:
         edge = faces[self.truncation_pos]
         self.truncation_r = np.where(window[edge], mesh.r[edge], math.inf).min(axis=1)
         # The index outlives the solves after the first sweep and is released
-        # before the eigenvalue LUs.  From the heap, its freed arrays can stay
-        # resident as holes that the LUs do not reuse, which raised the peak
-        # memory of verify runs; in a mapping of their own, their pages are
-        # returned to the system when the index goes.
+        # before the eigenvalue factorizations.  From the heap, its freed
+        # arrays can stay resident as holes that the Cholesky factorizations
+        # do not reuse, which raised the peak memory of verify runs; in a
+        # mapping of their own, their pages are returned to the system when
+        # the index goes.
         (self.ids, self.faces, self.max_r, self.min_r, self.min_r_after, self.area, self.grad,
          self.area_below) = _mapped(self.ids, self.faces, self.max_r, self.min_r,
                                     self.min_r_after, self.area, self.grad, self.area_below)
@@ -668,7 +669,7 @@ def _first_of_each(labels: np.ndarray, items: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class EliminationTree:
-    """The nested-dissection tree of elimination_rank.  Each leaf part and
+    """The nested-dissection tree of elimination_tree.  Each leaf part and
     each separator is a node; a separator is the parent of the parts it
     separates, and a node's depth counts the splits above it.  node holds the
     node of each mesh vertex (-1 for a vertex outside the ball), parent and
@@ -714,21 +715,18 @@ def _boundaries(i, j, node, parent, depth):
     return ptr, key % m
 
 
-def elimination_rank(mesh: TriMesh, R: float) -> tuple[np.ndarray, EliminationTree]:
-    """The rank of each mesh vertex in a nested-dissection elimination order
-    of the vertices with r < R (the other vertices rank after them), and the
-    tree of that dissection.
+def elimination_tree(mesh: TriMesh, R: float) -> EliminationTree:
+    """The tree of a nested dissection of the mesh vertices with r < R.
 
     Each connected part of the graph of mesh edges among those vertices is
     split at the breadth-first level of its median vertex, counted from a
     pseudo-peripheral source (the last vertex a search from any vertex of the
-    part reaches), until no part has more than _ND_LEAF vertices.  Leaves
-    come first, in breadth-first order, then the separators, deepest first,
-    so every separator follows both of its sides.  All the parts of one depth
-    are split together, by two searches over the whole graph.  A clipped ball
-    of radius at most R inherits the order and the tree: its free vertices
-    are mesh vertices with r < R and its free-free edges are mesh edges, so
-    each separator still separates and each boundary still bounds."""
+    part reaches), until no part has more than _ND_LEAF vertices.  All the
+    parts of one depth are split together, by two searches over the whole
+    graph.  A clipped ball of radius at most R inherits the tree: its free
+    vertices are mesh vertices with r < R and its free-free edges are mesh
+    edges, so each separator still separates and each boundary still
+    bounds."""
     inside = mesh.r < R
     m = int(inside.sum())
     local = np.cumsum(inside) - 1
@@ -743,8 +741,7 @@ def elimination_rank(mesh: TriMesh, R: float) -> tuple[np.ndarray, EliminationTr
     part = np.zeros(m, dtype=np.int64)
     made_by = np.full(m, -1)  # the separator whose split made each vertex's part
     node = np.empty(m, dtype=np.int64)
-    parent, depth = [], []
-    leaves, separators = [np.zeros(0, dtype=np.int64)], []  # none, when no vertex is inside
+    parent, depth, splits = [], [], 0
     while alive.any():
         live = np.flatnonzero(alive)
         order = _breadth_first(nbr, _first_of_each(part[live], live), ~alive)
@@ -760,8 +757,7 @@ def elimination_rank(mesh: TriMesh, R: float) -> tuple[np.ndarray, EliminationTr
             firsts = np.empty(len(parts), dtype=np.int64)
             firsts[leaf] = order[small]
             parent.extend(made_by[firsts])
-            depth.extend([len(separators)] * len(parts))
-        leaves.append(order[small])
+            depth.extend([splits] * len(parts))
         alive[order[small]] = False
         if small.all():
             break
@@ -780,20 +776,17 @@ def elimination_rank(mesh: TriMesh, R: float) -> tuple[np.ndarray, EliminationTr
         firsts[label] = order
         separator = len(parent) + label
         parent.extend(made_by[firsts])
-        depth.extend([len(separators)] * count)
+        depth.extend([splits] * count)
         node[order[side == 0]] = separator[side == 0]
         made_by[order] = separator
-        separators.append(order[side == 0])
+        splits += 1
         alive[order[side == 0]] = False
         part[order] = 2 * label + (side > 0)
-    rank = np.empty(len(inside), dtype=np.int64)
-    rank[np.flatnonzero(inside)[np.concatenate(leaves + separators[::-1])]] = np.arange(m)
-    rank[~inside] = np.arange(m, len(inside))
     parent, depth = np.array(parent, dtype=np.int64), np.array(depth, dtype=np.int64)
     ptr, boundary = _boundaries(i, j, node, parent, depth)
     mesh_node = np.full(len(inside), -1, dtype=np.int64)
     mesh_node[inside] = node
-    return rank, EliminationTree(mesh_node, parent, depth, ptr, np.flatnonzero(inside)[boundary])
+    return EliminationTree(mesh_node, parent, depth, ptr, np.flatnonzero(inside)[boundary])
 
 
 # ---------------------------------------------------------------------------
@@ -1193,7 +1186,7 @@ def first_eigenvalue_estimate(region: ClippedRegion, tree: EliminationTree) -> f
     """Smallest Dirichlet eigenvalue of (K, M) on the region by inverse
     power iteration on one Cholesky factorization of the free block.
 
-    tree is elimination_rank(parent mesh, R')[1] for some R' >= region.R.  The
+    tree is elimination_tree(parent mesh, R') for some R' >= region.R.  The
     free vertices (each a parent vertex: cut vertices lie on the Dirichlet
     boundary) are eliminated front by front on that tree (_fronts, cholesky).
     A part of the free vertices with no edge path to the Dirichlet boundary

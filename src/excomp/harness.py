@@ -465,7 +465,7 @@ def tone_report(study: Study, R0: float, grid) -> ToneReport:
         radii = np.linspace(grid[0] + (grid[-1] - grid[0]) * 0.25, grid[-1], 4)
         # the balls are nested, so the largest one's tree serves them all;
         # it goes first, so that the smaller ones reuse the memory it took
-        _, tree = dgeom.elimination_rank(mesh, float(radii[-1]))
+        tree = dgeom.elimination_tree(mesh, float(radii[-1]))
         for R in radii[::-1]:
             eigenvalues.insert(0, (float(R), dgeom.first_eigenvalue_estimate(
                 dgeom.clip(mesh, 0.0, float(R)), tree)))

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CoverageError, DomainError, MeshFormatError, NonManifoldError
+from .errors import DomainError, MeshFormatError, NonManifoldError
 
 TAG_INTERIOR = 0
 TAG_TRUNCATION = 1
@@ -265,15 +265,9 @@ def _edge_counts(faces, n: int):
     return keys // n, keys % n, counts
 
 
-def tessellate(surface: ParamSurface, nu: int, nv: int, refine_near=(),
-               pole=(0.0, 0.0, 0.0)) -> TriMesh:
+def tessellate(surface: ParamSurface, nu: int, nv: int, pole=(0.0, 0.0, 0.0)) -> TriMesh:
     """Regular-grid triangulation of the patch, stitched along periodic axes,
-    so that its truncation vertices are the rectangle's non-periodic edges.
-
-    Triangles whose extrinsic-radius range crosses any radius in refine_near
-    receive one round of 1-to-4 subdivision (neighbors are bisected to keep
-    the mesh conforming); midpoints are re-evaluated through the surface map.
-    """
+    so that its truncation vertices are the rectangle's non-periodic edges."""
     if nu < 8 or nv < 8:
         raise DomainError(f"need nu, nv >= 8, got {nu}, {nv}")
     pu, pv = surface.periodic_u, surface.periodic_v
@@ -298,19 +292,8 @@ def tessellate(surface: ParamSurface, nu: int, nv: int, refine_near=(),
     t2 = np.stack([v00, v11, v01], axis=-1).reshape(-1, 3)
     faces = np.concatenate([t1, t2])
 
-    if refine_near:
-        uv = np.stack([U.ravel(), V.ravel()], axis=1)
-        verts, faces = _refine_once(surface, verts, faces, uv, np.asarray(pole, float), refine_near)
-
     mesh = TriMesh(verts, faces, pole=pole, name=surface.name)
     _check_face_areas(mesh)
-    if refine_near:
-        needed = 1.2 * max(refine_near)
-        trunc = mesh.tags == TAG_TRUNCATION
-        if trunc.any() and mesh.r[trunc].min() < needed:
-            raise CoverageError(
-                f"surface window covers radius {mesh.r[trunc].min():.4g} "
-                f"but refinement asks for {needed:.4g}", needed)
     return mesh
 
 
@@ -322,68 +305,6 @@ def _check_face_areas(mesh: TriMesh):
     if tiny.any():
         raise DomainError(f"degenerate triangles: {int(tiny.sum())} of area under 1e-14 of "
                           f"the mean, e.g. faces {np.flatnonzero(tiny)[:8].tolist()}")
-
-
-# The children of a face, as rows of corners into (a, b, c, m01, m12, m20), its
-# corners and edge midpoints, by kind: 0 kept, 1-3 bisected through the edge
-# 0-1, 1-2 or 2-0, 4 split in four; rows past _CHILD_COUNT[kind] are unused.
-_CHILDREN = np.array([
-    [[0, 1, 2], [0, 1, 2], [0, 1, 2], [0, 1, 2]],
-    [[0, 3, 2], [3, 1, 2], [0, 1, 2], [0, 1, 2]],
-    [[0, 1, 4], [0, 4, 2], [0, 1, 2], [0, 1, 2]],
-    [[0, 1, 5], [5, 1, 2], [0, 1, 2], [0, 1, 2]],
-    [[0, 3, 5], [3, 1, 4], [5, 4, 2], [3, 4, 5]],
-])
-_CHILD_COUNT = np.array([1, 2, 2, 2, 4])
-
-
-def _refine_once(surface, verts, faces, uv, pole, radii):
-    """Split in four each face whose radius range meets a radius, and each
-    face with two or more split edges, in rounds until none is left; bisect
-    each other face through its one split edge, if it has one.  Midpoints are
-    numbered by promotion round, then by edge key; children follow in face
-    order."""
-    r = np.linalg.norm(verts - pole, axis=1)
-    fr = r[faces]
-    lo, hi = fr.min(axis=1), fr.max(axis=1)
-    marked = np.zeros(len(faces), dtype=bool)
-    for rad in radii:
-        marked |= (lo <= rad) & (hi >= rad)
-
-    n = len(verts)
-    keys, edge = np.unique(edge_keys(_directed_edges(faces), n), return_inverse=True)
-    edge = edge.reshape(3, -1).T  # edge ids of each face: 0-1, 1-2, 2-0
-    never = len(faces)
-    split_round = np.full(len(keys), never)
-    new, rnd = marked, 0
-    while new.any():
-        marked = marked | new
-        fresh = edge[new].ravel()
-        split_round[fresh] = np.minimum(split_round[fresh], rnd)
-        new = ((split_round[edge] <= rnd).sum(axis=1) >= 2) & ~marked
-        rnd += 1
-    split = np.argsort(split_round, kind="stable")[:np.count_nonzero(split_round < never)]
-    mid = np.full(len(keys), -1)
-    mid[split] = n + np.arange(len(split))
-
-    i, j = keys[split] // n, keys[split] % n
-    a, b = uv[i], uv[j]
-    for axis, period, periodic in ((0, surface.u1 - surface.u0, surface.periodic_u),
-                                   (1, surface.v1 - surface.v0, surface.periodic_v)):
-        if periodic:  # an edge across the seam: shift its lower end up a period
-            wraps = np.abs(a[:, axis] - b[:, axis]) > period / 2
-            below = a[:, axis] < b[:, axis]
-            a[wraps & below, axis] += period
-            b[wraps & ~below, axis] += period
-    new_uv = 0.5 * (a + b)
-
-    face_mid = mid[edge]
-    corners = np.column_stack([faces, face_mid])
-    has_mid = face_mid >= 0
-    kind = np.where(marked, 4, np.argmax(has_mid, axis=1) + has_mid.any(axis=1))
-    children = corners[np.arange(len(faces))[:, None, None], _CHILDREN[kind]]
-    return (np.concatenate([verts, surface.points(new_uv[:, 0], new_uv[:, 1])]),
-            children[np.arange(4) < _CHILD_COUNT[kind][:, None]])
 
 
 # ---------------------------------------------------------------------------

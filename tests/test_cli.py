@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import excomp
 from excomp import dgeom, harness, modelspace, surfaces
-from excomp.cli import main, make_model
+from excomp.cli import build_parser, main, make_model
 from excomp.modelspace import QuadratureConfig
 
 
@@ -715,12 +716,6 @@ class TestValueErrors:
                                 capsys)
         assert "--capacity" in err
 
-    @pytest.mark.parametrize("value", ["nan", "1,inf", "1,x", "", "2,"])
-    def test_malformed_refine(self, tmp_path, capsys, value):
-        err = self._usage_error(["surface", "--surface", "plane", "--res", "16", "--cover", "2",
-                                 f"--refine={value}", "--out", str(tmp_path)], capsys)
-        assert "--refine" in err
-
     @pytest.mark.parametrize("value", ["8:8:8", "16:16:0"])
     def test_res_holds_one_or_two_numbers(self, tmp_path, capsys, value):
         err = self._usage_error(["surface", "--surface", "plane", f"--res={value}",
@@ -755,6 +750,41 @@ class TestValueErrors:
             run(argv + extra + ["--name", name])
             scalars.append(json.loads((tmp_path / name / "report.json").read_text())["scalars"])
         assert scalars[0] == scalars[1]
+
+
+# Every mesh is one uniform tessellation: no flag refines it, and a config
+# that names refinement holds an unknown key
+@pytest.mark.parametrize("argv, config", [
+    pytest.param(["surface", *_PLANE, "--refine", "1"], None, id="surface"),
+    pytest.param(["verify", *_PLANE, "--dim", "2", "--warp", "r", "--grid", "0.5:1.5:4",
+                  "--refine", "1"], None, id="verify"),
+    pytest.param(["surface", *_PLANE], {"refine": "1"}, id="config"),
+])
+def test_no_refinement(tmp_path, capsys, argv, config):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    try:
+        code = run(argv + ["--out", str(tmp_path), "--name", "run"])
+    except SystemExit as exc:  # argparse rejects the flag
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert sum("error:" in line for line in err.splitlines()) == 1, err
+    assert "refine" in err
+    assert not (tmp_path / "run").exists()  # neither a report nor a mesh
+
+
+def test_readme_names_every_flag_and_no_other():
+    """The README and the parser agree on the set of long flags, counting
+    every subcommand's and leaving out --help and the pip install block."""
+    commands = next(a for a in build_parser()._actions if a.dest == "command").choices
+    parsed = {flag for p in commands.values() for a in p._actions for flag in a.option_strings
+              if flag.startswith("--")} - {"--help"}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = re.sub(r"```[^`]*pip install[^`]*```", "", readme)
+    assert set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", readme)) == parsed
 
 
 # Runs that need no solve and no quadrature; each must leave scipy unloaded
@@ -1013,7 +1043,6 @@ _SURFACE_FLAGS = {
     "--cover": st.sampled_from(_TOKENS + ("1", "4")),
     "--pole": st.sampled_from(("0,0,0", "0.5,0,0.5", "nan,0,0", "0,0", "1,2,3,4", "junk",
                                "", "1e308,0,0", "inf,0,0", "0,0,1e3")),
-    "--refine": st.sampled_from(_TOKENS + ("1", "0.5,1.5", "1,nan")),
 }
 _SURFACE_RUNS = st.tuples(
     st.sampled_from(("surface", "quotients")), st.sampled_from(surfaces.BUILTIN_NAMES),

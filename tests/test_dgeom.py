@@ -12,7 +12,7 @@ from scipy import sparse, special
 
 from excomp import dgeom, surfaces
 from excomp.dgeom import (LABEL_INNER, LABEL_INTERIOR, LABEL_OUTER, LABEL_TRUNCATION,
-                          capacity_discrete, clip, elimination_rank, end_components,
+                          capacity_discrete, clip, elimination_tree, end_components,
                           exit_time_discrete, first_eigenvalue_estimate, solve_dirichlet)
 from excomp.errors import CoverageError, DomainError, SolveError
 from excomp.harness import Study
@@ -697,7 +697,7 @@ def test_solvers_call_the_module_level_cg_and_cholesky(monkeypatch, plane_128):
     reg = clip(plane_128, 1.0, 2.0)
     solve_dirichlet(dgeom.assemble_laplacian(reg, {"inner": 0.0, "outer": 1.0}))
     assert calls == {"cg": 1, "cholesky": 0}
-    first_eigenvalue_estimate(reg, elimination_rank(plane_128, 2.0)[1])
+    first_eigenvalue_estimate(reg, elimination_tree(plane_128, 2.0))
     assert calls == {"cg": 1, "cholesky": 1}
 
 
@@ -784,7 +784,7 @@ from excomp import builtin, dgeom, tessellate
 mesh = tessellate(builtin("plane", cover_radius=3.2), 192, 192)
 region = dgeom.clip(mesh, 0.0, 2.5)
 assert (region.vertex_label == dgeom.LABEL_INTERIOR).sum() > 10_000
-_, tree = dgeom.elimination_rank(mesh, 2.5)
+tree = dgeom.elimination_tree(mesh, 2.5)
 process, main = time.process_time(), time.thread_time()
 dgeom.first_eigenvalue_estimate(region, tree)
 main = time.thread_time() - main
@@ -850,18 +850,18 @@ def _colamd_eigenvalue(region):
 class TestEigenvalue:
     def test_unit_disc_bessel(self, plane_256):
         lam = first_eigenvalue_estimate(clip(plane_256, 0.0, 1.0),
-                                        elimination_rank(plane_256, 1.0)[1])
+                                        elimination_tree(plane_256, 1.0))
         j01 = float(special.jn_zeros(0, 1)[0])
         assert lam == pytest.approx(j01 ** 2, rel=0.02)
 
     def test_scaling_law(self, plane_256):
-        _, tree = elimination_rank(plane_256, 2.0)
+        tree = elimination_tree(plane_256, 2.0)
         lam1 = first_eigenvalue_estimate(clip(plane_256, 0.0, 1.0), tree)
         lam2 = first_eigenvalue_estimate(clip(plane_256, 0.0, 2.0), tree)
         assert lam2 == pytest.approx(lam1 / 4.0, rel=0.02)
 
     def test_catenoid_decreasing_to_zero_trend(self, catenoid_96):
-        _, tree = elimination_rank(catenoid_96, 16.0)
+        tree = elimination_tree(catenoid_96, 16.0)
         lams = [first_eigenvalue_estimate(clip(catenoid_96, 0.0, R), tree)
                 for R in (4.0, 8.0, 16.0)]
         assert lams[0] > lams[1] > lams[2]
@@ -871,7 +871,7 @@ class TestEigenvalue:
     def test_matches_the_colamd_factorization(self, request, case, radii):
         # one tree, that of the largest ball, serves every ball inside it
         mesh = request.getfixturevalue(case)
-        _, tree = elimination_rank(mesh, radii[-1])
+        tree = elimination_tree(mesh, radii[-1])
         for R in radii:
             lam, steps, _ = _nested_dissection_eigenvalue(mesh, R, tree)
             ref, ref_steps, _ = _colamd_eigenvalue(clip(mesh, 0.0, R))
@@ -882,20 +882,20 @@ class TestEigenvalue:
     def test_fill_below_colamd(self, catenoid_96, case, R):
         mesh = catenoid_96 if case == "catenoid" else _permuted_helicoid(128, seed=20)
         _, _, colamd = _colamd_eigenvalue(clip(mesh, 0.0, R))
-        _, _, fill = _nested_dissection_eigenvalue(mesh, R, elimination_rank(mesh, R)[1])
+        _, _, fill = _nested_dissection_eigenvalue(mesh, R, elimination_tree(mesh, R))
         assert 2 * fill < colamd  # L and its transpose, against COLAMD's L + U
 
     def test_running_out_of_steps_reports_the_last_change(self, monkeypatch, plane_128):
         monkeypatch.setattr(dgeom, "_EIGEN_MAXITER", 2)
         with pytest.raises(SolveError, match="did not converge") as err:
             first_eigenvalue_estimate(clip(plane_128, 0.0, 2.0),
-                                      elimination_rank(plane_128, 2.0)[1])
+                                      elimination_tree(plane_128, 2.0))
         assert err.value.residual > 0.0
 
     def test_closed_component_inside_the_ball_is_singular(self, plane_128):
         mesh = _plane_with_octahedron(plane_128)
         with pytest.raises(DomainError, match="free block is singular: 6 free vertices"):
-            first_eigenvalue_estimate(clip(mesh, 0.0, 2.0), elimination_rank(mesh, 2.0)[1])
+            first_eigenvalue_estimate(clip(mesh, 0.0, 2.0), elimination_tree(mesh, 2.0))
 
 
 def _plane_with_octahedron(plane, center=(0.8, 0.8, 0.5), h=0.25):
@@ -919,43 +919,28 @@ def test_closed_octahedron_has_no_truncation_vertex(plane_128):
 
 
 class TestEliminationRank:
-    @pytest.mark.parametrize("case, R", [("plane_128", 2.0), ("catenoid_96", 8.0),
-                                         ("helicoid", 6.0), ("octahedron", 2.0)])
-    def test_a_permutation_of_the_inside_vertices_first(self, request, case, R):
-        if case == "helicoid":
-            mesh = _permuted_helicoid(64, seed=4, ext=8.0)
-        elif case == "octahedron":
-            mesh = _plane_with_octahedron(request.getfixturevalue("plane_128"))
-        else:
-            mesh = request.getfixturevalue(case)
-        rank, _ = elimination_rank(mesh, R)
-        inside = mesh.r < R
-        assert np.array_equal(np.sort(rank[inside]), np.arange(inside.sum()))
-        assert np.array_equal(np.sort(rank[~inside]), np.arange(inside.sum(), len(rank)))
-
     def test_repeatable(self, catenoid_96):
-        assert np.array_equal(elimination_rank(catenoid_96, 8.0)[0],
-                              elimination_rank(catenoid_96, 8.0)[0])
+        one, two = elimination_tree(catenoid_96, 8.0), elimination_tree(catenoid_96, 8.0)
+        for field in ("node", "parent", "depth", "boundary_ptr", "boundary"):
+            assert np.array_equal(getattr(one, field), getattr(two, field)), field
 
     def test_no_vertex_inside(self, plane_128):
-        rank, tree = elimination_rank(plane_128, 0.0)
-        assert np.array_equal(rank, np.arange(len(plane_128.verts)))
+        tree = elimination_tree(plane_128, 0.0)
         assert len(tree.parent) == 0 and np.all(tree.node == -1)
 
     @pytest.mark.parametrize("case, R", [("plane_128", 1.0), ("octahedron", 1.3)])
     def test_tree_and_boundaries(self, request, case, R):
         mesh = _mesh_case(request, case)
-        rank, tree = elimination_rank(mesh, R)
+        tree = elimination_tree(mesh, R)
         inside = mesh.r < R
         assert np.array_equal(tree.node < 0, ~inside)
-        # a child sits one depth below its parent and is eliminated before it
+        # a child sits one depth below its parent, and its front is
+        # eliminated at levels before its parent's front
         child = np.flatnonzero(tree.parent >= 0)
         assert np.array_equal(tree.depth[child], tree.depth[tree.parent[child]] + 1)
-        last = np.full(len(tree.parent), -1)
-        np.maximum.at(last, tree.node[inside], rank[inside])
-        first = np.full(len(tree.parent), len(rank))
-        np.minimum.at(first, tree.node[inside], rank[inside])
-        assert np.all(last[child] < first[tree.parent[child]])
+        f = dgeom._fronts(tree, np.flatnonzero(inside))
+        c = np.flatnonzero(f.parent >= 0)
+        assert len(c) and np.all(f.level[f.parent[c]] >= f.level[c] + f.blocks[c])
         # the boundary of a node: the ancestor vertices adjacent to its subtree
         i, j, _ = surfaces._edge_counts(mesh.faces, len(mesh.verts))
         keep = inside[i] & inside[j]

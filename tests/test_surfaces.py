@@ -141,147 +141,12 @@ class TestTessellate:
         # only the two v-edges are boundary: 2 * nu boundary vertices
         assert int((mesh.tags == TAG_TRUNCATION).sum()) == 2 * 32
 
-    def test_refinement_splits_marked_band(self):
-        s = builtin("plane", extent=4.0)
-        base = tessellate(s, 16, 16)
-        ref = tessellate(s, 16, 16, refine_near=[2.0])
-        assert len(ref.faces) > len(base.faces)
-        ref._validate()  # still manifold and consistently oriented
-
-    def test_refinement_coverage_error(self):
-        from excomp.errors import CoverageError
-        with pytest.raises(CoverageError):
-            tessellate(builtin("plane", extent=2.0), 16, 16, refine_near=[5.0])
-
     def test_orientation_validated(self):
         verts = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]], float)
         faces = np.array([[0, 1, 2], [1, 3, 2]])
         surfaces.TriMesh(verts, faces)  # consistent
         with pytest.raises(DomainError):
             surfaces.TriMesh(verts, np.array([[0, 1, 2], [1, 2, 3]]))
-
-
-def _refine_once_reference(surface, verts, faces, uv, pole, radii):
-    """The per-face loop refinement that surfaces._refine_once replaced, kept
-    as its reference: the same vertices and faces in the same order."""
-    r = np.linalg.norm(verts - pole, axis=1)
-    fr = r[faces]
-    lo, hi = fr.min(axis=1), fr.max(axis=1)
-    marked_face = np.zeros(len(faces), dtype=bool)
-    for rad in radii:
-        marked_face |= (lo <= rad) & (hi >= rad)
-
-    n = len(verts)
-    edges = np.concatenate([faces[:, [0, 1]], faces[:, [1, 2]], faces[:, [2, 0]]])
-    ekeys = np.sort(edges, axis=1)
-    ekeys = ekeys[:, 0] * np.int64(n) + ekeys[:, 1]
-    split = {}
-
-    def mark_edges_of(face_mask):
-        for k in np.unique(ekeys.reshape(3, -1)[:, face_mask]):
-            split[int(k)] = None
-
-    mark_edges_of(marked_face)
-    # propagate: a face with 2+ split edges becomes fully split
-    face_ekeys = ekeys.reshape(3, -1).T
-    while True:
-        counts = np.isin(face_ekeys, np.fromiter(split.keys(), dtype=np.int64)).sum(axis=1)
-        promote = (counts >= 2) & ~marked_face
-        if not promote.any():
-            break
-        marked_face |= promote
-        mark_edges_of(promote)
-
-    period_u = surface.u1 - surface.u0 if surface.periodic_u else None
-    period_v = surface.v1 - surface.v0 if surface.periodic_v else None
-
-    new_uv = []
-    for k in split:
-        i, j = int(k // n), int(k % n)
-        a, b = uv[i].copy(), uv[j].copy()
-        if period_u is not None and abs(a[0] - b[0]) > period_u / 2:
-            if a[0] < b[0]:
-                a[0] += period_u
-            else:
-                b[0] += period_u
-        if period_v is not None and abs(a[1] - b[1]) > period_v / 2:
-            if a[1] < b[1]:
-                a[1] += period_v
-            else:
-                b[1] += period_v
-        split[k] = n + len(new_uv)
-        new_uv.append(0.5 * (a + b))
-    new_uv = np.array(new_uv).reshape(-1, 2)
-    mids = surface.points(new_uv[:, 0], new_uv[:, 1]) if len(new_uv) else np.zeros((0, 3))
-
-    out = []
-    for fidx, tri in enumerate(faces):
-        ks = [int(x) for x in face_ekeys[fidx]]
-        m01, m12, m20 = (split.get(ks[0]), split.get(ks[1]), split.get(ks[2]))
-        a, b, c = (int(x) for x in tri)
-        if marked_face[fidx]:
-            out += [(a, m01, m20), (m01, b, m12), (m20, m12, c), (m01, m12, m20)]
-        else:
-            present = [m is not None for m in (m01, m12, m20)]
-            if not any(present):
-                out.append((a, b, c))
-            else:
-                # green bisection through the single split edge
-                if m01 is not None:
-                    out += [(a, m01, c), (m01, b, c)]
-                elif m12 is not None:
-                    out += [(a, b, m12), (a, m12, c)]
-                else:
-                    out += [(a, b, m20), (m20, b, c)]
-    return np.concatenate([verts, mids]), np.array(out, dtype=np.int64)
-
-
-# 1 to 3 radii per surface; most of the plane, helicoid and Enneper cases
-# promote faces over 7 to 30 rounds, and the catenoid's split rings cross its
-# periodic seam
-_REFINE_CASES = {
-    "plane": [(1.39,), (2.54, 3.28), (2.78, 3.25, 3.83)],
-    "catenoid": [(2.19,), (2.3, 2.98), (0.39, 2.79, 3.7)],
-    "helicoid": [(2.15,), (0.95, 1.42), (1.72, 2.06, 2.67)],
-    "enneper": [(0.88,), (1.86, 2.8), (1.14, 2.16, 3.22)],
-}
-
-
-class TestRefineMatchesReference:
-    @pytest.mark.parametrize("name,radii", [(name, radii) for name, cases in
-                                            _REFINE_CASES.items() for radii in cases])
-    def test_bit_identical(self, name, radii):
-        s = builtin(name, cover_radius=5.0)
-        mesh = tessellate(s, 40, 36, refine_near=radii)
-        with mock.patch.object(surfaces, "_refine_once", _refine_once_reference):
-            ref = tessellate(s, 40, 36, refine_near=radii)
-        assert len(mesh.faces) > 2 * 40 * 36
-        for got, want in ((mesh.verts, ref.verts), (mesh.faces, ref.faces),
-                          (mesh.tags, ref.tags)):
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.tobytes() == want.tobytes()
-
-    def test_window_corners_bit_identical(self):
-        # radii out at the window's corners, past what tessellate's coverage
-        # check allows, split the diagonals that join two truncation vertices
-        # through the interior; their midpoints are interior
-        s = builtin("plane", extent=3.0)
-        grid = tessellate(s, 12, 10)
-        args = (s, grid.verts, grid.faces, grid.verts[:, :2].copy(), grid.pole, (4.0, 4.2))
-        got, want = surfaces._refine_once(*args), _refine_once_reference(*args)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.shape == w.shape
-            assert g.tobytes() == w.tobytes()
-        mids = TriMesh(*got).tags[len(grid.verts):] == TAG_TRUNCATION
-        on_window = (np.abs(got[0][len(grid.verts):, :2]) == 3.0).any(axis=1)
-        assert np.array_equal(mids, on_window) and not on_window.all()
-
-    def test_no_face_meets_the_radius(self):
-        s = builtin("plane", extent=4.0)
-        mesh = tessellate(s, 16, 16, refine_near=[-1.0])
-        base = tessellate(s, 16, 16)
-        assert mesh.verts.tobytes() == base.verts.tobytes()
-        assert mesh.faces.tobytes() == base.faces.tobytes()
 
 
 # OFF text for the block parse against the line parser: a small grid of quads
