@@ -23,15 +23,17 @@ labels (inner level, outer level, truncation) rather than traced loops, and
 negative cotangent weights are clamped to zero so solves obey the discrete
 maximum principle.
 
-Solves make no BLAS vector call: the conjugate gradients (cg) are numpy code
-and every inner product goes through _dot, so no solve wakes BLAS worker
-threads.  The eigenvalue estimate factors its free block by a multifrontal
-Cholesky (cholesky) on the tree of a nested dissection of the mesh graph
+Every solve is numpy code on the stiffness's edge list (surfaces.Stiffness),
+and none uses scipy.  The conjugate gradients (cg) run on the free block in
+column-major ELL form (_Ell) and make no BLAS vector call: every inner
+product goes through _dot, so no solve wakes BLAS worker threads.  The
+eigenvalue estimate factors its free block by a multifrontal Cholesky
+(cholesky) on the tree of a nested dissection of the mesh graph
 (elimination_tree), which one caller computes once for the largest of a
-family of nested balls and passes to each; its dense kernels stay below the
-sizes at which OpenBLAS starts worker threads.  The breadth-first searches and
-graph components are numpy frontier code.  scipy supplies only the sparse
-matrices.
+family of nested balls and passes to each; the factor keeps the dense panel
+of each pivot block, and its dense kernels stay below the sizes at which
+OpenBLAS starts worker threads.  The breadth-first searches and graph
+components are numpy frontier code.
 """
 
 from __future__ import annotations
@@ -39,16 +41,13 @@ from __future__ import annotations
 import math
 import mmap
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import (CoverageError, DomainError, SolveError, TruncationContactError)
-from .surfaces import (TAG_TRUNCATION, TriMesh, _edge_counts, cotangent_laplacian, edge_keys,
-                       face_areas, norms, triangle_normals)
-
-if TYPE_CHECKING:
-    from scipy import sparse
+from .surfaces import (TAG_TRUNCATION, Stiffness, TriMesh, _edge_counts, cotangent_laplacian,
+                       edge_keys, face_areas, norms, triangle_normals)
 
 LABEL_INTERIOR = 0
 LABEL_INNER = 1
@@ -460,6 +459,56 @@ def _norm(a: np.ndarray) -> float:
     return math.sqrt(_dot(a, a))
 
 
+def _slots(rows: np.ndarray, m: int) -> tuple[np.ndarray, int]:
+    """Places in a table of one row per each of m vertices: per entry, in the
+    order given, its slot among the entries of its row; and the most entries
+    of a row."""
+    e = max(len(rows), 1)
+    order = np.sort(rows * e + np.arange(len(rows))) % e  # by row, then as given
+    count = np.bincount(rows, minlength=m)
+    slot = np.empty(len(rows), dtype=np.int64)
+    slot[order] = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+    return slot, int(count.max(initial=0))
+
+
+class _Ell:
+    """A matrix diag(diag) - W of order n, with W stored column-major in ELL
+    form: slot k of row r holds the column cols[k, r] and the weight
+    weights[k, r].  Each row's entries fill its first slots in the order
+    given; the rest hold the row itself with weight 0.  A product takes one
+    slot of every row at a time."""
+
+    def __init__(self, rows, cols, weights, diag):
+        n = len(diag)
+        slot, width = _slots(rows, n)
+        at = slot * n + rows
+        self.shape = (n, n)
+        self.diag = diag
+        self.cols = np.tile(np.arange(n), width)
+        self.cols[at] = cols
+        self.cols = self.cols.reshape(width, n)
+        self.weights = np.zeros(width * n)
+        self.weights[at] = weights
+        self.weights = self.weights.reshape(width, n)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        y = self.diag * x
+        t = np.empty_like(y)
+        for cols, weights in zip(self.cols, self.weights):
+            np.take(x, cols, out=t)
+            t *= weights
+            y -= t
+        return y
+
+    def tocsr(self):
+        """The matrix as CSR arrays, each row its diagonal and then its slots
+        (perfbench/traced.py tells the solves apart by a digest of them)."""
+        n, width = len(self.diag), len(self.cols) + 1
+        return SimpleNamespace(indptr=np.arange(0, n * width + 1, width),
+                               indices=np.vstack([np.arange(n), self.cols]).T.ravel(),
+                               data=np.vstack([self.diag, -self.weights]).T.ravel())
+
+
 # The solvers call the module-level names cg and cholesky, which a tracer may
 # wrap (perfbench/traced.py wraps cg).
 def cg(A, b, *, rtol, atol, maxiter, M, callback=None):
@@ -501,13 +550,13 @@ def cg(A, b, *, rtol, atol, maxiter, M, callback=None):
 class SparseSPDSystem:
     """Cotangent stiffness with Dirichlet data and a lumped mass vector."""
 
-    K: sparse.csr_matrix
+    K: Stiffness  # the edge list and diagonal of cotangent_laplacian
     mass: np.ndarray
     constrained: np.ndarray
     values: np.ndarray
 
     def free_mask(self) -> np.ndarray:
-        mask = np.ones(self.K.shape[0], dtype=bool)
+        mask = np.ones(len(self.mass), dtype=bool)
         mask[self.constrained] = False
         return mask
 
@@ -535,25 +584,39 @@ def assemble_laplacian(region: ClippedRegion, boundary_spec: dict) -> SparseSPDS
     return SparseSPDSystem(K, mass, constrained, values)
 
 
+def _free_block(K: Stiffness, pos: np.ndarray):
+    """The block of K on the vertices with pos >= 0, numbered by pos, as an
+    _Ell; and the edges from its vertices to the others, as (free end's pos,
+    other end, weight)."""
+    rows, cols = np.concatenate([K.i, K.j]), np.concatenate([K.j, K.i])
+    w = np.concatenate([K.w, K.w])
+    free = pos >= 0
+    diag = np.empty(int(free.sum()))
+    diag[pos[free]] = K.diag[free]
+    inner = free[rows] & free[cols]
+    out = free[rows] & ~free[cols]
+    return (_Ell(pos[rows[inner]], pos[cols[inner]], w[inner], diag),
+            (pos[rows[out]], cols[out], w[out]))
+
+
 def solve_dirichlet(system: SparseSPDSystem, source: np.ndarray | None = None) -> np.ndarray:
     """Solve K u = source with the stored Dirichlet values in place, by
     Jacobi-preconditioned conjugate gradients (cg above, numpy code that makes
-    no BLAS call) to the relative residual _CG_RTOL.  With clamped weights the
-    harmonic case obeys the discrete maximum principle."""
-    n = system.K.shape[0]
+    no BLAS call) on the free block in ELL form, to the relative residual
+    _CG_RTOL.  With clamped weights the harmonic case obeys the discrete
+    maximum principle."""
+    n = len(system.mass)
     free = system.free_mask()
     nfree = int(free.sum())
     field = np.zeros(n)
     field[system.constrained] = system.values
     if nfree == 0:
         return field
-    Kf = system.K[free]
-    Kff = Kf[:, free]
-    rhs = -Kf[:, ~free] @ field[~free]
+    Kff, (row, other, w) = _free_block(system.K, np.where(free, np.cumsum(free) - 1, -1))
+    rhs = np.bincount(row, w * field[other], minlength=nfree)  # -K_fc u_c, as K_fc = -w
     if source is not None:
         rhs = rhs + source[free]
-    diag = Kff.diagonal()
-    diag = np.where(diag > 0, diag, 1.0)
+    diag = np.where(Kff.diag > 0, Kff.diag, 1.0)
     maxiter = max(5000, int(40 * math.sqrt(nfree)))
     x, info = cg(Kff, rhs, rtol=_CG_RTOL, atol=0.0, maxiter=maxiter, M=1.0 / diag)
     if info != 0:
@@ -584,7 +647,8 @@ def capacity_discrete(region: ClippedRegion) -> CapacityResult:
             f"annulus width {region.R - region.rho:.4g} under 2 mesh edge lengths ({2 * h:.4g})")
     system = assemble_laplacian(region, {"inner": 0.0, "outer": 1.0})
     psi = solve_dirichlet(system)
-    cap = _dot(psi, system.K @ psi)
+    K = system.K
+    cap = _dot(K.w, (psi[K.i] - psi[K.j]) ** 2)  # psi . K psi, as K's rows sum to 0
     return CapacityResult(cap, 1.0 / cap)
 
 
@@ -599,16 +663,14 @@ def exit_time_discrete(region: ClippedRegion) -> np.ndarray:
     return solve_dirichlet(system, source=system.mass)
 
 
-def _adjacency(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """The graph of the m vertices of a CSR structure as one row per vertex
-    listing its neighbours in CSR order, padded with m; row m, of the padding
-    vertex, holds only m."""
-    m = len(indptr) - 1
-    degree = np.diff(indptr)
-    nbr = np.full((m + 1, int(degree.max(initial=0))), m, dtype=np.int64)
-    rows = np.repeat(np.arange(m), degree)
-    nbr[rows, np.arange(len(indices)) - indptr[rows]] = indices
-    return nbr
+def _adjacency(rows: np.ndarray, cols: np.ndarray, m: int) -> np.ndarray:
+    """The graph of m vertices with the directed edges (rows, cols) as one
+    row per vertex listing its neighbours in the order given, padded with
+    the vertex itself."""
+    slot, width = _slots(rows, m)
+    nbr = np.repeat(np.arange(m), width)
+    nbr[rows * width + slot] = cols
+    return nbr.reshape(m, width)
 
 
 def _breadth_first(nbr, sources, seen, levels=False):
@@ -618,7 +680,6 @@ def _breadth_first(nbr, sources, seen, levels=False):
     which visits each level's vertices in the order of their first discovery.
     With levels, also the level of each (1 at the sources)."""
     fresh = ~seen
-    fresh[-1] = False  # the padding vertex
     positions = np.arange(nbr.size, dtype=np.int32)
     first = np.full(len(seen), nbr.size, dtype=np.int32)
     front = np.asarray(sources, dtype=np.int64)
@@ -733,11 +794,9 @@ def elimination_tree(mesh: TriMesh, R: float) -> EliminationTree:
     i, j, _ = _edge_counts(mesh.faces, len(inside))
     keep = inside[i] & inside[j]
     i, j = local[i[keep]], local[j[keep]]
-    rows = np.concatenate([i, j])
-    cols = np.sort(rows * m + np.concatenate([j, i])) % m  # by row, then column
-    nbr = _adjacency(np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=m))]), cols)
-    alive = np.ones(m + 1, dtype=bool)
-    alive[m] = False  # the padding vertex
+    key = np.sort(np.concatenate([i * m + j, j * m + i]))  # by row, then column
+    nbr = _adjacency(key // m, key % m, m)
+    alive = np.ones(m, dtype=bool)
     part = np.zeros(m, dtype=np.int64)
     made_by = np.full(m, -1)  # the separator whose split made each vertex's part
     node = np.empty(m, dtype=np.int64)
@@ -825,10 +884,9 @@ class _Fronts:
     free vertex, and the elimination order that they make.
 
     A front's pivots form `blocks` pivot blocks of at most _PIVOTS, each a
-    run of positions of the order.  Level l, the positions
-    level_start[l]:level_start[l + 1], holds blocks that are eliminated
-    together: the rows below a block (the later blocks of its front, then the
-    front's boundary) lie at later levels.  A front's padded dense array
+    run of positions of the order, which lists the blocks level by level:
+    the rows below a block (the later blocks of its front, then the front's
+    boundary) are pivots of later levels.  A front's padded dense array
     holds `blocks` blocks of `width` slots, then `rows` boundary slots in
     tiles of `tile`; its slots hold the position in each slot (-1 for
     padding), and its targets the slot in the parent's array of each of its
@@ -838,9 +896,6 @@ class _Fronts:
     order: np.ndarray  # the free vertex at each position
     front_of: np.ndarray  # per position, its front
     slot_of: np.ndarray  # per position, its slot in its front
-    level_start: np.ndarray
-    level_rows: list  # per level, the positions of the rows below its blocks
-    column: np.ndarray  # per position, the entries of L in its column
     boundary_key: np.ndarray  # front * n + position of each boundary row, increasing
     boundary_ptr: np.ndarray  # per front, where its rows start in boundary_key
     blocks: np.ndarray  # per front
@@ -951,19 +1006,13 @@ def _fronts(tree: EliminationTree, vertices: np.ndarray) -> _Fronts:
     order = by_front[np.argsort(key[by_front], kind="stable")]
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
-    levels = int(vlevel.max(initial=-1)) + 1
-    level_start = np.concatenate([[0], np.cumsum(np.bincount(vlevel, minlength=levels))])
-    pfront, pblock, plevel = front[order], block[order], vlevel[order]
+    pfront, pblock = front[order], block[order]
     first_block = np.cumsum(blocks) - blocks
     block_id = first_block[pfront] + pblock
     block_start = np.full(int(blocks.sum()), n)
     np.minimum.at(block_start, block_id, np.arange(n))
     r = np.arange(n) - block_start[block_id]
     slot_of = pblock * width[pfront] + r
-    upto = np.cumsum(np.bincount(block_id, minlength=len(block_start)))
-    before = np.concatenate([[0], upto])
-    later = size[pfront] - (upto[block_id] - before[first_block[pfront]])  # later blocks' pivots
-    column = (upto[block_id] - before[block_id] - r) + later + nrows[pfront]
 
     # the boundary rows of each front, its slots, and their targets
     boundary_key = np.sort(owner * n + pos[member])
@@ -983,17 +1032,8 @@ def _fronts(tree: EliminationTree, vertices: np.ndarray) -> _Fronts:
     into[out] = blocks[u] * width[u] + np.searchsorted(boundary_key, u * n + x) - boundary_ptr[u]
     targets[target_ptr[bfront] + within] = into
 
-    # per level, the rows below its blocks: a pivot lies below the earlier
-    # blocks of its front, and a boundary row below all of them
-    below = np.zeros(levels * n, dtype=bool)
-    for b in range(int(blocks.max(initial=0))):
-        later, rows_b = pblock > b, blocks[bfront] > b
-        below[(plevel[later] - pblock[later] + b) * n + np.flatnonzero(later)] = True
-        below[(level[bfront[rows_b]] + b) * n + bpos[rows_b]] = True
-    level_rows = [np.flatnonzero(below[lv * n:(lv + 1) * n]) for lv in range(levels)]
-    return _Fronts(order, pfront, slot_of, level_start, level_rows, column, boundary_key,
-                   boundary_ptr, blocks, width, rows, tile, level, parent, slot_ptr, slots,
-                   target_ptr, targets, batch, place, made[::-1])
+    return _Fronts(order, pfront, slot_of, boundary_key, boundary_ptr, blocks, width, rows, tile,
+                   level, parent, slot_ptr, slots, target_ptr, targets, batch, place, made[::-1])
 
 
 def _diagonal_blocks(M: np.ndarray) -> np.ndarray:
@@ -1033,35 +1073,41 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
 
 
 class CholeskyFactor:
-    """L L^T of a symmetric positive definite matrix, stored once.  Per
-    level of pivot blocks: the positions start:stop of its pivots, the
-    positions `rows` of the rows below them, and one matrix M (CSC) that
-    stacks D, the inverses of the blocks' diagonal parts L11, over
-    G = L21 D, the rows below times D.  A solve is two matrix-vector products
-    per level: a forward one with M and a backward one with its transpose."""
+    """L L^T of a symmetric positive definite matrix of order n, stored once
+    as dense panels, one per pivot block of a batch of fronts.  A panel holds
+    per front the columns of M = [D; -G]: D, the inverse of the block's
+    diagonal part L11, over G = L21 D, the rows below it times D.  ids holds
+    the position of each of M's rows, n at a padding slot, whose column of
+    D is a unit vector and whose row of G is 0.  A solve walks the panels in
+    elimination order and back: per panel a gather, one batched product and
+    a scatter."""
 
-    def __init__(self, levels: list, nnz: int):
-        self.levels = levels
-        self.nnz = nnz  # the entries of L that the factor stores
+    def __init__(self, n: int, panels: list, nnz: int):
+        self.n = n
+        # (ids, pivots, rows, into, X): X[f, c] is the column c of front f's
+        # M, the pivot slots ids[:, :width] hold the positions pivots, and the
+        # row slots ids[:, width:] the positions rows[into]
+        self.panels = panels
+        self.nnz = nnz  # the entries of L, padding left out
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        x = np.array(b, dtype=float)
-        for start, stop, rows, M, _ in self.levels:
-            y = M @ x[start:stop]
-            x[start:stop] = y[:stop - start]
-            x[rows] -= y[stop - start:]
-        for start, stop, rows, _, MT in reversed(self.levels):
-            x[start:stop] = MT @ np.concatenate([x[start:stop], -x[rows]])
-        return x
+        x = np.zeros(self.n + 1)  # the last entry, of every padding slot, stays 0
+        x[:-1] = b
+        for _, pivots, rows, into, X in self.panels:
+            width = X.shape[1]
+            y = np.matmul(x[pivots][:, None], X)[:, 0]
+            x[pivots] = y[:, :width]
+            x[rows] += np.bincount(into, y[:, width:].ravel(), minlength=len(rows))
+        for ids, pivots, _, _, X in reversed(self.panels):
+            x[pivots] = np.matmul(X, x[ids][:, :, None])[:, :, 0]
+        return x[:-1]
 
 
 def _assembly(A, f: _Fronts) -> list:
     """Per batch, a list holding the places in its fronts of the entries of
-    A's lower triangle in its pivot columns, and their values."""
-    n = A.shape[0]
-    cols = np.repeat(np.arange(n), np.diff(A.indptr))
-    low = A.indices >= cols
-    rows, cols, values = A.indices[low], cols[low], A.data[low]
+    A's lower triangle, and their values."""
+    n = len(f.order)
+    rows, cols, values = A
     owner = f.front_of[cols]
     r = f.slot_of[rows]
     out = f.front_of[rows] != owner  # a row of the front's boundary
@@ -1078,24 +1124,20 @@ def _assembly(A, f: _Fronts) -> list:
 
 
 def cholesky(A, fronts: _Fronts) -> CholeskyFactor:
-    """The Cholesky factor of the symmetric positive definite A (CSR, in the
-    elimination order of fronts) by the multifrontal method on those fronts.
+    """The Cholesky factor of the symmetric positive definite A, given as
+    the entries (rows, cols, values) of its lower triangle in the
+    elimination order of fronts, by the multifrontal method on those fronts.
 
     Each batch of fronts is assembled from A's lower triangle and its
     children's updates, then each pivot block in turn is factored
     (L11 = chol(F11), D = L11^-1) and eliminated from the rows below it
     (L21 = F21 D^T, G = L21 D, F22 -= L21 L21^T by tiles on and below the
-    diagonal).  The lower triangle of what is left of the boundary block is
-    the update, which waits in its parent's batch and is freed once that is
-    assembled."""
-    from scipy import sparse
-
+    diagonal), leaving the block's panel.  The lower triangle of what is left
+    of the boundary block is the update, which waits in its parent's batch
+    and is freed once that is assembled."""
     f = fronts
-    starts = f.level_start
-    levels = len(starts) - 1
-    indptr = [np.concatenate([[0], np.cumsum(f.column[starts[lv]:starts[lv + 1]])])
-              for lv in range(levels)]
-    data, indices = [None] * levels, [None] * levels  # made at a level's first block
+    n = len(f.order)
+    panels, nnz = [], 0
     # per batch, the entries that its fronts assemble, as (place, value):
     # first A's lower triangle, then its children's updates
     pending = _assembly(A, f)
@@ -1112,6 +1154,7 @@ def cholesky(A, fronts: _Fronts) -> CholeskyFactor:
         F = F.reshape(k, span, span)
         q, c = np.nonzero(S[:, :P] < 0)
         F[q, c, c] = 1.0  # padding pivots
+        left = np.count_nonzero(S >= 0, axis=1)  # real slots from the block on
 
         update = None  # L21 L21^T of a last block of one tile, not yet subtracted
         for j in range(blocks):
@@ -1122,7 +1165,7 @@ def cholesky(A, fronts: _Fronts) -> CholeskyFactor:
                 nt = (span - e) // tile
                 L21 = F[:, e:, a:e].reshape(k, nt, tile, width) @ X[:, None]
                 G = (L21 @ W[:, None]).reshape(k, span - e, width)
-                X = np.concatenate([X, G.transpose(0, 2, 1)], axis=2)
+                X = np.concatenate([X, -G.transpose(0, 2, 1)], axis=2)
                 # F22 -= L21 L21^T, in tiles on and below the diagonal, one
                 # row of tiles at a time
                 if nt == 1 and e == P:
@@ -1132,24 +1175,15 @@ def cholesky(A, fronts: _Fronts) -> CholeskyFactor:
                     F[:, r0:r0 + tile, e:r0 + tile].reshape(k, tile, i + 1, tile).transpose(
                         0, 2, 1, 3)[...] -= L21[:, i:i + 1] @ L21[:, :i + 1].transpose(0, 1, 3, 2)
                 del L21, G
-            # the block's columns of M: its rows of D, then the rows below it
-            lv = int(f.level[fs[0]]) + j
-            lo = starts[lv]
-            below = S[:, e:]
-            ids = np.concatenate([S[:, a:e] - lo, np.where(
-                below >= 0, (starts[lv + 1] - lo) + np.searchsorted(f.level_rows[lv], below), -1)],
-                axis=1)
-            keep = (S[:, a:e] >= 0)[:, :, None] & (ids >= 0)[:, None, :]
-            keep[:, :, :width] &= np.tri(width, dtype=bool).T
-            if data[lv] is None:
-                data[lv] = np.empty(int(indptr[lv][-1]))
-                indices[lv] = np.empty(int(indptr[lv][-1]), dtype=np.int32)
-            begin = int(indptr[lv][S[0, a] - lo])
-            values = X[keep]
-            data[lv][begin:begin + len(values)] = values
-            indices[lv][begin:begin + len(values)] = np.broadcast_to(ids[:, None, :],
-                                                                     keep.shape)[keep]
-            del W, X, keep, ids
+            ids = np.where(S[:, a:] < 0, n, S[:, a:]).astype(np.intp)
+            rows_below, into = np.unique(ids[:, width:], return_inverse=True)
+            panels.append((ids, ids[:, :width].copy(), rows_below, into.ravel(),
+                           np.ascontiguousarray(X)))
+            # the real pivots of a block come first, and so do its real rows
+            pivots = np.count_nonzero(S[:, a:e] >= 0, axis=1)
+            left -= pivots
+            nnz += int((pivots * (pivots + 1) // 2 + pivots * left).sum())
+            del W, X
 
         if rows:  # the update, lower triangle only, to the parents' batches
             T = f.targets[f.target_ptr[fs, None] + np.arange(rows)]
@@ -1173,13 +1207,20 @@ def cholesky(A, fronts: _Fronts) -> CholeskyFactor:
                                                 values[lo_e:ends[hi_q - 1]]))
             del to, values, keep
         del F, update
-    levels_out = []
-    for lv in range(levels):
-        p = int(starts[lv + 1] - starts[lv])
-        M = sparse.csc_matrix((data[lv], indices[lv], indptr[lv]),
-                              shape=(p + len(f.level_rows[lv]), p))
-        levels_out.append((int(starts[lv]), int(starts[lv + 1]), f.level_rows[lv], M, M.T))
-    return CholeskyFactor(levels_out, sum(len(d) for d in data))
+    return CholeskyFactor(n, panels, nnz)
+
+
+def _eigen_block(K: Stiffness, pos: np.ndarray):
+    """The free block of K on the vertices with pos >= 0, numbered by pos:
+    as an _Ell, as the entries of its lower triangle, and the free vertices
+    with an edge to a constrained one."""
+    block, (row, _, _) = _free_block(K, pos)
+    inner = (pos[K.i] >= 0) & (pos[K.j] >= 0)
+    pi, pj = pos[K.i[inner]], pos[K.j[inner]]
+    d = np.arange(len(block.diag))
+    lower = (np.concatenate([np.maximum(pi, pj), d]), np.concatenate([np.minimum(pi, pj), d]),
+             np.concatenate([-K.w[inner], block.diag]))
+    return block, lower, np.unique(row)
 
 
 def first_eigenvalue_estimate(region: ClippedRegion, tree: EliminationTree) -> float:
@@ -1198,18 +1239,19 @@ def first_eigenvalue_estimate(region: ClippedRegion, tree: EliminationTree) -> f
         raise DomainError("region has no interior vertices")
     fronts = _fronts(tree, region.vertex_parent[free])
     free = free[fronts.order]
-    Kff = system.K[free][:, free]
+    pos = np.full(len(system.mass), -1)
+    pos[free] = np.arange(len(free))
+    Kff, lower, touching = _eigen_block(system.K, pos)
     mf = system.mass[free]
-    touching = np.zeros(len(system.mass), dtype=bool)
-    touching[system.K[system.constrained].indices] = True
-    touching = touching[free]
-    del system  # only the free block is factored
-    reached = _breadth_first(_adjacency(Kff.indptr, Kff.indices), np.flatnonzero(touching),
-                             np.zeros(len(free) + 1, dtype=bool))
+    del system, pos  # only the free block is factored
+    # the free block's graph: the columns of each row's slots
+    reached = _breadth_first(np.ascontiguousarray(Kff.cols.T), touching,
+                             np.zeros(len(free), dtype=bool))
     if len(reached) < len(free):
         raise DomainError(f"the free block is singular: {len(free) - len(reached)} free "
                           "vertices have no path to the Dirichlet boundary")
-    factor = cholesky(Kff, fronts)
+    factor = cholesky(lower, fronts)
+    del lower
     x = np.ones(len(free))
     x /= math.sqrt(float((x * x * mf).sum()))
     lam_prev = math.inf

@@ -486,8 +486,7 @@ def minimality_residual(mesh: TriMesh) -> float:
     """
     v, f = mesh.verts, mesh.faces
     n = len(v)
-    # the unclamped operator applied edge by edge, (K x)_i = sum_j w_ij (x_i - x_j),
-    # so that this diagnostic needs no sparse matrix
+    # the unclamped operator applied edge by edge, (K x)_i = sum_j w_ij (x_i - x_j)
     rows, cols, w, double_area = _cotangent_edges(v, f)
     mass = _lumped_mass(f, n, double_area)
     d = w[:, None] * (v[rows] - v[cols])
@@ -526,22 +525,34 @@ def _cotangent_edges(v: np.ndarray, f: np.ndarray) -> tuple:
     return rows, cols, w, double_area
 
 
-def cotangent_laplacian(verts, faces):
-    """Cotangent-weight stiffness matrix (CSR) and barycentric lumped mass.
+@dataclass(eq=False)
+class Stiffness:
+    """The stiffness K = diag(diag) - W of len(diag) vertices, with W
+    symmetric: w on each undirected edge (i, j), i < j, listed in key order,
+    and no other entry.  Every listed weight is positive."""
+
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+    diag: np.ndarray
+
+
+def cotangent_laplacian(verts, faces) -> tuple[Stiffness, np.ndarray]:
+    """Cotangent-weight stiffness, as an undirected edge list and a
+    diagonal, and barycentric lumped mass.
 
     Negative edge weights are zeroed, which keeps the matrix an M-matrix so
-    discrete solutions obey the maximum principle.
+    discrete solutions obey the maximum principle; an edge whose weight is
+    then 0 is dropped, so two vertices are joined exactly when they couple.
     """
-    from scipy import sparse  # here, so that meshing and clipping never load scipy
-
     v = np.asarray(verts, float)
     f = np.asarray(faces)
     n = len(v)
     rows, cols, w, double_area = _cotangent_edges(v, f)
     mass = _lumped_mass(f, n, double_area)
-    W = sparse.coo_matrix((w, (rows, cols)), shape=(n, n))
-    W = (W + W.T).tocsr()
-    W.data = np.maximum(W.data, 0.0)
-    diag = np.asarray(W.sum(axis=1)).ravel()
-    K = sparse.diags(diag) - W
-    return K.tocsr(), mass
+    keys, edge = np.unique(edge_keys(np.column_stack([rows, cols]), n), return_inverse=True)
+    w = np.bincount(edge, w)  # the half cotangents of the one or two faces at the edge
+    keep = w > 0.0
+    i, j, w = keys[keep] // n, keys[keep] % n, w[keep]
+    diag = np.bincount(i, w, minlength=n) + np.bincount(j, w, minlength=n)
+    return Stiffness(i, j, w, diag), mass

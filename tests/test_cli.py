@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import io
 import json
@@ -825,34 +826,59 @@ def test_numpy_only_runs_never_import_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-# Runs of every solve: scipy supplies only the sparse matrices (and the
-# quadratures of parsed warps), so none loads scipy's dense or sparse linear
-# algebra or its graph routines
-_NO_SOLVER_MODULES = """
+# Runs of every solve, against a flat and a hyperbolic model: the solves and
+# the space forms' closed forms are numpy code, so none loads scipy
+_NO_SCIPY_SOLVES = """
 import sys
 import excomp.cli
 
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
 out = sys.argv[1]
-for argv in (["verify", "--surface", "catenoid", "--a", "1", "--res", "32", "--cover", "8",
-              "--dim", "2", "--warp", "r", "--grid", "2:7:5", "--rho", "1.5", "--R", "4",
-              "--t", "7", "--R0", "2"],
-             ["capacity", "--surface", "plane", "--res", "32", "--cover", "3.2", "--dim", "2",
-              "--warp", "r", "--rho", "1.0", "--R", "2.0"],
-             ["exit-time", "--surface", "plane", "--res", "32", "--cover", "3.2", "--dim", "2",
-              "--warp", "r", "--R", "2.0"],
-             ["ends", "--surface", "catenoid", "--a", "1", "--res", "32", "--cover", "11",
-              "--dim", "2", "--warp", "r", "--R", "2.0", "--t", "10.0", "--grid", "2:10:5"]):
-    assert excomp.cli.main(argv + ["--out", out]) in (0, 1), argv
-    loaded = [m for m in ("scipy.linalg", "scipy.sparse.linalg", "scipy.sparse.csgraph")
-              if m in sys.modules]
-    assert not loaded, (argv[0], loaded)
+catenoid = ["--surface", "catenoid", "--a", "1", "--res", "32", "--dim", "2"]
+plane = ["--surface", "plane", "--res", "32", "--cover", "3.2", "--dim", "2"]
+for warp in ("r", "b=-1"):
+    for argv in (["verify", *catenoid, "--cover", "8", "--grid", "2:7:5", "--rho", "1.5",
+                  "--R", "4", "--t", "7", "--R0", "2"],
+                 ["capacity", *plane, "--rho", "1.0", "--R", "2.0"],
+                 ["exit-time", *plane, "--R", "2.0"],
+                 ["ends", *catenoid, "--cover", "11", "--R", "2.0", "--t", "10.0",
+                  "--grid", "2:10:5"],
+                 ["tone", *catenoid, "--cover", "8", "--grid", "2:7:3"]):
+        assert excomp.cli.main(argv + ["--warp", warp, "--out", out]) in (0, 1), argv
+        assert not scipy_modules(), (argv[0], warp, scipy_modules())
 """
 
 
-def test_solves_never_import_scipy_linear_algebra(tmp_path):
-    proc = subprocess.run([sys.executable, "-c", _NO_SOLVER_MODULES, str(tmp_path)],
+def test_solves_never_import_scipy(tmp_path):
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SOLVES, str(tmp_path)],
                           env=_fresh_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def _scipy_imports(node, function=None):
+    """(enclosing function, imported name) of each import of scipy under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            names = [f"{child.module}.{alias.name}" for alias in child.names]
+        else:
+            names = []
+        yield from ((function, name) for name in names if name.split(".")[0] == "scipy")
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _scipy_imports(child, inner)
+
+
+def test_scipy_is_imported_only_for_quadratures():
+    # the solves are numpy code: scipy.integrate, inside modelspace's two
+    # quadrature functions, is the package's only use of scipy
+    src = Path(excomp.__file__).resolve().parent
+    found = {(path.stem, function, name) for path in sorted(src.glob("*.py"))
+             for function, name in _scipy_imports(ast.parse(path.read_text()))}
+    assert found == {("modelspace", "_quad", "scipy.integrate"),
+                     ("modelspace", "_quad_tail", "scipy.integrate")}
 
 
 # `excomp surface` with a grid of 40001^2 vertices, under a 3 GiB address-space

@@ -53,6 +53,13 @@ def _permuted_helicoid(res, seed, ext=13.2):
     return TriMesh(verts, faces)
 
 
+def _scipy_stiffness(K):
+    """Reference: the stiffness as a scipy CSR matrix, from its edge list."""
+    n = len(K.diag)
+    W = sparse.coo_matrix((K.w, (K.i, K.j)), shape=(n, n))
+    return (sparse.diags(K.diag) - W - W.T).tocsr()
+
+
 def _boundary_edges(reg):
     f = reg.faces
     und = np.sort(np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]]), axis=1)
@@ -543,7 +550,7 @@ class TestLaplacianWeights:
         # hand value for one triangle: off-diagonal -cot(pi/3)/2 = -1/(2 sqrt 3)
         verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, math.sqrt(3) / 2, 0]])
         K, _ = cotangent_laplacian(verts, np.array([[0, 1, 2]]))
-        K = K.toarray()
+        K = _scipy_stiffness(K).toarray()
         off = -1.0 / (2 * math.sqrt(3))
         for i in range(3):
             for j in range(3):
@@ -555,16 +562,19 @@ class TestLaplacianWeights:
         verts = np.array([[0, 0, 0], [1, 0, 0], [0.5, math.sqrt(3) / 2, 0],
                           [0.5, -math.sqrt(3) / 2, 0]])
         K, _ = cotangent_laplacian(verts, np.array([[0, 1, 2], [1, 0, 3]]))
-        assert K[0, 1] == pytest.approx(-1.0 / math.sqrt(3), rel=1e-12)
+        assert K.i[0] == 0 and K.j[0] == 1  # edges in key order
+        assert -K.w[0] == pytest.approx(-1.0 / math.sqrt(3), rel=1e-12)
+        assert _scipy_stiffness(K)[0, 1] == -K.w[0]
 
     def test_square_grid_five_point_stencil(self):
         mesh = tessellate(builtin("plane", extent=4.0), 8, 8)  # unit squares
         K, _ = cotangent_laplacian(mesh.verts, mesh.faces)
-        K = K.tocsr()
         # interior vertex: axis neighbors -1, diagonal neighbors 0, center 4
         inner = np.flatnonzero(mesh.tags != TAG_TRUNCATION)
         i = int(inner[len(inner) // 2])
-        row = K.getrow(i).toarray().ravel()
+        # an edge of weight 0 (a square's diagonal) carries no entry
+        assert np.all(K.w > 0) and np.count_nonzero((K.i == i) | (K.j == i)) == 4
+        row = _scipy_stiffness(K).getrow(i).toarray().ravel()
         assert row[i] == pytest.approx(4.0, rel=1e-12)
         assert sorted(np.round(row[row != 0], 12).tolist()) == [-1.0, -1.0, -1.0, -1.0, 4.0]
 
@@ -585,7 +595,7 @@ class TestLaplacianWeights:
             np.add.at(W, (f[:, (k + 1) % 3], f[:, (k + 2) % 3]), 0.5 * cot)
         W = np.maximum(W + W.T, 0.0)
         ref = np.diag(W.sum(axis=1)) - W
-        assert np.abs(K.toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert np.abs(_scipy_stiffness(K).toarray() - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_unconstrained_system_rejected(self, plane_128):
         reg = clip(plane_128, 1.0, 2.0)
@@ -702,24 +712,28 @@ def test_solvers_call_the_module_level_cg_and_cholesky(monkeypatch, plane_128):
 
 
 def _free_block(region):
-    """The free block of the (0, 1) annulus system, its right-hand side and
-    its inverse diagonal, as solve_dirichlet builds them."""
+    """The free block of the (0, 1) annulus system in the ELL form that
+    solve_dirichlet builds, and as a scipy CSR reference built from the edge
+    list; the right-hand side and the inverse diagonal, from the reference."""
     system = dgeom.assemble_laplacian(region, {"inner": 0.0, "outer": 1.0})
     free = system.free_mask()
     field = np.zeros(len(free))
     field[system.constrained] = system.values
-    Kf = system.K[free]
-    return Kf[:, free], -Kf[:, ~free] @ field[~free], 1.0 / Kf[:, free].diagonal()
+    Kf = _scipy_stiffness(system.K)[free]
+    block, _ = dgeom._free_block(system.K, np.where(free, np.cumsum(free) - 1, -1))
+    return (block, Kf[:, free], -Kf[:, ~free] @ field[~free],
+            1.0 / Kf[:, free].diagonal())
 
 
 class TestConjugateGradients:
     def test_matches_scipy(self, plane_256):
         from scipy.sparse.linalg import cg as scipy_cg
-        Kff, rhs, inv_diag = _free_block(clip(plane_256, 1.0, math.e))
+        block, Kff, rhs, inv_diag = _free_block(clip(plane_256, 1.0, math.e))
         runs = []
-        for solver, M in ((scipy_cg, sparse.diags(inv_diag)), (dgeom.cg, inv_diag)):
+        for solver, A, M in ((scipy_cg, Kff, sparse.diags(inv_diag)),
+                             (dgeom.cg, block, inv_diag)):
             iters = []
-            x, info = solver(Kff, rhs, rtol=1e-10, atol=0.0, maxiter=5000, M=M,
+            x, info = solver(A, rhs, rtol=1e-10, atol=0.0, maxiter=5000, M=M,
                              callback=lambda xk: iters.append(1))
             assert info == 0
             runs.append((x, len(iters)))
@@ -727,9 +741,20 @@ class TestConjugateGradients:
         assert n == n_scipy > 100
         assert np.abs(x - x_scipy).max() <= 1e-12 * np.abs(x_scipy).max()
 
+    def test_ell_block_matches_csr(self, catenoid_96):
+        block, Kff, _, inv_diag = _free_block(clip(catenoid_96, 1.5, 6.0))
+        assert np.array_equal(block.diag, 1.0 / inv_diag)
+        x = np.random.default_rng(1).standard_normal(Kff.shape[0])
+        ref = Kff @ x
+        assert np.abs(block @ x - ref).max() <= 1e-14 * np.abs(ref).max()
+        # the arrays a tracer digests describe the same matrix
+        csr = block.tocsr()
+        copy = sparse.csr_matrix((csr.data, csr.indices, csr.indptr), shape=block.shape)
+        assert np.abs((copy - Kff).toarray()).max() <= 1e-14 * np.abs(Kff.data).max()
+
     def test_zero_rhs_returns_zeros(self, plane_128):
-        Kff, rhs, inv_diag = _free_block(clip(plane_128, 1.0, 2.0))
-        x, info = dgeom.cg(Kff, np.zeros_like(rhs), rtol=1e-10, atol=0.0, maxiter=10,
+        block, _, rhs, inv_diag = _free_block(clip(plane_128, 1.0, 2.0))
+        x, info = dgeom.cg(block, np.zeros_like(rhs), rtol=1e-10, atol=0.0, maxiter=10,
                            M=inv_diag)
         assert info == 0
         assert np.array_equal(x, np.zeros_like(rhs))
@@ -748,7 +773,6 @@ class TestConjugateGradients:
 # other threads and of the main thread over the solve
 _SOLVE_CPU = """
 import math, time
-import scipy.sparse.linalg  # loading it starts scipy's BLAS threads; not timed
 from excomp import builtin, dgeom, tessellate
 
 region = dgeom.clip(tessellate(builtin("plane", cover_radius=3.2), 192, 192), 1.0, math.e)
@@ -775,31 +799,51 @@ def test_solves_leave_blas_threads_idle():
 # The eigenvalue estimate on a ball of more than 10 000 free vertices, where
 # a dense kernel above OpenBLAS's threading thresholds would hand work to its
 # worker threads; prints the CPU time of the other threads and of the main
-# thread over the estimate
+# thread over the estimate, or (with the argument "solves") over 20 solves
+# on its factor alone
 _EIGEN_CPU = """
-import time
-import scipy.sparse  # not timed
+import sys, time
+import numpy as np
 from excomp import builtin, dgeom, tessellate
 
 mesh = tessellate(builtin("plane", cover_radius=3.2), 192, 192)
 region = dgeom.clip(mesh, 0.0, 2.5)
 assert (region.vertex_label == dgeom.LABEL_INTERIOR).sum() > 10_000
 tree = dgeom.elimination_tree(mesh, 2.5)
+solves = sys.argv[1:] == ["solves"]
+if solves:  # the factor, not timed
+    factors, real = [], dgeom.cholesky
+    dgeom.cholesky = lambda *args: factors.append(real(*args)) or factors[-1]
+    dgeom.first_eigenvalue_estimate(region, tree)
+    b = np.ones(factors[0].n)
 process, main = time.process_time(), time.thread_time()
-dgeom.first_eigenvalue_estimate(region, tree)
+if solves:
+    for _ in range(20):
+        factors[0].solve(b)
+else:
+    dgeom.first_eigenvalue_estimate(region, tree)
 main = time.thread_time() - main
 print(time.process_time() - process - main, main)
 """
 
 
-def test_eigenvalue_factorization_leaves_blas_threads_idle():
+def _eigen_cpu(*args):
     env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(dgeom.__file__).resolve().parents[1]), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _EIGEN_CPU], env=env, capture_output=True,
-                          text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", _EIGEN_CPU, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    others, main = map(float, proc.stdout.split())
+    return tuple(map(float, proc.stdout.split()))
+
+
+def test_eigenvalue_factorization_leaves_blas_threads_idle():
+    others, main = _eigen_cpu()
+    assert others < 0.1 * main, (others, main)
+
+
+def test_panel_solves_leave_blas_threads_idle():
+    others, main = _eigen_cpu("solves")
     assert others < 0.1 * main, (others, main)
 
 
@@ -831,7 +875,7 @@ def _colamd_eigenvalue(region):
     from scipy.sparse.linalg import splu
     system = dgeom.assemble_laplacian(region, {"inner": 0.0, "outer": 0.0, "truncation": 0.0})
     free = system.free_mask()
-    Kff = system.K[free][:, free].tocsc()
+    Kff = _scipy_stiffness(system.K)[free][:, free].tocsc()
     mf = system.mass[free]
     lu = splu(Kff)
     x = np.ones(len(mf))
@@ -882,8 +926,50 @@ class TestEigenvalue:
     def test_fill_below_colamd(self, catenoid_96, case, R):
         mesh = catenoid_96 if case == "catenoid" else _permuted_helicoid(128, seed=20)
         _, _, colamd = _colamd_eigenvalue(clip(mesh, 0.0, R))
+        # fill: the real entries of L (the panels' padding slots and the upper
+        # triangles of their D blocks left out)
         _, _, fill = _nested_dissection_eigenvalue(mesh, R, elimination_tree(mesh, R))
         assert 2 * fill < colamd  # L and its transpose, against COLAMD's L + U
+
+    @pytest.mark.parametrize("pivots", [dgeom._PIVOTS, 8])
+    def test_solve_matches_a_dense_solve(self, monkeypatch, pivots):
+        # with 8 pivots a block, the separators are fronts of several blocks
+        monkeypatch.setattr(dgeom, "_PIVOTS", pivots)
+        mesh = tessellate(builtin("plane", cover_radius=3.2), 32, 32)
+        tree = elimination_tree(mesh, 2.5)
+        region = clip(mesh, 0.0, 2.5)
+        system = dgeom.assemble_laplacian(region, {"outer": 0.0})
+        free = np.flatnonzero(system.free_mask())
+        fronts = dgeom._fronts(tree, region.vertex_parent[free])
+        free = free[fronts.order]
+        K = _scipy_stiffness(system.K)[free][:, free].toarray()
+        factors, real = [], dgeom.cholesky
+        monkeypatch.setattr(dgeom, "cholesky",
+                            lambda *args: factors.append(real(*args)) or factors[-1])
+        first_eigenvalue_estimate(region, tree)
+        factor = factors[0]
+        assert (fronts.blocks.max() > 1) == (pivots == 8)
+        n = len(free)
+        # the stored entries: per front, the lower triangle of its pivots and
+        # their boundary rows, which hold every entry of L
+        size, nrows = np.bincount(fronts.front_of), np.diff(fronts.boundary_ptr)
+        assert factor.nnz == (size * (size + 1) // 2 + size * nrows).sum()
+        assert factor.nnz >= np.count_nonzero(np.linalg.cholesky(K))
+        b = np.random.default_rng(3).standard_normal(n)
+        ref = np.linalg.solve(K, b)
+        assert np.abs(factor.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+        # no padding slot leaks into x: in M, a padding slot's row and (for a
+        # padding pivot) column are those of the identity
+        assert np.count_nonzero(fronts.slots < 0)
+        for ids, pivots, rows, into, X in factor.panels:
+            width = X.shape[1]
+            assert np.array_equal(pivots, ids[:, :width])
+            assert np.array_equal(rows[into].reshape(len(ids), -1), ids[:, width:])
+            M = X.transpose(0, 2, 1)
+            pad = ids == n
+            padded = pad[:, :, None] | pad[:, None, :width]
+            unit = np.broadcast_to(np.eye(ids.shape[1], width), M.shape)
+            assert np.array_equal(M[padded], unit[padded])
 
     def test_running_out_of_steps_reports_the_last_change(self, monkeypatch, plane_128):
         monkeypatch.setattr(dgeom, "_EIGEN_MAXITER", 2)
@@ -975,8 +1061,9 @@ class TestEliminationRank:
                                                               np.concatenate([j[keep], i[keep]]))),
                                     shape=(m, m))
             sources = np.flatnonzero(~seen)[[0, 7, 3]]
-            order, level = dgeom._breadth_first(dgeom._adjacency(adj.indptr, adj.indices), sources,
-                                                np.append(seen, True), levels=True)
+            rows = np.repeat(np.arange(m), np.diff(adj.indptr))  # CSR order
+            order, level = dgeom._breadth_first(dgeom._adjacency(rows, adj.indices, m), sources,
+                                                seen, levels=True)
             ref_order, ref_level = _csgraph_breadth_first(adj, sources)
             assert np.array_equal(order, ref_order)
             assert np.array_equal(level, ref_level)
