@@ -16,7 +16,7 @@ from .modelspace import ModelSpace, QuadratureConfig, WarpingSpec
 from .surfaces import ParamSurface, TriMesh, builtin, load_mesh, minimality_residual, tessellate
 from .dgeom import (ClippedRegion, SparseSPDSystem, assemble_laplacian, capacity_discrete,
                     clip, elimination_tree, end_components, exit_time_discrete,
-                    first_eigenvalue_estimate, solve_dirichlet)
+                    first_eigenvalue_estimates, solve_dirichlet)
 from .harness import (Check, EndsReport, QuotientCurve, Study, ToneReport, VerificationReport,
                       comparison_gates, ends_bound, exit_time_comparison, gate_verdicts,
                       quotient_curves, tone_report, verify_capacity_sandwich,

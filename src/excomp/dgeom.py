@@ -27,13 +27,16 @@ Every solve is numpy code on the stiffness's edge list (surfaces.Stiffness),
 and none uses scipy.  The conjugate gradients (cg) run on the free block in
 column-major ELL form (_Ell) and make no BLAS vector call: every inner
 product goes through _dot, so no solve wakes BLAS worker threads.  The
-eigenvalue estimate factors its free block by a multifrontal Cholesky
-(cholesky) on the tree of a nested dissection of the mesh graph
-(elimination_tree), which one caller computes once for the largest of a
-family of nested balls and passes to each; the factor keeps the dense panel
-of each pivot block, and its dense kernels stay below the sizes at which
-OpenBLAS starts worker threads.  The breadth-first searches and graph
-components are numpy frontier code.
+eigenvalue estimates of an exhaustion by nested balls
+(first_eigenvalue_estimates) factor each ball's free block by a
+multifrontal Cholesky (cholesky) on one tree (elimination_tree): the band
+of the smallest ball at the root, over a nested dissection of the interior
+inside it and one of the outside.  The largest ball is factored first; the
+interior's rows are the same in every ball, so each smaller ball reuses its
+panels and factors only its own outside fronts and band.  The factor keeps
+the dense panel of each pivot block, and its dense kernels stay below the
+sizes at which OpenBLAS starts worker threads.  The breadth-first searches
+and graph components are numpy frontier code.
 """
 
 from __future__ import annotations
@@ -737,13 +740,16 @@ class EliminationTree:
     depth one entry per node (parent -1 at a root).  The boundary of node s,
     boundary[boundary_ptr[s]:boundary_ptr[s + 1]], is the set of ancestor
     vertices adjacent to its subtree, in increasing order: the rows that
-    eliminating the subtree fills below the node's own."""
+    eliminating the subtree fills below the node's own.  The tree of an
+    exhaustion has the band as its root, node 0, and interior marks the
+    nodes of the interior below it."""
 
     node: np.ndarray
     parent: np.ndarray
     depth: np.ndarray
     boundary_ptr: np.ndarray
     boundary: np.ndarray
+    interior: np.ndarray  # per node, whether it lies below the band, inside it
 
 
 def _boundaries(i, j, node, parent, depth):
@@ -776,8 +782,9 @@ def _boundaries(i, j, node, parent, depth):
     return ptr, key % m
 
 
-def elimination_tree(mesh: TriMesh, R: float) -> EliminationTree:
-    """The tree of a nested dissection of the mesh vertices with r < R.
+def elimination_tree(mesh: TriMesh, radii) -> EliminationTree:
+    """The tree of a nested dissection of the mesh vertices with r < R, the
+    largest of the radii (one radius, or those of an exhaustion).
 
     Each connected part of the graph of mesh edges among those vertices is
     split at the breadth-first level of its median vertex, counted from a
@@ -787,7 +794,17 @@ def elimination_tree(mesh: TriMesh, R: float) -> EliminationTree:
     graph.  A clipped ball of radius at most R inherits the tree: its free
     vertices are mesh vertices with r < R and its free-free edges are mesh
     edges, so each separator still separates and each boundary still
-    bounds."""
+    bounds.
+
+    With more than one radius, the root is the band of the smallest, R1: the
+    vertices with r < R1 on a face whose largest r is at least R1.  Below it
+    the dissection starts from two parts, the interior (r < R1, off the
+    band) and the outside (R1 <= r < R), which no mesh edge joins.  No ball
+    of the exhaustion cuts a face at an interior vertex, so the interior's
+    rows and masses are the same in every ball (one-way dissection, George
+    1980, with nested dissection on each side)."""
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    R, R1 = float(radii.max()), float(radii.min())
     inside = mesh.r < R
     m = int(inside.sum())
     local = np.cumsum(inside) - 1
@@ -801,6 +818,19 @@ def elimination_tree(mesh: TriMesh, R: float) -> EliminationTree:
     made_by = np.full(m, -1)  # the separator whose split made each vertex's part
     node = np.empty(m, dtype=np.int64)
     parent, depth, splits = [], [], 0
+    below = mesh.r[inside] < R1
+    banded = R1 < R
+    if banded:
+        cut = np.zeros(len(inside), dtype=bool)
+        cut[mesh.faces[mesh.r[mesh.faces].max(axis=1) >= R1]] = True
+        band = below & cut[inside]
+        node[band] = 0
+        parent.append(-1)
+        depth.append(0)
+        splits = 1
+        alive[band] = False
+        part[~below] = 1
+        made_by[:] = 0
     while alive.any():
         live = np.flatnonzero(alive)
         order = _breadth_first(nbr, _first_of_each(part[live], live), ~alive)
@@ -845,7 +875,11 @@ def elimination_tree(mesh: TriMesh, R: float) -> EliminationTree:
     ptr, boundary = _boundaries(i, j, node, parent, depth)
     mesh_node = np.full(len(inside), -1, dtype=np.int64)
     mesh_node[inside] = node
-    return EliminationTree(mesh_node, parent, depth, ptr, np.flatnonzero(inside)[boundary])
+    interior = np.zeros(len(parent), dtype=bool)
+    if banded:
+        interior[node[below & ~band]] = True
+    return EliminationTree(mesh_node, parent, depth, ptr, np.flatnonzero(inside)[boundary],
+                           interior)
 
 
 # ---------------------------------------------------------------------------
@@ -891,7 +925,9 @@ class _Fronts:
     tiles of `tile`; its slots hold the position in each slot (-1 for
     padding), and its targets the slot in the parent's array of each of its
     boundary slots.  A batch is a run of fronts of one shape whose first
-    blocks share a level, sorted by their parents' batches."""
+    blocks share a level, sorted by their parents' batches.  The fronts of
+    the tree's interior come first, at positions 0 to interior - 1, in the
+    first `shared` batches, which hold no other front."""
 
     order: np.ndarray  # the free vertex at each position
     front_of: np.ndarray  # per position, its front
@@ -911,6 +947,8 @@ class _Fronts:
     batch: np.ndarray  # per front
     place: np.ndarray  # per front, its place in its batch
     batches: list  # in elimination order
+    interior: int  # the positions of the interior's fronts
+    shared: int  # the batches of the interior's fronts
 
 
 def _fronts(tree: EliminationTree, vertices: np.ndarray) -> _Fronts:
@@ -940,6 +978,7 @@ def _fronts(tree: EliminationTree, vertices: np.ndarray) -> _Fronts:
     blocks = -(-size // _PIVOTS)
     parent = np.where(above[used] < 0, -1, front_of[np.maximum(above[used], 0)])
     fronts = len(size)
+    inner = tree.interior[used]
     depth = tree.depth[used]
     level = np.zeros(fronts, dtype=np.int64)
     for d in range(int(depth.max(initial=-1)), 0, -1):
@@ -956,9 +995,9 @@ def _fronts(tree: EliminationTree, vertices: np.ndarray) -> _Fronts:
     nrows = np.bincount(owner, minlength=fronts)
 
     # batches, from the top level down, so that each level's fronts can be
-    # sorted by their parents' batches.  Fronts of one level and block count
-    # share a batch, padded to its largest, while the padding costs less
-    # than the batch it saves
+    # sorted by their parents' batches.  Fronts of one level, block count and
+    # side of the band share a batch, padded to its largest, while the
+    # padding costs less than the batch it saves
     width, rows, tile = (np.zeros(fronts, dtype=np.int64) for _ in range(3))
     batch = np.zeros(fronts, dtype=np.int64)
     made = []
@@ -967,21 +1006,22 @@ def _fronts(tree: EliminationTree, vertices: np.ndarray) -> _Fronts:
         f = np.flatnonzero(level == lv)
         if not len(f):  # a level of later blocks only
             continue
-        f = f[np.lexsort((-nrows[f], -own_width[f], blocks[f]))]
-        shape = np.stack([blocks[f], own_width[f], _up8(nrows[f])])
-        groups = []  # [runs of fronts, blocks, width, boundary rows]
+        f = f[np.lexsort((-nrows[f], -own_width[f], blocks[f], inner[f]))]
+        shape = np.stack([inner[f], blocks[f], own_width[f], _up8(nrows[f])])
+        groups = []  # [runs of fronts, (side, blocks), width, boundary rows]
         for run in np.split(f, np.flatnonzero(np.any(np.diff(shape, axis=1), axis=0)) + 1):
             b, w, nr = int(blocks[run[0]]), int(own_width[run[0]]), int(nrows[run].max())
-            if groups and groups[-1][1] == b:
+            kind = (bool(inner[run[0]]), b)
+            if groups and groups[-1][1] == kind:
                 runs, _, gw, gnr = groups[-1]
                 members = sum(len(g) for g in runs)
                 cost = (members + len(run)) * _front_shape(b, max(gw, w), max(gnr, nr))[1] ** 2
                 if cost <= (members * _front_shape(b, gw, gnr)[1] ** 2
                             + len(run) * _front_shape(b, w, nr)[1] ** 2 + _SAVED):
-                    groups[-1] = [runs + [run], b, max(gw, w), max(gnr, nr)]
+                    groups[-1] = [runs + [run], kind, max(gw, w), max(gnr, nr)]
                     continue
-            groups.append([[run], b, w, nr])
-        for runs, b, w, nr in groups:
+            groups.append([[run], kind, w, nr])
+        for runs, (_, b), w, nr in groups:
             g = np.concatenate(runs)
             tile[g], span_ = _front_shape(b, w, nr)
             width[g], rows[g] = w, span_ - b * w
@@ -996,12 +1036,13 @@ def _fronts(tree: EliminationTree, vertices: np.ndarray) -> _Fronts:
     for fs in made:
         place[fs] = np.arange(len(fs))
 
-    # the order: levels first; in a level, blocks by batch and place
+    # the order: the interior first, then levels; in a level, blocks by batch
+    # and place
     by_front = np.argsort(front * (int(vertices.max(initial=0)) + 1) + vertices)
     fb = front[by_front]
     block = np.empty(n, dtype=np.int64)
     block[by_front] = (np.arange(n) - (np.cumsum(size) - size)[fb]) * blocks[fb] // size[fb]
-    vlevel = level[front] + block
+    vlevel = level[front] + block + np.where(inner[front], 0, int((level + blocks).max(initial=0)))
     key = (vlevel * len(made) + batch[front]) * (int(place.max(initial=0)) + 1) + place[front]
     order = by_front[np.argsort(key[by_front], kind="stable")]
     pos = np.empty(n, dtype=np.int64)
@@ -1033,7 +1074,9 @@ def _fronts(tree: EliminationTree, vertices: np.ndarray) -> _Fronts:
     targets[target_ptr[bfront] + within] = into
 
     return _Fronts(order, pfront, slot_of, boundary_key, boundary_ptr, blocks, width, rows, tile,
-                   level, parent, slot_ptr, slots, target_ptr, targets, batch, place, made[::-1])
+                   level, parent, slot_ptr, slots, target_ptr, targets, batch, place,
+                   sorted(made[::-1], key=lambda fs: not inner[fs[0]]),
+                   int(np.count_nonzero(inner[pfront])), sum(bool(inner[fs[0]]) for fs in made))
 
 
 def _diagonal_blocks(M: np.ndarray) -> np.ndarray:
@@ -1080,15 +1123,21 @@ class CholeskyFactor:
     the position of each of M's rows, n at a padding slot, whose column of
     D is a unit vector and whose row of G is 0.  A solve walks the panels in
     elimination order and back: per panel a gather, one batched product and
-    a scatter."""
+    a scatter.  A panel shared with a larger ball of an exhaustion may also
+    put n at a band row that this ball lacks (_Interior.share)."""
 
-    def __init__(self, n: int, panels: list, nnz: int):
+    def __init__(self, n: int, panels: list):
         self.n = n
         # (ids, pivots, rows, into, X): X[f, c] is the column c of front f's
         # M, the pivot slots ids[:, :width] hold the positions pivots, and the
         # row slots ids[:, width:] the positions rows[into]
         self.panels = panels
-        self.nnz = nnz  # the entries of L, padding left out
+        self.nnz = 0  # the entries of L, padding left out
+        for ids, pivots, _, _, X in panels:
+            real = np.count_nonzero(pivots < n, axis=1)
+            below = np.count_nonzero(ids[:, X.shape[1]:] < n, axis=1)
+            self.nnz += int((real * (real + 1) // 2 + real * below).sum())
+        self.interior = None  # what a larger ball shares with the smaller ones (cholesky)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         x = np.zeros(self.n + 1)  # the last entry, of every padding slot, stays 0
@@ -1098,6 +1147,7 @@ class CholeskyFactor:
             y = np.matmul(x[pivots][:, None], X)[:, 0]
             x[pivots] = y[:, :width]
             x[rows] += np.bincount(into, y[:, width:].ravel(), minlength=len(rows))
+        x[-1] = 0.0  # clear what went to a band row that this ball lacks
         for ids, pivots, _, _, X in reversed(self.panels):
             x[pivots] = np.matmul(X, x[ids][:, :, None])[:, :, 0]
         return x[:-1]
@@ -1123,7 +1173,7 @@ def _assembly(A, f: _Fronts) -> list:
             for b in range(len(f.batches))]
 
 
-def cholesky(A, fronts: _Fronts) -> CholeskyFactor:
+def cholesky(A, fronts: _Fronts, shared=(0, [])) -> CholeskyFactor:
     """The Cholesky factor of the symmetric positive definite A, given as
     the entries (rows, cols, values) of its lower triangle in the
     elimination order of fronts, by the multifrontal method on those fronts.
@@ -1134,14 +1184,25 @@ def cholesky(A, fronts: _Fronts) -> CholeskyFactor:
     (L21 = F21 D^T, G = L21 D, F22 -= L21 L21^T by tiles on and below the
     diagonal), leaving the block's panel.  The lower triangle of what is left
     of the boundary block is the update, which waits in its parent's batch
-    and is freed once that is assembled."""
+    and is freed once that is assembled.
+
+    When fronts has an interior, the factor's interior holds its panels and
+    the update that its fronts sent the root, the band (_Interior).  A
+    smaller ball of the exhaustion passes those panels as shared =
+    (start, panels): they eliminate its first `start` positions, which A and
+    fronts then leave out, and the update is among the entries of its A."""
     f = fronts
-    n = len(f.order)
-    panels, nnz = [], 0
+    start, panels = shared[0], list(shared[1])
+    n = start + len(f.order)
     # per batch, the entries that its fronts assemble, as (place, value):
     # first A's lower triangle, then its children's updates
     pending = _assembly(A, f)
-    for fs in f.batches:
+    count, sent = None, [(np.zeros(0, dtype=np.int32), np.zeros(0))]
+    for b, fs in enumerate(f.batches):
+        if b == f.shared > 0:  # the interior's fronts are done: what they sent the root
+            root = pending[f.batch[f.batches[-1][0]]]
+            root[1:] = sent = [tuple(map(np.concatenate, zip(*sent, *root[1:])))]  # in one piece
+            count = len(panels)
         k, blocks, width, rows, tile = (len(fs), int(f.blocks[fs[0]]), int(f.width[fs[0]]),
                                         int(f.rows[fs[0]]), int(f.tile[fs[0]]))
         P = blocks * width
@@ -1154,7 +1215,6 @@ def cholesky(A, fronts: _Fronts) -> CholeskyFactor:
         F = F.reshape(k, span, span)
         q, c = np.nonzero(S[:, :P] < 0)
         F[q, c, c] = 1.0  # padding pivots
-        left = np.count_nonzero(S >= 0, axis=1)  # real slots from the block on
 
         update = None  # L21 L21^T of a last block of one tile, not yet subtracted
         for j in range(blocks):
@@ -1175,14 +1235,10 @@ def cholesky(A, fronts: _Fronts) -> CholeskyFactor:
                     F[:, r0:r0 + tile, e:r0 + tile].reshape(k, tile, i + 1, tile).transpose(
                         0, 2, 1, 3)[...] -= L21[:, i:i + 1] @ L21[:, :i + 1].transpose(0, 1, 3, 2)
                 del L21, G
-            ids = np.where(S[:, a:] < 0, n, S[:, a:]).astype(np.intp)
+            ids = np.where(S[:, a:] < 0, n, S[:, a:] + start).astype(np.intp)
             rows_below, into = np.unique(ids[:, width:], return_inverse=True)
             panels.append((ids, ids[:, :width].copy(), rows_below, into.ravel(),
                            np.ascontiguousarray(X)))
-            # the real pivots of a block come first, and so do its real rows
-            pivots = np.count_nonzero(S[:, a:e] >= 0, axis=1)
-            left -= pivots
-            nnz += int((pivots * (pivots + 1) // 2 + pivots * left).sum())
             del W, X
 
         if rows:  # the update, lower triangle only, to the parents' batches
@@ -1207,7 +1263,12 @@ def cholesky(A, fronts: _Fronts) -> CholeskyFactor:
                                                 values[lo_e:ends[hi_q - 1]]))
             del to, values, keep
         del F, update
-    return CholeskyFactor(n, panels, nnz)
+    factor = CholeskyFactor(n, panels)
+    if f.shared:
+        root = f.batches[-1][0]
+        factor.interior = (panels[:count],
+                           (f.slots[f.slot_ptr[root]:f.slot_ptr[root + 1]].copy(), *sent[0]))
+    return factor
 
 
 def _eigen_block(K: Stiffness, pos: np.ndarray):
@@ -1223,22 +1284,97 @@ def _eigen_block(K: Stiffness, pos: np.ndarray):
     return block, lower, np.unique(row)
 
 
-def first_eigenvalue_estimate(region: ClippedRegion, tree: EliminationTree) -> float:
-    """Smallest Dirichlet eigenvalue of (K, M) on the region by inverse
-    power iteration on one Cholesky factorization of the free block.
+@dataclass(eq=False)
+class _Interior:
+    """The factored interior of an exhaustion's largest ball, which every
+    smaller ball shares: the mesh vertex at each of the largest ball's
+    positions (the interior's first, `count` of them), the interior's
+    panels, and the update that its fronts sent the band's front, all in the
+    largest ball's positions.  The update is (band, places, values): the
+    position of each slot of the band's front, and the place in that front
+    (row slot * span + column slot) and the value of each entry, an entry of
+    the lower triangle of the band's block."""
 
-    tree is elimination_tree(parent mesh, R') for some R' >= region.R.  The
-    free vertices (each a parent vertex: cut vertices lie on the Dirichlet
-    boundary) are eliminated front by front on that tree (_fronts, cholesky).
-    A part of the free vertices with no edge path to the Dirichlet boundary
-    (a closed component inside the ball) makes the block singular and raises
+    vertices: np.ndarray
+    count: int
+    panels: list
+    update: tuple
+
+    def share(self, position: np.ndarray, n: int, lower: tuple) -> tuple:
+        """The panels in the positions of a smaller ball of n free vertices,
+        position[v] being that of mesh vertex v there (-1 for a vertex that
+        is not free); and the entries `lower` of its free block's lower
+        triangle less the interior's columns, with the update added, in
+        positions counted from the interior's end.  A band row that the ball
+        lacks goes to the padding position n, and its update entries are
+        dropped."""
+        to = np.append(position[self.vertices], n)
+        to[to < 0] = n
+        panels = [(to[ids], to[pivots], to[rows], into, X)
+                  for ids, pivots, rows, into, X in self.panels]
+        band, places, values = self.update
+        rows, cols = to[band[places // len(band)]], to[band[places % len(band)]]
+        added = (rows < n) & (cols < n)
+        kept = lower[1] >= self.count
+        return panels, (np.concatenate([lower[0][kept], np.maximum(rows, cols)[added]]) - self.count,
+                        np.concatenate([lower[1][kept], np.minimum(rows, cols)[added]]) - self.count,
+                        np.concatenate([lower[2][kept], values[added]]))
+
+
+def first_eigenvalue_estimates(mesh: TriMesh, radii) -> list:
+    """Smallest Dirichlet eigenvalue of (K, M) on the extrinsic ball of each
+    radius, the balls of an exhaustion, in the order of radii.
+
+    One elimination tree serves every ball, with the band of the smallest
+    radius at its root when there are several.  The largest ball goes first
+    and is factored in full; each smaller one shares its interior's panels
+    (first_eigenvalue_estimate)."""
+    radii = [float(R) for R in radii]
+    tree = elimination_tree(mesh, radii)
+    interior, estimates = None, {}
+    for R in sorted(set(radii), reverse=True):
+        estimates[R], interior = first_eigenvalue_estimate(clip(mesh, 0.0, R), tree, interior)
+    return [estimates[R] for R in radii]
+
+
+def first_eigenvalue_estimate(region: ClippedRegion, tree: EliminationTree,
+                              interior: _Interior | None = None) -> tuple:
+    """Smallest Dirichlet eigenvalue of (K, M) on the region by inverse
+    power iteration on one Cholesky factorization of the free block, and
+    the factored interior that a smaller ball of the exhaustion shares.
+
+    tree is elimination_tree(parent mesh, radii) for radii whose largest is
+    at least region.R.  The free vertices (each a parent vertex: cut
+    vertices lie on the Dirichlet boundary) are eliminated front by front on
+    that tree (_fronts, cholesky), the tree's interior first.  Given the
+    interior of a larger ball, its panels eliminate this ball's interior:
+    no face at an interior vertex is cut, so the interior's rows are the same
+    in both balls, and only the rest of the free block is factored (in full
+    when the interior's free vertices differ between the balls).  A part
+    of the free vertices with no edge path to the Dirichlet boundary (a
+    closed component inside the ball) makes the block singular and raises
     DomainError."""
     system = assemble_laplacian(region, {"inner": 0.0, "outer": 0.0, "truncation": 0.0})
     free = np.flatnonzero(system.free_mask())
     if len(free) == 0:
         raise DomainError("region has no interior vertices")
-    fronts = _fronts(tree, region.vertex_parent[free])
-    free = free[fronts.order]
+    vertices = region.vertex_parent[free]
+    shared = np.zeros(0, dtype=np.int64)  # the free vertices that the interior eliminates
+    if interior is not None:
+        at = np.full(len(tree.node), -1)
+        at[vertices] = np.arange(len(free))
+        shared = at[interior.vertices[:interior.count]]
+        node = tree.node[vertices]
+        if np.any(shared < 0) or np.count_nonzero(tree.interior[node[node >= 0]]) != len(shared):
+            # a face at the interior that one ball drops as a sliver and the
+            # other keeps changes its free vertices: this ball is factored in full
+            interior, shared = None, shared[:0]
+    own = np.ones(len(free), dtype=bool)
+    own[shared] = False
+    own = np.flatnonzero(own)
+    fronts = _fronts(tree, vertices[own])
+    free = free[np.concatenate([shared, own[fronts.order]])]
+    del vertices, shared, own
     pos = np.full(len(system.mass), -1)
     pos[free] = np.arange(len(free))
     Kff, lower, touching = _eigen_block(system.K, pos)
@@ -1250,7 +1386,16 @@ def first_eigenvalue_estimate(region: ClippedRegion, tree: EliminationTree) -> f
     if len(reached) < len(free):
         raise DomainError(f"the free block is singular: {len(free) - len(reached)} free "
                           "vertices have no path to the Dirichlet boundary")
-    factor = cholesky(lower, fronts)
+    del touching, reached
+    if interior is None:
+        factor = cholesky(lower, fronts)
+        if factor.interior is not None:
+            interior = _Interior(region.vertex_parent[free], fronts.interior, *factor.interior)
+    else:
+        at = np.full(len(tree.node), -1)
+        at[region.vertex_parent[free]] = np.arange(len(free))
+        panels, lower = interior.share(at, len(free), lower)
+        factor = cholesky(lower, fronts, (interior.count, panels))
     del lower
     x = np.ones(len(free))
     x /= math.sqrt(float((x * x * mf).sum()))
@@ -1261,7 +1406,7 @@ def first_eigenvalue_estimate(region: ClippedRegion, tree: EliminationTree) -> f
         lam = _dot(x, Kff @ x) / float((x * x * mf).sum())
         change = abs(lam - lam_prev)
         if change <= _EIGEN_TOL * abs(lam):
-            return lam
+            return lam, interior
         lam_prev = lam
     raise SolveError("inverse power iteration did not converge", residual=change)
 

@@ -463,12 +463,7 @@ def tone_report(study: Study, R0: float, grid) -> ToneReport:
     eigenvalues = []
     if mesh is not None:
         radii = np.linspace(grid[0] + (grid[-1] - grid[0]) * 0.25, grid[-1], 4)
-        # the balls are nested, so the largest one's tree serves them all;
-        # it goes first, so that the smaller ones reuse the memory it took
-        tree = dgeom.elimination_tree(mesh, float(radii[-1]))
-        for R in radii[::-1]:
-            eigenvalues.insert(0, (float(R), dgeom.first_eigenvalue_estimate(
-                dgeom.clip(mesh, 0.0, float(R)), tree)))
+        eigenvalues = list(zip(radii.tolist(), dgeom.first_eigenvalue_estimates(mesh, radii)))
         lams = np.array([lam for _, lam in eigenvalues])
         if len(lams) >= 2:
             worst = int(np.argmax(lams[1:] / lams[:-1]))

@@ -120,8 +120,7 @@ def _plane_suite(mesh, tol_quot=0.01, tol_other=0.02):
     expected = (4.0 - reg.r ** 2) / 4.0
     assert np.abs(E - expected).max() <= tol_other * expected.max(), "exit time off"
 
-    lam = dgeom.first_eigenvalue_estimate(clip(mesh, 0.0, 1.0),
-                                          dgeom.elimination_tree(mesh, 1.0))
+    lam, = dgeom.first_eigenvalue_estimates(mesh, [1.0])
     assert lam == pytest.approx(5.7832, rel=tol_other), f"disc eigenvalue {lam}"
     return cap
 

@@ -365,6 +365,8 @@ class TestOncePerRun:
         balance = self._count(monkeypatch, harness, "_balance_gate")
         sweeps = self._count(monkeypatch, dgeom.RadialIndex, "sweep")
         indexes = self._count(monkeypatch, dgeom, "RadialIndex")
+        trees = self._count(monkeypatch, dgeom, "elimination_tree")
+        fronts = self._count(monkeypatch, dgeom, "_fronts")
         code = run(_ONCE_PER_RUN_VERIFY + ["--out", str(tmp_path)])
         assert code == 0
         assert len(solves) == 1
@@ -377,6 +379,17 @@ class TestOncePerRun:
         # one curve for each of the catenoid's two ends
         assert len(indexes) == 1
         assert len(sweeps) == 7
+        # one elimination tree serves the tone report's four nested balls,
+        # and the interior of the smallest one (the vertices off its band)
+        # is among the free vertices ordered for the largest ball's
+        # factorization only
+        (mesh, radii), = trees
+        R1 = min(radii)
+        cut = np.zeros(len(mesh.verts), dtype=bool)
+        cut[mesh.faces[mesh.r[mesh.faces].max(axis=1) >= R1]] = True
+        interior = (mesh.r < R1) & ~cut
+        counts = [int(interior[vertices].sum()) for _, vertices in fronts]
+        assert counts[0] > 100 and counts[1:] == [0, 0, 0]
 
     def test_capacity(self, tmp_path, monkeypatch):
         solves = self._count(monkeypatch, dgeom, "capacity_discrete")

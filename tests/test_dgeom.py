@@ -13,7 +13,7 @@ from scipy import sparse, special
 from excomp import dgeom, surfaces
 from excomp.dgeom import (LABEL_INNER, LABEL_INTERIOR, LABEL_OUTER, LABEL_TRUNCATION,
                           capacity_discrete, clip, elimination_tree, end_components,
-                          exit_time_discrete, first_eigenvalue_estimate, solve_dirichlet)
+                          exit_time_discrete, first_eigenvalue_estimates, solve_dirichlet)
 from excomp.errors import CoverageError, DomainError, SolveError
 from excomp.harness import Study
 from excomp.modelspace import ModelSpace, WarpingSpec
@@ -707,7 +707,7 @@ def test_solvers_call_the_module_level_cg_and_cholesky(monkeypatch, plane_128):
     reg = clip(plane_128, 1.0, 2.0)
     solve_dirichlet(dgeom.assemble_laplacian(reg, {"inner": 0.0, "outer": 1.0}))
     assert calls == {"cg": 1, "cholesky": 0}
-    first_eigenvalue_estimate(reg, elimination_tree(plane_128, 2.0))
+    first_eigenvalue_estimates(plane_128, [2.0])
     assert calls == {"cg": 1, "cholesky": 1}
 
 
@@ -796,11 +796,13 @@ def test_solves_leave_blas_threads_idle():
     assert others < 0.1 * main, (others, main)
 
 
-# The eigenvalue estimate on a ball of more than 10 000 free vertices, where
-# a dense kernel above OpenBLAS's threading thresholds would hand work to its
-# worker threads; prints the CPU time of the other threads and of the main
-# thread over the estimate, or (with the argument "solves") over 20 solves
-# on its factor alone
+# The eigenvalue estimates on two nested balls, the larger of more than
+# 10 000 free vertices, where a dense kernel above OpenBLAS's threading
+# thresholds would hand work to its worker threads: the band's root front,
+# and the smaller ball's factor on the larger one's interior panels.  Prints
+# the CPU time of the other threads and of the main thread over the
+# estimates, or (with the argument "solves") over 20 solves on the smaller
+# ball's factor alone
 _EIGEN_CPU = """
 import sys, time
 import numpy as np
@@ -809,19 +811,21 @@ from excomp import builtin, dgeom, tessellate
 mesh = tessellate(builtin("plane", cover_radius=3.2), 192, 192)
 region = dgeom.clip(mesh, 0.0, 2.5)
 assert (region.vertex_label == dgeom.LABEL_INTERIOR).sum() > 10_000
-tree = dgeom.elimination_tree(mesh, 2.5)
+del region
+radii = [1.5, 2.5]
 solves = sys.argv[1:] == ["solves"]
-if solves:  # the factor, not timed
+if solves:  # the factors, not timed
     factors, real = [], dgeom.cholesky
     dgeom.cholesky = lambda *args: factors.append(real(*args)) or factors[-1]
-    dgeom.first_eigenvalue_estimate(region, tree)
-    b = np.ones(factors[0].n)
+    dgeom.first_eigenvalue_estimates(mesh, radii)
+    assert len(factors[-1].panels) > len(factors[0].interior[0]) > 0
+    b = np.ones(factors[-1].n)
 process, main = time.process_time(), time.thread_time()
 if solves:
     for _ in range(20):
-        factors[0].solve(b)
+        factors[-1].solve(b)
 else:
-    dgeom.first_eigenvalue_estimate(region, tree)
+    dgeom.first_eigenvalue_estimates(mesh, radii)
 main = time.thread_time() - main
 print(time.process_time() - process - main, main)
 """
@@ -847,26 +851,30 @@ def test_panel_solves_leave_blas_threads_idle():
     assert others < 0.1 * main, (others, main)
 
 
-def _nested_dissection_eigenvalue(mesh, R, tree):
-    """first_eigenvalue_estimate on the ball of radius R on the tree, with
-    its number of inverse-power steps and the entries of its factor L."""
+def _nested_dissection_eigenvalues(mesh, radii):
+    """first_eigenvalue_estimates on the balls of the radii, each with its
+    number of inverse-power steps and the entries of its factor L, in the
+    order of radii."""
     steps, fill = [], []
     real = dgeom.cholesky
 
     class Counted:
         def __init__(self, factor):
-            self.factor = factor
+            self.factor, self.interior, self.ball = factor, factor.interior, len(fill)
             fill.append(factor.nnz)
+            steps.append(0)
 
         def solve(self, b):
-            steps.append(1)
+            steps[self.ball] += 1
             return self.factor.solve(b)
 
     dgeom.cholesky = lambda *args, **kwargs: Counted(real(*args, **kwargs))
     try:
-        return first_eigenvalue_estimate(clip(mesh, 0.0, R), tree), len(steps), fill[0]
+        lams = first_eigenvalue_estimates(mesh, radii)
     finally:
         dgeom.cholesky = real
+    ball = sorted(radii, reverse=True).index  # the largest ball is factored first
+    return [(lam, steps[ball(R)], fill[ball(R)]) for R, lam in zip(radii, lams)]
 
 
 def _colamd_eigenvalue(region):
@@ -893,34 +901,82 @@ def _colamd_eigenvalue(region):
 
 class TestEigenvalue:
     def test_unit_disc_bessel(self, plane_256):
-        lam = first_eigenvalue_estimate(clip(plane_256, 0.0, 1.0),
-                                        elimination_tree(plane_256, 1.0))
+        lam, = first_eigenvalue_estimates(plane_256, [1.0])
         j01 = float(special.jn_zeros(0, 1)[0])
         assert lam == pytest.approx(j01 ** 2, rel=0.02)
 
     def test_scaling_law(self, plane_256):
-        tree = elimination_tree(plane_256, 2.0)
-        lam1 = first_eigenvalue_estimate(clip(plane_256, 0.0, 1.0), tree)
-        lam2 = first_eigenvalue_estimate(clip(plane_256, 0.0, 2.0), tree)
+        lam1, lam2 = first_eigenvalue_estimates(plane_256, [1.0, 2.0])
         assert lam2 == pytest.approx(lam1 / 4.0, rel=0.02)
 
     def test_catenoid_decreasing_to_zero_trend(self, catenoid_96):
-        tree = elimination_tree(catenoid_96, 16.0)
-        lams = [first_eigenvalue_estimate(clip(catenoid_96, 0.0, R), tree)
-                for R in (4.0, 8.0, 16.0)]
+        lams = first_eigenvalue_estimates(catenoid_96, (4.0, 8.0, 16.0))
         assert lams[0] > lams[1] > lams[2]
 
     @pytest.mark.parametrize("case, radii", [("plane_256", (1.0, 2.0)),
-                                             ("catenoid_96", (4.0, 8.0, 16.0))])
+                                             ("catenoid_96", (4.0, 8.0, 16.0)),
+                                             ("helicoid_128", (4.5, 7.0, 9.5, 12.0))])
     def test_matches_the_colamd_factorization(self, request, case, radii):
-        # one tree, that of the largest ball, serves every ball inside it
-        mesh = request.getfixturevalue(case)
-        tree = elimination_tree(mesh, radii[-1])
-        for R in radii:
-            lam, steps, _ = _nested_dissection_eigenvalue(mesh, R, tree)
+        # the smaller balls share one tree and the largest ball's interior panels
+        mesh = _mesh_case(request, case)
+        for R, (lam, steps, _) in zip(radii, _nested_dissection_eigenvalues(mesh, radii)):
             ref, ref_steps, _ = _colamd_eigenvalue(clip(mesh, 0.0, R))
             assert lam == pytest.approx(ref, rel=1e-12, abs=0.0)
             assert steps == ref_steps
+
+    @pytest.mark.parametrize("radii", [(1.005, 8.0), (8.0,)])
+    def test_no_interior_and_no_band(self, catenoid_96, radii):
+        # a smallest ball whose free vertices all lie on its band leaves no
+        # interior to share, and a single ball has no band
+        tree = elimination_tree(catenoid_96, radii)
+        assert not tree.interior.any()
+        if len(radii) > 1:
+            region = clip(catenoid_96, 0.0, radii[0])
+            free = region.vertex_parent[region.vertex_label == LABEL_INTERIOR]
+            assert len(free) and np.all(tree.node[free] == 0)
+        for R, (lam, steps, _) in zip(radii, _nested_dissection_eigenvalues(catenoid_96, radii)):
+            ref, ref_steps, _ = _colamd_eigenvalue(clip(catenoid_96, 0.0, R))
+            assert lam == pytest.approx(ref, rel=1e-12, abs=0.0)
+            assert steps == ref_steps
+
+    @pytest.mark.parametrize("case, radii", [("catenoid_96", (4.0, 8.0, 16.0)),
+                                             ("helicoid_128", (4.5, 7.0, 9.5, 12.0))])
+    def test_interior_rows_are_those_of_the_largest_ball(self, request, case, radii):
+        # the invariant that sharing rests on: no ball cuts a face at an
+        # interior vertex, so its edge weights, diagonal and mass are the same
+        # in every ball, bit for bit
+        mesh = _mesh_case(request, case)
+        tree = elimination_tree(mesh, radii)
+        interior = np.zeros(len(mesh.verts), dtype=bool)
+        interior[tree.node >= 0] = tree.interior[tree.node[tree.node >= 0]]
+        assert interior.sum() > 100
+        rows = []
+        for R in radii:
+            region = clip(mesh, 0.0, R)
+            K, mass = cotangent_laplacian(region.verts, region.faces)
+            parent = region.vertex_parent
+            at = np.full(len(mesh.verts), -1)
+            at[parent[parent >= 0]] = np.flatnonzero(parent >= 0)
+            ends = np.stack([parent[K.i], parent[K.j]])
+            edges = np.flatnonzero(np.any((ends >= 0) & interior[ends], axis=0))
+            edges = edges[np.lexsort(ends[::-1, edges])]
+            vertices = np.flatnonzero(interior)
+            assert np.all(region.vertex_label[at[vertices]] == LABEL_INTERIOR)
+            rows.append((ends[:, edges], K.w[edges], K.diag[at[vertices]], mass[at[vertices]]))
+        for ball in rows[:-1]:
+            for got, largest in zip(ball, rows[-1]):
+                assert np.array_equal(got, largest)
+
+    def test_a_ball_with_another_interior_is_factored_in_full(self, catenoid_96):
+        # the interior of the tree of radii (4, 16) is not that of (6, 16)
+        _, interior = dgeom.first_eigenvalue_estimate(
+            clip(catenoid_96, 0.0, 16.0), elimination_tree(catenoid_96, (4.0, 16.0)))
+        assert interior.count > 0
+        (lam, _, _), = _nested_dissection_eigenvalues(catenoid_96, [8.0])
+        got, own = dgeom.first_eigenvalue_estimate(
+            clip(catenoid_96, 0.0, 8.0), elimination_tree(catenoid_96, (6.0, 16.0)), interior)
+        assert own is not interior and own.count > interior.count
+        assert got == pytest.approx(lam, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("case, R", [("catenoid", 16.0), ("helicoid", 12.0)])
     def test_fill_below_colamd(self, catenoid_96, case, R):
@@ -928,60 +984,69 @@ class TestEigenvalue:
         _, _, colamd = _colamd_eigenvalue(clip(mesh, 0.0, R))
         # fill: the real entries of L (the panels' padding slots and the upper
         # triangles of their D blocks left out)
-        _, _, fill = _nested_dissection_eigenvalue(mesh, R, elimination_tree(mesh, R))
+        (_, _, fill), = _nested_dissection_eigenvalues(mesh, [R])
         assert 2 * fill < colamd  # L and its transpose, against COLAMD's L + U
 
     @pytest.mark.parametrize("pivots", [dgeom._PIVOTS, 8])
     def test_solve_matches_a_dense_solve(self, monkeypatch, pivots):
-        # with 8 pivots a block, the separators are fronts of several blocks
+        # with 8 pivots a block, the separators are fronts of several blocks;
+        # the smaller ball's factor starts with the larger one's interior panels
         monkeypatch.setattr(dgeom, "_PIVOTS", pivots)
         mesh = tessellate(builtin("plane", cover_radius=3.2), 32, 32)
-        tree = elimination_tree(mesh, 2.5)
-        region = clip(mesh, 0.0, 2.5)
-        system = dgeom.assemble_laplacian(region, {"outer": 0.0})
-        free = np.flatnonzero(system.free_mask())
-        fronts = dgeom._fronts(tree, region.vertex_parent[free])
-        free = free[fronts.order]
-        K = _scipy_stiffness(system.K)[free][:, free].toarray()
-        factors, real = [], dgeom.cholesky
-        monkeypatch.setattr(dgeom, "cholesky",
-                            lambda *args: factors.append(real(*args)) or factors[-1])
-        first_eigenvalue_estimate(region, tree)
-        factor = factors[0]
-        assert (fronts.blocks.max() > 1) == (pivots == 8)
-        n = len(free)
+        calls = {"_fronts": [], "_eigen_block": [], "cholesky": []}
+        for name, made in calls.items():
+            monkeypatch.setattr(dgeom, name, lambda *args, _real=getattr(dgeom, name), _made=made:
+                                _made.append((args, _real(*args))) or _made[-1][1])
+        first_eigenvalue_estimates(mesh, [2.5, 1.0])
+        (_, large), (_, small) = calls["_fronts"]
+        assert large.interior > 0 and small.interior == 0
+        assert (large.blocks.max() > 1) == (pivots == 8)
+        larger, smaller = (factor for _, factor in calls["cholesky"])
+        shared = len(larger.interior[0])  # the interior's panels
+        assert shared > 0
         # the stored entries: per front, the lower triangle of its pivots and
         # their boundary rows, which hold every entry of L
-        size, nrows = np.bincount(fronts.front_of), np.diff(fronts.boundary_ptr)
-        assert factor.nnz == (size * (size + 1) // 2 + size * nrows).sum()
-        assert factor.nnz >= np.count_nonzero(np.linalg.cholesky(K))
-        b = np.random.default_rng(3).standard_normal(n)
-        ref = np.linalg.solve(K, b)
-        assert np.abs(factor.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
-        # no padding slot leaks into x: in M, a padding slot's row and (for a
-        # padding pivot) column are those of the identity
-        assert np.count_nonzero(fronts.slots < 0)
-        for ids, pivots, rows, into, X in factor.panels:
-            width = X.shape[1]
-            assert np.array_equal(pivots, ids[:, :width])
-            assert np.array_equal(rows[into].reshape(len(ids), -1), ids[:, width:])
-            M = X.transpose(0, 2, 1)
-            pad = ids == n
-            padded = pad[:, :, None] | pad[:, None, :width]
-            unit = np.broadcast_to(np.eye(ids.shape[1], width), M.shape)
-            assert np.array_equal(M[padded], unit[padded])
+        per_front = [np.bincount(f.front_of) * (np.bincount(f.front_of) + 1) // 2
+                     + np.bincount(f.front_of) * np.diff(f.boundary_ptr) for f in (large, small)]
+        interior = per_front[0][np.unique(large.front_of[:large.interior])].sum()
+        nnz = [per_front[0].sum(), interior + per_front[1].sum()]
+        for ((K, pos), _), (_, factor), entries in zip(calls["_eigen_block"], calls["cholesky"],
+                                                       nnz):
+            free = np.flatnonzero(pos >= 0)
+            free = free[np.argsort(pos[free])]
+            A = _scipy_stiffness(K)[free][:, free].toarray()
+            n = len(free)
+            assert factor.n == n
+            assert factor.nnz == entries
+            assert factor.nnz >= np.count_nonzero(np.linalg.cholesky(A))
+            b = np.random.default_rng(3).standard_normal(n)
+            ref = np.linalg.solve(A, b)
+            assert np.abs(factor.solve(b) - ref).max() <= 1e-12 * np.abs(ref).max()
+            # no padding slot leaks into x: in M, a padding slot's row and (for
+            # a padding pivot) column are those of the identity
+            for ids, pivots, rows, into, X in factor.panels:
+                width = X.shape[1]
+                assert np.array_equal(pivots, ids[:, :width])
+                assert np.array_equal(rows[into].reshape(len(ids), -1), ids[:, width:])
+                M = X.transpose(0, 2, 1)
+                pad = ids == n
+                padded = pad[:, :, None] | pad[:, None, :width]
+                unit = np.broadcast_to(np.eye(ids.shape[1], width), M.shape)
+                assert np.array_equal(M[padded], unit[padded])
+        assert np.count_nonzero(large.slots < 0)
+        # the smaller ball's first panels are the larger ball's interior panels
+        assert all(a[4] is b[4] for a, b in zip(smaller.panels[:shared], larger.panels))
 
     def test_running_out_of_steps_reports_the_last_change(self, monkeypatch, plane_128):
         monkeypatch.setattr(dgeom, "_EIGEN_MAXITER", 2)
         with pytest.raises(SolveError, match="did not converge") as err:
-            first_eigenvalue_estimate(clip(plane_128, 0.0, 2.0),
-                                      elimination_tree(plane_128, 2.0))
+            first_eigenvalue_estimates(plane_128, [2.0])
         assert err.value.residual > 0.0
 
     def test_closed_component_inside_the_ball_is_singular(self, plane_128):
         mesh = _plane_with_octahedron(plane_128)
         with pytest.raises(DomainError, match="free block is singular: 6 free vertices"):
-            first_eigenvalue_estimate(clip(mesh, 0.0, 2.0), elimination_tree(mesh, 2.0))
+            first_eigenvalue_estimates(mesh, [2.0])
 
 
 def _plane_with_octahedron(plane, center=(0.8, 0.8, 0.5), h=0.25):
@@ -1014,11 +1079,34 @@ class TestEliminationRank:
         tree = elimination_tree(plane_128, 0.0)
         assert len(tree.parent) == 0 and np.all(tree.node == -1)
 
-    @pytest.mark.parametrize("case, R", [("plane_128", 1.0), ("octahedron", 1.3)])
+    @pytest.mark.parametrize("case, radii", [("catenoid_96", (4.0, 8.0, 16.0)),
+                                             ("helicoid_128", (4.5, 7.0, 9.5, 12.0))])
+    def test_band_of_the_smallest_ball_is_the_root(self, request, case, radii):
+        mesh = _mesh_case(request, case)
+        tree = elimination_tree(mesh, radii)
+        R1, R = min(radii), max(radii)
+        reach = np.zeros(len(mesh.verts), dtype=bool)
+        reach[mesh.faces[mesh.r[mesh.faces].max(axis=1) >= R1]] = True
+        band = (mesh.r < R1) & reach
+        interior = (mesh.r < R1) & ~band
+        outside = (mesh.r >= R1) & (mesh.r < R)
+        assert band.any() and interior.any() and outside.any()
+        # the band is node 0, the only root, so every other node lies below it
+        assert np.array_equal(tree.node == 0, band)
+        assert tree.parent[0] == -1 and np.all(tree.parent[1:] >= 0)
+        # the interior's nodes hold its vertices and no other
+        assert np.all(tree.interior[tree.node[interior]])
+        assert not np.any(tree.interior[tree.node[band | outside]])
+        # no mesh edge joins the interior and the outside
+        i, j, _ = surfaces._edge_counts(mesh.faces, len(mesh.verts))
+        assert not np.any((interior[i] & outside[j]) | (outside[i] & interior[j]))
+
+    @pytest.mark.parametrize("case, R", [("plane_128", 1.0), ("octahedron", 1.3),
+                                         ("plane_128", (0.6, 1.0))])
     def test_tree_and_boundaries(self, request, case, R):
         mesh = _mesh_case(request, case)
         tree = elimination_tree(mesh, R)
-        inside = mesh.r < R
+        inside = mesh.r < np.max(R)
         assert np.array_equal(tree.node < 0, ~inside)
         # a child sits one depth below its parent, and its front is
         # eliminated at levels before its parent's front
@@ -1100,6 +1188,8 @@ def _first_of_label(labels):
 def _mesh_case(request, case):
     if case == "helicoid":
         return _permuted_helicoid(64, seed=4, ext=8.0)
+    if case == "helicoid_128":
+        return _permuted_helicoid(128, seed=20)
     if case == "octahedron":
         return _plane_with_octahedron(request.getfixturevalue("plane_128"))
     return request.getfixturevalue(case)
