@@ -17,11 +17,12 @@ relative (the summation order differs).
 Conventions: level comparisons treat a vertex with r exactly equal to the
 level as lying above it (symbolic perturbation by one ulp), interpolated cut
 vertices carry r equal to the level exactly, a cut that lands within 1e-12
-(in edge parameter) of a mesh vertex reuses that vertex instead of leaving a
-zero-area fragment, boundary vertices of a clipped region carry per-vertex
-labels (inner level, outer level, truncation) rather than traced loops, and
-negative cotangent weights are clamped to zero so solves obey the discrete
-maximum principle.
+(in edge parameter) of a mesh vertex reuses that vertex, a clipped region
+keeps every face of positive area and drops only the faces of no area (those
+that a reused vertex collapses), boundary vertices of a clipped region carry
+per-vertex labels (inner level, outer level, truncation) rather than traced
+loops, and negative cotangent weights are clamped to zero so solves obey the
+discrete maximum principle.
 
 Every solve is numpy code on the stiffness's edge list (surfaces.Stiffness),
 and none uses scipy.  The conjugate gradients (cg) run on the free block in
@@ -99,8 +100,9 @@ def _interp_edges(verts, r, pairs, level):
     """The vertex where the linear interpolant of r reaches `level` on each
     edge in `pairs`: one new vertex per unique undirected edge, or the edge
     end itself when the crossing lies within 1e-12 of it in the edge
-    parameter (so a cut through a vertex leaves no zero-area fragment).
-    Returns (new points, vertex index per row of pairs)."""
+    parameter (so a cut through a vertex adds no vertex beside it; the faces
+    that this collapses have no area).  Returns (new points, vertex index per
+    row of pairs)."""
     n = len(verts)
     keys, inverse = np.unique(edge_keys(pairs, n), return_inverse=True)
     i, j = keys // n, keys % n
@@ -169,10 +171,13 @@ def _clip_half(verts, r, faces, level, keep_below):
 def clip(mesh: TriMesh, rho: float, R: float, face_mask=None) -> ClippedRegion:
     """Extrinsic annulus {rho <= r <= R} (ball when rho = 0) as a submesh.
 
-    face_mask restricts the cut to a subset of parent faces.  Raises
-    CoverageError when the truncation boundary of the mesh intrudes into
-    the radius band (the region would leak through the computational
-    window).
+    face_mask restricts the cut to a subset of parent faces.  Every face
+    or cut piece of positive area is kept, however small; only the faces of
+    no area that a cut through a vertex leaves are dropped.  Cotangent
+    weights depend on angles alone, so a tiny piece does no harm, where
+    dropping it would leave a hole.  Raises CoverageError when the
+    truncation boundary of the mesh intrudes into the radius band (the
+    region would leak through the computational window).
     """
     if not (0.0 <= rho < R):
         raise DomainError(f"need 0 <= rho < R, got rho={rho!r}, R={R!r}")
@@ -184,9 +189,7 @@ def clip(mesh: TriMesh, rho: float, R: float, face_mask=None) -> ClippedRegion:
     if rho > 0.0:
         verts, r, faces = _clip_half(verts, r, faces, rho, keep_below=False)
 
-    areas = face_areas(verts, faces)
-    keep = _nondegenerate(areas, areas.sum(), len(areas))
-    faces = faces[keep]
+    faces = faces[face_areas(verts, faces) > 0.0]
 
     used = np.flatnonzero(np.bincount(faces.ravel(), minlength=len(verts)))
     remap = np.full(len(verts), -1, dtype=np.int64)
@@ -196,13 +199,6 @@ def clip(mesh: TriMesh, rho: float, R: float, face_mask=None) -> ClippedRegion:
                            np.where(used < len(mesh.verts), used, -1))
     _label_boundary(region)
     return region
-
-
-def _nondegenerate(areas: np.ndarray, total, count) -> np.ndarray:
-    """Mask dropping the fragments of cuts through ties: those under 1e-13 of
-    the mean area total / count of all the faces the cut left (per face, when
-    total and count are arrays)."""
-    return areas > 1e-13 * np.maximum(total / np.maximum(count, 1), 1e-300)
 
 
 def _check_coverage(mesh: TriMesh, R: float, faces: np.ndarray, rho: float = 0.0):
@@ -336,9 +332,14 @@ class RadialIndex:
         # The index outlives the solves after the first sweep and is released
         # before the eigenvalue factorizations.  From the heap, its freed
         # arrays can stay resident as holes that the Cholesky factorizations
-        # do not reuse, which raised the peak memory of verify runs; in a
-        # mapping of their own, their pages are returned to the system when
-        # the index goes.
+        # do not reuse; in a mapping of their own, their pages are returned
+        # to the system when the index goes.  In 10 interleaved runs of each
+        # benchmark workload (2-vCPU Xeon), arrays left on the heap raised
+        # verify-catenoid's peak RSS from 87.9 to 89.4 MB and
+        # ingest-helicoid's from 95.1 to 95.3 MB, but lowered
+        # sweep-enneper's from 58.6 to 54.7 MB, whose peak is this copy
+        # made while the originals still live; no wall time moved beyond
+        # the runs' spread.
         (self.ids, self.faces, self.max_r, self.min_r, self.min_r_after, self.area, self.grad,
          self.area_below) = _mapped(self.ids, self.faces, self.max_r, self.min_r,
                                     self.min_r_after, self.area, self.grad, self.area_below)
@@ -402,8 +403,9 @@ class RadialIndex:
         pieces clip cuts it into, with clip's cut points: the triangle at the
         corner alone inside the ball, or the rest of the face fanned from the
         corner after the one alone outside.  Each piece's area is the face's
-        scaled by the edge parameters of its cut points, and the pieces pass
-        clip's degenerate-fragment filter."""
+        scaled by the edge parameters of its cut points.  As in clip, a piece
+        of no area (one whose cut point a corner took over) is dropped and
+        every other is kept."""
         f, r, label, levels = cuts.faces, cuts.r, cuts.label, cuts.levels
         level = levels[label]
         s1 = _cut_parameter(f[:, 0], f[:, 1], r[:, 0], r[:, 1], level)
@@ -414,9 +416,7 @@ class RadialIndex:
                                 (s2 * (1.0 - s1) * cuts.area)[out]])
         piece = np.concatenate([label[inside], label[out], label[out]])
         n = len(levels)
-        total = cuts.whole_area + np.bincount(piece, areas, minlength=n)
-        count = cuts.whole_count + np.bincount(piece, minlength=n)
-        keep = _nondegenerate(areas, total[piece], count[piece])
+        keep = areas > 0.0
         piece, areas = piece[keep], areas[keep]
         empty = np.flatnonzero(cuts.whole_count + np.bincount(piece, minlength=n) == 0)
         if len(empty):
@@ -938,7 +938,6 @@ class _Fronts:
     width: np.ndarray
     rows: np.ndarray
     tile: np.ndarray
-    level: np.ndarray  # per front, the level of its first block
     parent: np.ndarray  # per front, -1 at a root
     slot_ptr: np.ndarray  # per front, its slots slots[slot_ptr[f]:slot_ptr[f + 1]]
     slots: np.ndarray
@@ -1074,7 +1073,7 @@ def _fronts(tree: EliminationTree, vertices: np.ndarray) -> _Fronts:
     targets[target_ptr[bfront] + within] = into
 
     return _Fronts(order, pfront, slot_of, boundary_key, boundary_ptr, blocks, width, rows, tile,
-                   level, parent, slot_ptr, slots, target_ptr, targets, batch, place,
+                   parent, slot_ptr, slots, target_ptr, targets, batch, place,
                    sorted(made[::-1], key=lambda fs: not inner[fs[0]]),
                    int(np.count_nonzero(inner[pfront])), sum(bool(inner[fs[0]]) for fs in made))
 
@@ -1348,12 +1347,12 @@ def first_eigenvalue_estimate(region: ClippedRegion, tree: EliminationTree,
     vertices lie on the Dirichlet boundary) are eliminated front by front on
     that tree (_fronts, cholesky), the tree's interior first.  Given the
     interior of a larger ball, its panels eliminate this ball's interior:
-    no face at an interior vertex is cut, so the interior's rows are the same
-    in both balls, and only the rest of the free block is factored (in full
-    when the interior's free vertices differ between the balls).  A part
-    of the free vertices with no edge path to the Dirichlet boundary (a
-    closed component inside the ball) makes the block singular and raises
-    DomainError."""
+    no face at an interior vertex is cut, and clip keeps or drops a whole
+    face by its area alone, so the interior's free vertices and rows are
+    the same in both balls, and only the rest of the free block is
+    factored.  A part of the free vertices with no edge path to the
+    Dirichlet boundary (a closed component inside the ball) makes the block
+    singular and raises DomainError."""
     system = assemble_laplacian(region, {"inner": 0.0, "outer": 0.0, "truncation": 0.0})
     free = np.flatnonzero(system.free_mask())
     if len(free) == 0:
@@ -1364,11 +1363,6 @@ def first_eigenvalue_estimate(region: ClippedRegion, tree: EliminationTree,
         at = np.full(len(tree.node), -1)
         at[vertices] = np.arange(len(free))
         shared = at[interior.vertices[:interior.count]]
-        node = tree.node[vertices]
-        if np.any(shared < 0) or np.count_nonzero(tree.interior[node[node >= 0]]) != len(shared):
-            # a face at the interior that one ball drops as a sliver and the
-            # other keeps changes its free vertices: this ball is factored in full
-            interior, shared = None, shared[:0]
     own = np.ones(len(free), dtype=bool)
     own[shared] = False
     own = np.flatnonzero(own)

@@ -81,32 +81,27 @@ BUILTIN_NAMES = ("plane", "catenoid", "helicoid", "enneper")
 _COVER_MARGIN = 1.1
 
 
-def builtin(name: str, a: float = 1.0, c: float = 1.0, cover_radius: float | None = None,
-            extent: float | None = None) -> ParamSurface:
+def builtin(name: str, a: float = 1.0, c: float = 1.0,
+            cover_radius: float | None = None) -> ParamSurface:
     """Standard parametrizations of the built-in surfaces.
 
     cover_radius asks for a rectangle whose image reaches extrinsic radius
     cover_radius * 1.1 along every truncation edge (so that clipping at
     cover_radius never leaks through the computational window).
     """
-    for key, val in (("a", a), ("c", c), ("cover_radius", cover_radius), ("extent", extent)):
+    for key, val in (("a", a), ("c", c), ("cover_radius", cover_radius)):
         if val is not None and not math.isfinite(val):
             raise DomainError(f"{name} parameter {key} must be finite, got {val!r}")
     if cover_radius is not None and cover_radius <= 0:
         raise DomainError(f"{name} cover radius must be positive, got {cover_radius!r}")
     if name == "plane":
-        L = extent if extent is not None else (_COVER_MARGIN * cover_radius if cover_radius else 8.0)
+        L = _COVER_MARGIN * cover_radius if cover_radius else 8.0
         return ParamSurface("plane", lambda u, v: (u, v, np.zeros_like(u + v)),
                             -L, L, -L, L)
     if name == "catenoid":
         if a <= 0:
             raise DomainError(f"catenoid neck radius must be positive, got {a!r}")
-        if extent is not None:
-            v1 = extent
-        elif cover_radius:
-            v1 = math.acosh(max(_COVER_MARGIN * cover_radius / a, 2.0))
-        else:
-            v1 = 3.0
+        v1 = math.acosh(max(_COVER_MARGIN * cover_radius / a, 2.0)) if cover_radius else 3.0
 
         def cat(u, v):
             return (a * np.cosh(v) * np.cos(u), a * np.cosh(v) * np.sin(u), a * v)
@@ -116,11 +111,8 @@ def builtin(name: str, a: float = 1.0, c: float = 1.0, cover_radius: float | Non
     if name == "helicoid":
         if c <= 0:
             raise DomainError(f"helicoid pitch must be positive, got {c!r}")
-        if extent is not None:
-            U = V = extent
-        else:
-            reach = _COVER_MARGIN * cover_radius if cover_radius else 8.0
-            U, V = reach / c, reach
+        reach = _COVER_MARGIN * cover_radius if cover_radius else 8.0
+        U, V = reach / c, reach
 
         def heli(u, v):
             return (v * np.cos(u), v * np.sin(u), c * u)
@@ -130,12 +122,7 @@ def builtin(name: str, a: float = 1.0, c: float = 1.0, cover_radius: float | Non
         def enn(u, v):
             return (u - u ** 3 / 3 + u * v * v, -v + v ** 3 / 3 - v * u * u, u * u - v * v)
 
-        if extent is not None:
-            E = extent
-        elif cover_radius:
-            E = _enneper_extent(enn, _COVER_MARGIN * cover_radius)
-        else:
-            E = 2.0
+        E = _enneper_extent(enn, _COVER_MARGIN * cover_radius) if cover_radius else 2.0
         return ParamSurface("enneper", enn, -E, E, -E, E)
     raise DomainError(f"unknown builtin surface {name!r}; have {BUILTIN_NAMES}")
 
@@ -298,8 +285,9 @@ def tessellate(surface: ParamSurface, nu: int, nv: int, pole=(0.0, 0.0, 0.0)) ->
 
 
 def _check_face_areas(mesh: TriMesh):
-    """Raise on faces of (nearly) zero area: clipping drops them as cut
-    fragments, which would leave a hole in the region."""
+    """Raise on faces of (nearly) zero area.  A face that thin has an angle
+    near 0, whose cotangent weight grows like the inverse of the face's area,
+    and a face of no area has no normal for |grad r|."""
     areas = face_areas(mesh.verts, mesh.faces)
     tiny = areas <= 1e-14 * areas.mean()
     if tiny.any():

@@ -438,26 +438,21 @@ def plane_with_octahedron_off(tmp_path):
 
 
 @pytest.fixture
-def plane_with_sliver_off(tmp_path):
-    """A res-32 plane with one interior edge (a, b) near r = 1.3 split at its
-    midpoint m, so that (a, b, c) becomes (a, m, c) and (m, b, c), and the
-    zero-area face (a, b, m) added.  It is manifold and consistently
-    oriented; clipping would drop the sliver as a cut fragment and leave a
-    hole."""
-    mesh = surfaces.tessellate(surfaces.builtin("plane", cover_radius=3.0), 32, 32)
-    f = mesh.faces
-    mid = 0.5 * (mesh.verts[f[:, 0]] + mesh.verts[f[:, 1]])
-    k = int(np.argmin(np.abs(np.linalg.norm(mid, axis=1) - 1.3)))
-    a, b, c = f[k]
-    m = len(mesh.verts)
-    verts = np.concatenate([mesh.verts, mid[k:k + 1]])
-    faces = np.concatenate([np.delete(f, k, axis=0), [[a, m, c], [m, b, c], [a, b, m]]])
-    path = tmp_path / "sliver.off"
-    with open(path, "w") as fh:
-        fh.write(f"OFF\n{len(verts)} {len(faces)} 0\n")
-        np.savetxt(fh, verts, fmt="%.17g")
-        np.savetxt(fh, faces, fmt="3 %d %d %d")
-    return path
+def plane_with_sliver_off(tmp_path, plane_with_sliver):
+    """write(fraction) writes, as OFF, a res-32 plane with one interior edge
+    near r = 1.3 split by a sliver face (conftest's _plane_with_sliver) of
+    that fraction of the mean face area, and returns the path.  The default,
+    a zero-area sliver, both mesh sources reject."""
+    def write(fraction=0.0):
+        plane = surfaces.tessellate(surfaces.builtin("plane", cover_radius=3.0), 32, 32)
+        mesh = plane_with_sliver(plane, 1.3, fraction)
+        path = tmp_path / "sliver.off"
+        with open(path, "w") as fh:
+            fh.write(f"OFF\n{len(mesh.verts)} {len(mesh.faces)} 0\n")
+            np.savetxt(fh, mesh.verts, fmt="%.17g")
+            np.savetxt(fh, mesh.faces, fmt="3 %d %d %d")
+        return path
+    return write
 
 
 class TestOtherSubcommands:
@@ -542,10 +537,24 @@ class TestOtherSubcommands:
                                       ["capacity", "--rho", "0.5", "--R", "2.5"]],
                              ids=["surface", "exit-time", "capacity"])
     def test_zero_area_face_is_exit_3(self, tmp_path, capsys, plane_with_sliver_off, argv):
-        code = run([*argv, "--mesh", str(plane_with_sliver_off), "--out", str(tmp_path)])
+        code = run([*argv, "--mesh", str(plane_with_sliver_off()), "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error: degenerate triangles: 1 of area") and err.count("\n") == 1
+
+    def test_a_thin_face_that_the_mesh_check_accepts_is_kept(self, tmp_path,
+                                                            plane_with_sliver_off):
+        # a sliver of 5e-14 of the mean face area passes the 1e-14 check, and
+        # clip keeps it, so the ball has no hole (its verdict, from the
+        # coarse plane's first-order bias, is not the point)
+        path = plane_with_sliver_off(5e-14)
+        code = run(["exit-time", "--mesh", str(path), "--dim", "2", "--warp", "r", "--R", "2",
+                    "--out", str(tmp_path)])
+        assert code in (0, 1)
+        mesh = surfaces.load_mesh(path)
+        sliver = np.sort(mesh.faces[-1])
+        region = dgeom.clip(mesh, 0.0, 2.0)
+        assert np.any(np.all(np.sort(region.vertex_parent[region.faces], axis=1) == sliver, axis=1))
 
     @pytest.mark.parametrize("argv", [
         ["capacity", "--surface", "plane", "--cover", "3.2", "--rho", "1", "--R", "2"],

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import math
 import os
@@ -15,6 +16,11 @@ from excomp import surfaces
 from excomp.errors import DomainError, ExcompError, MeshFormatError, NonManifoldError
 from excomp.surfaces import (TAG_TRUNCATION, TriMesh, builtin, load_mesh, minimality_residual,
                              tessellate)
+
+
+def _square(name, L, **kwargs):
+    """The builtin surface on the parameter square [-L, L]^2."""
+    return dataclasses.replace(builtin(name, **kwargs), u0=-L, u1=L, v0=-L, v1=L)
 
 
 class TestBuiltins:
@@ -43,7 +49,7 @@ class TestBuiltins:
         with pytest.raises(DomainError):
             builtin("catenoid", a=-1.0)
 
-    @pytest.mark.parametrize("key", ["a", "c", "cover_radius", "extent"])
+    @pytest.mark.parametrize("key", ["a", "c", "cover_radius"])
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("name", ["catenoid", "helicoid"])
     def test_non_finite_params(self, name, key, value):
@@ -108,18 +114,18 @@ class TestDefaultTags:
 
 class TestTessellate:
     def test_plane_counts_and_reach(self):
-        s = builtin("plane", extent=4.0)
+        s = _square("plane", 4.0)
         mesh = tessellate(s, 64, 64)
         assert len(mesh.faces) == 2 * 64 * 64
         assert mesh.max_r() == pytest.approx(4 * math.sqrt(2), rel=1e-12)
 
     def test_plane_area_exact(self):
-        s = builtin("plane", extent=4.0)
+        s = _square("plane", 4.0)
         mesh = tessellate(s, 32, 32)
         assert surfaces.face_areas(mesh.verts, mesh.faces).sum() == pytest.approx(64.0, rel=1e-12)
 
     def test_catenoid_reach(self):
-        mesh = tessellate(builtin("catenoid", a=1.0, extent=3.0), 64, 64)
+        mesh = tessellate(builtin("catenoid", a=1.0), 64, 64)
         assert mesh.max_r() >= math.cosh(3.0)
 
     def test_min_resolution(self):
@@ -131,13 +137,13 @@ class TestTessellate:
                               np.linalg.norm(plane_128.verts - plane_128.pole, axis=1))
 
     def test_truncation_tags_on_rectangle_edges(self):
-        mesh = tessellate(builtin("plane", extent=2.0), 16, 16)
+        mesh = tessellate(_square("plane", 2.0), 16, 16)
         trunc = mesh.tags == TAG_TRUNCATION
         assert trunc.sum() == 4 * 16  # boundary ring
         assert np.isclose(mesh.r[trunc].min(), 2.0)
 
     def test_catenoid_is_stitched_closed_in_u(self):
-        mesh = tessellate(builtin("catenoid", a=1.0, extent=2.0), 32, 32)
+        mesh = tessellate(dataclasses.replace(builtin("catenoid", a=1.0), v0=-2.0, v1=2.0), 32, 32)
         # only the two v-edges are boundary: 2 * nu boundary vertices
         assert int((mesh.tags == TAG_TRUNCATION).sum()) == 2 * 32
 
@@ -399,20 +405,20 @@ class TestMinimalityResidual:
         assert minimality_residual(_sphere_band_mesh()) == pytest.approx(2.0, rel=0.02)
 
     def test_catenoid_small_and_decreasing(self):
-        s = builtin("catenoid", a=1.0, extent=2.0)
+        s = dataclasses.replace(builtin("catenoid", a=1.0), v0=-2.0, v1=2.0)
         coarse = minimality_residual(tessellate(s, 64, 64))
         fine = minimality_residual(tessellate(s, 128, 128))
         assert fine <= 5e-3
         assert fine < coarse / 1.8  # about first order or better
 
     def test_enneper_decreasing(self):
-        s = builtin("enneper", extent=2.0)
+        s = builtin("enneper")
         coarse = minimality_residual(tessellate(s, 48, 48))
         fine = minimality_residual(tessellate(s, 96, 96))
         assert fine < coarse / 1.8
 
     def test_helicoid_decreasing(self):
-        s = builtin("helicoid", c=1.0, extent=3.0)
+        s = _square("helicoid", 3.0, c=1.0)
         coarse = minimality_residual(tessellate(s, 48, 48))
         fine = minimality_residual(tessellate(s, 96, 96))
         assert fine < coarse / 1.8
@@ -432,7 +438,7 @@ def _save_off_per_row(mesh, path):
 class TestSaveOff:
     def test_bytes_match_per_row_writer(self, tmp_path):
         # more rows than one chunk, awkward values at the ends of the chunks
-        base = tessellate(builtin("plane", extent=2.0), 64, 64)
+        base = tessellate(_square("plane", 2.0), 64, 64)
         verts = base.verts * np.random.default_rng(7).lognormal(0.0, 20.0, base.verts.shape)
         awkward = [-0.0, 1e-300, 1e17, 5e-324, -5e-324, 1e150, 0.1, -1e-7]
         for row in (0, 4095, 4096, len(verts) - 1):
@@ -444,7 +450,7 @@ class TestSaveOff:
                 == (tmp_path / "per_row.off").read_bytes())
 
     def test_roundtrip(self, tmp_path):
-        mesh = tessellate(builtin("plane", extent=2.0), 8, 8)
+        mesh = tessellate(_square("plane", 2.0), 8, 8)
         path = tmp_path / "out.off"
         mesh.save_off(path)
         back = load_mesh(path)
