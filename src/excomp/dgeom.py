@@ -4,15 +4,21 @@ Everything is driven by the per-vertex extrinsic distance r: marching-
 triangle clipping between level sets (extrinsic balls and annuli), ball
 areas and level polyline fluxes of r, cotangent-Laplacian Dirichlet and
 Poisson solves (capacity, mean exit time), a membrane eigenvalue estimate,
-and counting of ends as unbounded complement components.  Clipping is the
-only path to a solve.  Ball areas and fluxes come from a radial index of the
-mesh (harness.Study builds one per run and releases it): the faces sorted by
-their largest vertex radius, with the area and |grad r| of each (the one
-place |grad r| is computed) and prefix sums of the areas.  RadialIndex.sweep
-answers a whole radius grid, with or without a face mask, in one array pass
-over the (face, radius) pairs where the radius straddles the face; no region
-is built.  Its ball areas equal clip(mesh, 0, R).area() to within 1e-12
-relative (the summation order differs).
+and counting of ends as unbounded complement components.  Every region
+and every sweep reads a radial index of the mesh (RadialIndex; harness.Study
+holds one per run and hands it to the eigenvalue estimates, which free it):
+the faces sorted by their largest vertex radius, with the area and
+|grad r| of each (the one place |grad r| is computed) and prefix sums of
+the areas.  A ball of radius R is the whole faces before the first
+position whose largest radius reaches R, plus the pieces of the few faces
+that R straddles, and one function (_cut) cuts those faces for clip and
+for the sweeps alike.  A region's stiffness is one bincount of the whole
+faces' half cotangents, computed once per index, plus its pieces' own.
+RadialIndex.sweep answers a whole radius grid, with or without a face
+mask, in one array pass over the (face, radius) pairs where the radius
+straddles the face; no region is built.  Its ball areas equal
+clip(mesh, 0, R).area() to within 1e-12 relative (the summation order
+differs).
 
 Conventions: level comparisons treat a vertex with r exactly equal to the
 level as lying above it (symbolic perturbation by one ulp), interpolated cut
@@ -29,29 +35,34 @@ and none uses scipy.  The conjugate gradients (cg) run on the free block in
 column-major ELL form (_Ell) and make no BLAS vector call: every inner
 product goes through _dot, so no solve wakes BLAS worker threads.  The
 eigenvalue estimates of an exhaustion by nested balls
-(first_eigenvalue_estimates) factor each ball's free block by a
-multifrontal Cholesky (cholesky) on one tree (elimination_tree): the band
-of the smallest ball at the root, over a nested dissection of the interior
-inside it and one of the outside.  The largest ball is factored first; the
+(first_eigenvalue_estimates) read the largest ball's free block from the
+index, and each smaller ball's as a restriction of it in which only the
+rows of its band (the vertices on the faces that its radius cuts) are
+assembled again.  Each ball's free block is factored by a multifrontal
+Cholesky (cholesky) on one tree (elimination_tree): the band of the
+smallest ball at the root, over a nested dissection of the interior inside
+it and one of the outside.  The largest ball is factored first; the
 interior's rows are the same in every ball, so each smaller ball reuses its
 panels and factors only its own outside fronts and band.  The factor keeps
 the dense panel of each pivot block, and its dense kernels stay below the
-sizes at which OpenBLAS starts worker threads.  The breadth-first searches
-and graph components are numpy frontier code.
+sizes at which OpenBLAS starts worker threads.  Shift-invert Lanczos on the
+factor gives each eigenvalue (_lanczos).  The breadth-first searches and
+graph components are numpy frontier code.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import (CoverageError, DomainError, SolveError, TruncationContactError)
-from .surfaces import (TAG_TRUNCATION, Stiffness, TriMesh, _edge_counts, cotangent_laplacian,
-                       edge_keys, face_areas, norms, triangle_normals)
+from .surfaces import (TAG_TRUNCATION, Stiffness, TriMesh, _cotangent_edges, _edge_counts,
+                       _lumped_mass, edge_keys, face_areas, norms, triangle_normals)
 
 LABEL_INTERIOR = 0
 LABEL_INNER = 1
@@ -59,8 +70,9 @@ LABEL_OUTER = 2
 LABEL_TRUNCATION = 3
 
 _CG_RTOL = 1e-10  # relative residual at which conjugate gradients stop
-_EIGEN_TOL = 1e-8  # relative eigenvalue change at which inverse power iteration stops
-_EIGEN_MAXITER = 500  # inverse power steps before it gives up
+_EIGEN_TOL = 1e-8  # relative change of the Lanczos eigenvalue estimate at which it stops
+_EIGEN_MAXITER = 500  # Lanczos steps (factor solves) before it gives up
+_LANCZOS_BASIS = 16  # Lanczos vectors kept at most; a longer run restarts from its Ritz vector
 _ND_LEAF = 16  # nested dissection splits no part of at most this many vertices
 _SNAP = 1e-12  # a cut this close to an edge end (in edge parameter) reuses the end
 
@@ -73,7 +85,8 @@ class ClippedRegion:
     vertices carry r equal to the cut level exactly, except that a cut within
     1e-12 of an edge end reuses that end.  vertex_label marks the inner level
     set, outer level set and inherited truncation boundary.  vertex_parent
-    is the parent-mesh index of each vertex, -1 for a cut vertex.
+    is the parent-mesh index of each vertex, -1 for a cut vertex.  stiffness
+    and mass are cotangent_laplacian(verts, faces), bit for bit.
     """
 
     verts: np.ndarray
@@ -83,6 +96,8 @@ class ClippedRegion:
     R: float
     vertex_label: np.ndarray
     vertex_parent: np.ndarray
+    stiffness: Stiffness = field(repr=False)
+    mass: np.ndarray = field(repr=False)
 
     def area(self) -> float:
         return float(face_areas(self.verts, self.faces).sum())
@@ -96,82 +111,72 @@ def _roll_rows(rows: np.ndarray, shift: np.ndarray) -> np.ndarray:
     return np.take_along_axis(rows, cols, axis=1)
 
 
-def _interp_edges(verts, r, pairs, level):
-    """The vertex where the linear interpolant of r reaches `level` on each
-    edge in `pairs`: one new vertex per unique undirected edge, or the edge
-    end itself when the crossing lies within 1e-12 of it in the edge
-    parameter (so a cut through a vertex adds no vertex beside it; the faces
-    that this collapses have no area).  Returns (new points, vertex index per
-    row of pairs)."""
+# the pieces of a face (a, b, c) cut at p on a-b and q on a-c, as corners
+# among (a, b, c, p, q): the triangle at a, then the rest fanned from b
+_PIECES = np.array([[0, 3, 4], [1, 2, 4], [1, 4, 3]])
+
+
+def _cut(faces, r, level, below=True):
+    """The one cut of faces by levels of r (clip's and the sweeps'), each
+    face straddling its level.  Its corners are rolled to put first a, the
+    one alone on its side; the cuts p and q of a-b and a-c lie where the
+    linear interpolant of r reaches the level, as a parameter t from each
+    edge's lower vertex number, snapped to an end within _SNAP.  The pieces
+    below the level (or at and above it) are (a, p, q) when a lies on that
+    side, else (b, c, q) and (b, q, p).  Returns (faces, ends, t, rows,
+    kind, scale): ends, the lower and higher vertex of a-b and a-c; and per
+    piece (the triangles first), its face's row, its row of _PIECES and its
+    share of the face's area."""
+    level = np.broadcast_to(level, len(faces))[:, None]
+    above = r[faces] >= level  # a vertex exactly at the level counts as above
+    two = above.sum(axis=1) == 2
+    faces = _roll_rows(faces, np.where(above[:, 0] ^ two, 0, np.where(above[:, 1] ^ two, 1, 2)))
+    del above
+    # in place, to keep a sweep's temporaries small
+    ends = np.empty((2, len(faces), 2), dtype=faces.dtype)
+    np.minimum(faces[:, :1], faces[:, 1:], out=ends[0])
+    np.maximum(faces[:, :1], faces[:, 1:], out=ends[1])
+    t = np.subtract(level, r[ends[0]])
+    t /= np.subtract(r[ends[1]], r[ends[0]])
+    np.clip(t, 0.0, 1.0, out=t)
+    t[t <= _SNAP] = 0.0
+    t[t >= 1.0 - _SNAP] = 1.0
+    s = 1.0 - t  # from a
+    np.copyto(s, t, where=faces[:, :1] < faces[:, 1:])
+    s1, s2 = s[:, 0], s[:, 1]
+    tri = two == below  # two corners above: a lies below
+    tris, quads = np.flatnonzero(tri), np.flatnonzero(~tri)
+    rows = np.concatenate([tris, quads, quads])
+    kind = np.repeat(np.arange(3), [len(tris), len(quads), len(quads)])
+    scale = np.concatenate([(s1 * s2)[tris], (1.0 - s2)[quads], (s2 * (1.0 - s1))[quads]])
+    return faces, ends, t, rows, kind, scale
+
+
+def _cut_pieces(verts, r, faces, level, below):
+    """The pieces (_cut) as vertex numbers, and the cut points: one per edge
+    cut strictly inside, numbered on from len(verts) in edge key order."""
+    faces, ends, t, rows, kind, _ = _cut(faces, r, level, below)
     n = len(verts)
-    keys, inverse = np.unique(edge_keys(pairs, n), return_inverse=True)
+    keys, inverse = np.unique((ends[0] * n + ends[1]).ravel(), return_inverse=True)
+    at = np.empty(len(keys))
+    at[inverse] = t.ravel()  # every face at an edge cuts it at the same place
     i, j = keys // n, keys % n
-    t = _edge_parameter(r[i], r[j], level)
-    new = (t > _SNAP) & (t < 1.0 - _SNAP)
-    ids = np.where(t <= _SNAP, i, j)
-    ids[new] = len(verts) + np.arange(int(new.sum()))
-    i, j, t = i[new], j[new], t[new]
-    pts = verts[i] + t[:, None] * (verts[j] - verts[i])
-    return pts, ids[inverse]
+    new = (at > 0.0) & (at < 1.0)
+    ids = np.where(at == 0.0, i, j)
+    ids[new] = n + np.arange(int(new.sum()))
+    i, j, at = i[new], j[new], at[new]
+    pts = verts[i] + at[:, None] * (verts[j] - verts[i])
+    table = np.column_stack([faces, ids[inverse].reshape(-1, 2)])
+    return pts, table[rows[:, None], _PIECES[kind]]
 
 
-def _edge_parameter(ri, rj, level) -> np.ndarray:
-    """Where the linear interpolant of r reaches level on each edge from a
-    vertex of radius ri to one of radius rj, as a parameter in [0, 1]."""
-    return np.clip((level - ri) / (rj - ri), 0.0, 1.0)
-
-
-def _clip_half(verts, r, faces, level, keep_below):
-    """Keep the part of each triangle on one side of the r = level line."""
-    above = r >= level  # a vertex exactly at the level counts as above
-    inside = ~above if keep_below else above
-    fin = inside[faces]
-    cnt = fin.sum(axis=1)
-
-    out_faces = [faces[cnt == 3]]
-    new_pairs = []
-    pending = []  # (kind, rotated faces), in the order of their pair rows
-
-    m1 = cnt == 1
-    if m1.any():
-        f1 = _roll_rows(faces[m1], np.argmax(fin[m1], axis=1))
-        new_pairs.append(np.column_stack([f1[:, 0], f1[:, 1]]))  # edge A-B
-        new_pairs.append(np.column_stack([f1[:, 2], f1[:, 0]]))  # edge C-A
-        pending.append(("tri", f1))
-
-    m2 = cnt == 2
-    if m2.any():
-        f2 = _roll_rows(faces[m2], np.argmax(~fin[m2], axis=1))  # v0 outside
-        new_pairs.append(np.column_stack([f2[:, 0], f2[:, 1]]))  # edge v0-v1
-        new_pairs.append(np.column_stack([f2[:, 2], f2[:, 0]]))  # edge v2-v0
-        pending.append(("quad", f2))
-
-    if not new_pairs:
-        return verts, r, out_faces[0]
-
-    pts, ids = _interp_edges(verts, r, np.concatenate(new_pairs), level)
-    verts = np.concatenate([verts, pts])
-    r = np.concatenate([r, np.full(len(pts), level)])
-
-    cursor = 0
-    for kind, f in pending:
-        k = len(f)
-        e1 = ids[cursor:cursor + k]
-        e2 = ids[cursor + k:cursor + 2 * k]
-        cursor += 2 * k
-        if kind == "tri":
-            out_faces.append(np.column_stack([f[:, 0], e1, e2]))
-        else:
-            # kept quad (v1, v2, I20, I01) fanned from v1
-            out_faces.append(np.column_stack([f[:, 1], f[:, 2], e2]))
-            out_faces.append(np.column_stack([f[:, 1], e2, e1]))
-    return verts, r, np.concatenate(out_faces)
-
-
-def clip(mesh: TriMesh, rho: float, R: float, face_mask=None) -> ClippedRegion:
+def clip(mesh: TriMesh | RadialIndex, rho: float, R: float, face_mask=None) -> ClippedRegion:
     """Extrinsic annulus {rho <= r <= R} (ball when rho = 0) as a submesh.
 
-    face_mask restricts the cut to a subset of parent faces.  Every face
+    mesh is a TriMesh, or the RadialIndex of one that a run's regions
+    share: the whole faces in the band and those that rho or R straddles
+    (cut by _cut) are runs of its face order.  face_mask restricts the cut
+    to a subset of parent faces.  Every face
     or cut piece of positive area is kept, however small; only the faces of
     no area that a cut through a vertex leaves are dropped.  Cotangent
     weights depend on angles alone, so a tiny piece does no harm, where
@@ -181,23 +186,90 @@ def clip(mesh: TriMesh, rho: float, R: float, face_mask=None) -> ClippedRegion:
     """
     if not (0.0 <= rho < R):
         raise DomainError(f"need 0 <= rho < R, got rho={rho!r}, R={R!r}")
-    faces = mesh.faces if face_mask is None else mesh.faces[face_mask]
-    _check_coverage(mesh, R, faces, rho=rho)
-    verts = mesh.verts
-    r = mesh.r
-    verts, r, faces = _clip_half(verts, r, faces, R, keep_below=True)
-    if rho > 0.0:
-        verts, r, faces = _clip_half(verts, r, faces, rho, keep_below=False)
+    index = RadialIndex(mesh) if isinstance(mesh, TriMesh) else mesh
+    start, k = np.searchsorted(index.max_r, [rho, R], "left")  # faces wholly below each
+    end = int(np.searchsorted(index.min_r_after, R, "left"))  # no face from here on reaches below R
+    inside, above = np.arange(start, k), np.arange(k, end)
+    trunc = index.truncation_pos[index.truncation_pos < end]
+    if face_mask is not None:
+        selected = index.selected(face_mask)
+        inside, above, trunc = (p[selected[p]] for p in (inside, above, trunc))
+    _check_coverage(index.mesh, R, index.faces[trunc], rho=rho)
+    low = index.min_r[inside] < rho
+    whole = inside[~low]
+    region = _region(index, whole[index.area[whole] > 0.0],
+                     np.concatenate([inside[low], above[index.min_r[above] < R]]), rho, R)
+    if len(region.faces) == 0:
+        raise DomainError("clip produced an empty region")
+    return region
 
-    faces = faces[face_areas(verts, faces) > 0.0]
 
-    used = np.flatnonzero(np.bincount(faces.ravel(), minlength=len(verts)))
+def _region(index: RadialIndex, whole: np.ndarray, cut: np.ndarray, rho: float,
+            R: float) -> ClippedRegion:
+    """The region of the faces at the index positions `whole` and of the
+    parts in rho <= r <= R of those at `cut` (which rho or R straddles),
+    less pieces of no area: the whole faces first, then the pieces.  Its
+    stiffness and mass are cotangent_laplacian(verts, faces) bit for bit:
+    an edge's weight sums the half cotangents of its faces, the index's for
+    a whole face and computed for a piece.  Its boundary edges are those
+    that one face holds."""
+    mesh = index.mesh
+    n0 = len(mesh.verts)
+    straddled = index.faces[cut]
+    at_R = index.max_r[cut] >= R
+    pts, pieces = _cut_pieces(mesh.verts, mesh.r, straddled[at_R], R, True)
+    verts, r = np.concatenate([mesh.verts, pts]), np.concatenate([mesh.r, np.full(len(pts), R)])
+    if rho > 0.0:  # the faces and R's pieces that rho straddles
+        pieces = np.concatenate([straddled[~at_R], pieces])
+        low = r[pieces].min(axis=1) < rho
+        pts, cut_pieces = _cut_pieces(verts, r, pieces[low], rho, False)
+        pieces = np.concatenate([pieces[~low], cut_pieces])
+        verts, r = np.concatenate([verts, pts]), np.concatenate([r, np.full(len(pts), rho)])
+    double = norms(*triangle_normals(*(verts[pieces[:, c]] for c in range(3))))
+    kept = 0.5 * double > 0.0
+    pieces, double = pieces[kept], double[kept]
+
+    whole_faces = index.faces[whole]
+    used = np.flatnonzero(np.bincount(np.concatenate([whole_faces.ravel(), pieces.ravel()]),
+                                      minlength=len(verts)))
+    n = len(used)
     remap = np.full(len(verts), -1, dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    region = ClippedRegion(verts[used], remap[faces], r[used], rho, R,
-                           np.zeros(len(used), dtype=np.uint8),
-                           np.where(used < len(mesh.verts), used, -1))
-    _label_boundary(region)
+    remap[used] = np.arange(n)
+    faces = remap[np.concatenate([whole_faces, pieces])]
+    parent = np.where(used < n0, used, -1)
+    verts, r = verts[used], r[used]
+
+    # each edge: a mesh edge's place among the keys, or after them one of
+    # the region's own edges, at a cut vertex
+    keys, face_edges, half_cot = index.laplacian_weights
+    rows, cols, w, _ = _cotangent_edges(verts, faces[len(whole):])
+    pr, pc = parent[rows], parent[cols]
+    on_mesh = (pr >= 0) & (pc >= 0)
+    own, at = np.unique(edge_keys(np.column_stack([rows, cols])[~on_mesh], n), return_inverse=True)
+    piece_edge = np.empty(len(rows), dtype=np.int64)
+    piece_edge[on_mesh] = np.searchsorted(keys, np.minimum(pr, pc)[on_mesh] * n0
+                                          + np.maximum(pr, pc)[on_mesh])
+    piece_edge[~on_mesh] = len(keys) + at
+    edge = np.concatenate([face_edges[:, whole].ravel(), piece_edge])
+    count = np.bincount(edge, minlength=len(keys) + len(own))
+    weight = np.bincount(edge, np.concatenate([half_cot[:, whole].ravel(), w]),
+                         minlength=len(keys) + len(own))
+    e = np.concatenate([np.flatnonzero(count[:len(keys)]), np.arange(len(keys), len(count))])
+    count, weight = count[e], weight[e]  # the region's edges
+    ends = np.concatenate([remap[np.stack(np.divmod(keys[e[e < len(keys)]], n0))],
+                           np.stack(np.divmod(own, n))], axis=1)
+    region = ClippedRegion(verts, faces, r, rho, R, np.zeros(n, dtype=np.uint8), parent,
+                           None, None)
+    _label_boundary(region, ends[:, count == 1].T)
+    # in key order: the renumbering keeps the mesh edges' order, and the
+    # region's own edges merge into them (a stable sort of two sorted runs)
+    i, j = ends[:, weight > 0.0]
+    w = weight[weight > 0.0]
+    order = np.argsort(i * n + j, kind="stable")
+    i, j, w = i[order], j[order], w[order]
+    diag = np.bincount(i, w, minlength=n) + np.bincount(j, w, minlength=n)
+    region.stiffness = Stiffness(i, j, w, diag)
+    region.mass = _lumped_mass(faces, n, np.concatenate([2.0 * index.area[whole], double]))
     return region
 
 
@@ -216,14 +288,10 @@ def _coverage_error(name: str, r: float, rho: float, R: float) -> CoverageError:
                          f"inside the requested band ({rho:.6g}, {R:.6g})", R)
 
 
-def _label_boundary(region: ClippedRegion):
-    """Label the ends of each boundary edge: inner (both ends on r = rho,
-    rho > 0), else outer (both on r = R), else truncation.  Level labels win
-    over truncation at corner vertices."""
-    if len(region.faces) == 0:
-        raise DomainError("clip produced an empty region")
-    i, j, counts = _edge_counts(region.faces, len(region.verts))
-    ends = np.column_stack([i, j])[counts == 1]
+def _label_boundary(region: ClippedRegion, ends: np.ndarray):
+    """Label the ends of each boundary edge (a row of ends): inner (both
+    ends on r = rho, rho > 0), else outer (both on r = R), else truncation.
+    Level labels win over truncation at corner vertices."""
     rv = region.r[ends]
     inner = (region.rho > 0) & np.all(
         np.abs(rv - region.rho) <= 1e-9 * max(1.0, region.rho), axis=1)
@@ -260,39 +328,46 @@ def _gradient_codes(a, b, c, normal, pole) -> np.ndarray:
     return w
 
 
-def _prefix_sums(values: np.ndarray) -> np.ndarray:
+def _prefix_sums(values: np.ndarray, out=None) -> np.ndarray:
     # a float64 running sum drifts by up to F ulps; extended precision (where
     # the platform has it) keeps the prefix sums as accurate as clip's sum
-    return np.concatenate([[0.0], np.cumsum(values, dtype=np.longdouble).astype(float)])
+    if out is None:
+        out = np.empty(len(values) + 1)
+    out[0] = 0.0
+    out[1:] = np.cumsum(values, dtype=np.longdouble)
+    return out
 
 
-def _mapped(*arrays) -> list:
-    """Copies of the arrays, all in one anonymous memory map, which is
-    unmapped once no copy is referenced."""
-    buf = mmap.mmap(-1, max(sum(a.nbytes for a in arrays), 1))
-    copies, offset = [], 0
-    for a in arrays:  # each of 8-byte items, so every copy stays aligned
-        copy = np.frombuffer(buf, a.dtype, a.size, offset).reshape(a.shape)
-        copy[...] = a
-        copies.append(copy)
-        offset += a.nbytes
-    return copies
+def _mapped(*specs) -> list:
+    """Zeroed arrays of the given (shape, dtype), all in one anonymous
+    memory map, which is unmapped once no array is referenced."""
+    sizes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    buf = mmap.mmap(-1, max(sum(sizes), 1))
+    arrays, offset = [], 0
+    for (shape, dtype), size in zip(specs, sizes):  # each of 8-byte items, so all stay aligned
+        arrays.append(np.frombuffer(buf, dtype, math.prod(shape), offset).reshape(shape))
+        offset += size
+    return arrays
 
 
 @dataclass(eq=False)
 class _Cuts:
     """The faces that the levels of a sweep straddle, as (face, level) pairs
-    in level order, for the levels before the first unusable one.  Each
-    face's corners are rolled to put first the one alone on its side of the
-    level."""
+    in level order, for the levels before the first unusable one, and per
+    level the area and number of the pieces of those faces below it.  Each
+    straddled face is cut into the pieces that clip cuts it into (_cut),
+    each of the face's area times its share; as in clip, a piece of no area
+    (one whose cut point a corner took over) is dropped and every other is
+    kept."""
 
     levels: np.ndarray
     whole_area: np.ndarray  # per level, of the selected faces wholly below it
     whole_count: np.ndarray  # and their number
+    piece_area: np.ndarray  # per level, of the pieces below it
+    piece_count: np.ndarray  # and their number
     label: np.ndarray  # per pair, the level's position
-    faces: np.ndarray  # per pair, the face's rolled corners
+    faces: np.ndarray  # per pair, the face's corners, rolled by _cut
     r: np.ndarray  # per pair, r at those corners
-    area: np.ndarray  # per pair, the face's area
     grad: np.ndarray  # per pair, the face's |grad r| (or its code)
     error: Exception | None  # of the first unusable level, if any
 
@@ -304,45 +379,58 @@ class RadialIndex:
     radius grid in one array pass: the faces wholly below a level count
     through the prefix sums, and only the (face, level) pairs where the level
     straddles the face are cut or marched.  A face mask costs one more prefix
-    sum, so one index serves every mask.  Meshes are immutable, so an index
-    never goes stale."""
+    sum, so one index serves every mask, and every region (clip) too.
+    Meshes are immutable, so an index never goes stale."""
 
     def __init__(self, mesh: TriMesh):
+        self.mesh = mesh
+        f = len(mesh.faces)
+        # Each result is written into an anonymous map of the index's own:
+        # no heap copy lives beside it, and its pages go back to the system
+        # with the index (freed heap can stay resident as holes).
+        (self.ids, self.faces, self.max_r, self.min_r, self.min_r_after, self.area, self.grad,
+         self.area_below) = _mapped(*[((f,), np.int64), ((f, 3), np.int64)]
+                                    + [((f,), np.float64)] * 5 + [((f + 1,), np.float64)])
         rf = mesh.r[np.ascontiguousarray(mesh.faces.T)]  # one row per corner
         max_r = rf.max(axis=0)
-        self.ids = np.argsort(max_r)
-        self.verts, self.r, self.name = mesh.verts, mesh.r, mesh.name
-        self.faces = faces = mesh.faces[self.ids]
-        self.max_r = max_r[self.ids]
-        self.min_r = rf.min(axis=0)[self.ids]
+        self.ids[...] = np.argsort(max_r)
+        np.take(max_r, self.ids, out=self.max_r)
+        np.take(rf.min(axis=0), self.ids, out=self.min_r)
+        del rf, max_r
+        np.take(mesh.faces, self.ids, axis=0, out=self.faces)
         # from each position on, the least min r: no face past the first
         # position where it reaches R is cut by R
-        self.min_r_after = np.minimum.accumulate(self.min_r[::-1])[::-1]
-        a, b, c = (self.verts[faces[:, i]] for i in range(3))
+        np.minimum.accumulate(self.min_r[::-1], out=self.min_r_after[::-1])
+        a, b, c = (mesh.verts[self.faces[:, i]] for i in range(3))
         normal = triangle_normals(a, b, c)
-        self.area = 0.5 * norms(*normal)  # face_areas, bit for bit
-        self.grad = _gradient_codes(a, b, c, normal, mesh.pole)
-        self.area_below = _prefix_sums(self.area)
+        np.multiply(0.5, norms(*normal), out=self.area)  # face_areas, bit for bit
+        self.grad[...] = _gradient_codes(a, b, c, normal, mesh.pole)
+        del a, b, c, normal
+        _prefix_sums(self.area, out=self.area_below)
         # per face with a truncation vertex at r > 0, the least such r: a ball
         # of the selected faces leaks through the window beyond the least one
         window = (mesh.tags == TAG_TRUNCATION) & (mesh.r > 0)
-        self.truncation_pos = np.flatnonzero(window[faces].any(axis=1))
-        edge = faces[self.truncation_pos]
+        self.truncation_pos = np.flatnonzero(window[self.faces].any(axis=1))
+        edge = self.faces[self.truncation_pos]
         self.truncation_r = np.where(window[edge], mesh.r[edge], math.inf).min(axis=1)
-        # The index outlives the solves after the first sweep and is released
-        # before the eigenvalue factorizations.  From the heap, its freed
-        # arrays can stay resident as holes that the Cholesky factorizations
-        # do not reuse; in a mapping of their own, their pages are returned
-        # to the system when the index goes.  In 10 interleaved runs of each
-        # benchmark workload (2-vCPU Xeon), arrays left on the heap raised
-        # verify-catenoid's peak RSS from 87.9 to 89.4 MB and
-        # ingest-helicoid's from 95.1 to 95.3 MB, but lowered
-        # sweep-enneper's from 58.6 to 54.7 MB, whose peak is this copy
-        # made while the originals still live; no wall time moved beyond
-        # the runs' spread.
-        (self.ids, self.faces, self.max_r, self.min_r, self.min_r_after, self.area, self.grad,
-         self.area_below) = _mapped(self.ids, self.faces, self.max_r, self.min_r,
-                                    self.min_r_after, self.area, self.grad, self.area_below)
+
+    @functools.cached_property
+    def laplacian_weights(self) -> tuple:
+        """The mesh's edge keys (edge_keys), increasing; and per corner of
+        each face (one row per corner), the opposite edge's place among them
+        and the corner's half cotangent.  Built on first use: no sweep needs
+        them."""
+        rows, cols, w, _ = _cotangent_edges(self.mesh.verts, self.faces)
+        keys, edge = np.unique(edge_keys(np.column_stack([rows, cols]), len(self.mesh.verts)),
+                               return_inverse=True)
+        return keys, edge.reshape(3, -1), w.reshape(3, -1)
+
+    def selected(self, face_mask) -> np.ndarray:
+        """Per position, whether face_mask (over the mesh's faces) selects
+        its face."""
+        keep = np.zeros(len(self.faces), dtype=bool)
+        keep[face_mask] = True
+        return keep[self.ids]
 
     def sweep(self, radii, face_mask=None) -> tuple[np.ndarray, np.ndarray]:
         """The ball area (of {r <= R}) and the level flux of r through r = R
@@ -362,9 +450,7 @@ class RadialIndex:
         if face_mask is None:
             area_below = self.area_below
         else:
-            keep = np.zeros(len(self.faces), dtype=bool)
-            keep[face_mask] = True
-            selected = keep[self.ids]
+            selected = self.selected(face_mask)
             chosen = np.flatnonzero(selected)  # the selected positions, in order
             area_below = _prefix_sums(self.area[chosen])
             truncation_r = truncation_r[selected[self.truncation_pos]]
@@ -376,7 +462,7 @@ class RadialIndex:
         if n < len(radii):
             R = float(radii[n])
             error = (DomainError(f"level radius must be positive, got {R!r}") if not R > 0
-                     else _coverage_error(self.name, truncation_r, 0.0, R))
+                     else _coverage_error(self.mesh.name, truncation_r, 0.0, R))
         levels = radii[:n]
         # R cuts the faces with min r < R <= max r (a vertex at R counts as
         # above it), which all lie between these two positions
@@ -388,42 +474,25 @@ class RadialIndex:
         if face_mask is not None:
             cut &= selected[pos]
         pos, label = pos[cut], label[cut]
-        faces = self.faces[pos]
-        level = levels[label]
-        above = self.r[faces] >= level[:, None]
-        two = above.sum(axis=1) == 2
-        alone = np.where(above[:, 0] ^ two, 0, np.where(above[:, 1] ^ two, 1, 2))
-        faces = _roll_rows(faces, alone)
+        faces, _, _, rows, _, scale = _cut(self.faces[pos], self.mesh.r, levels[label])
+        areas = scale * self.area[pos][rows]
+        piece = label[rows][areas > 0.0]
+        areas = areas[areas > 0.0]
         whole = k if face_mask is None else np.searchsorted(chosen, k)  # faces wholly below
-        return _Cuts(levels, area_below[whole], whole, label, faces, self.r[faces],
-                     self.area[pos], self.grad[pos], error)
+        return _Cuts(levels, area_below[whole], whole, np.bincount(piece, areas, minlength=n),
+                     np.bincount(piece, minlength=n), label, faces, self.mesh.r[faces],
+                     self.grad[pos], error)
 
     def _areas(self, cuts: _Cuts) -> np.ndarray:
-        """Ball areas.  Each straddled face is cut at its level into the
-        pieces clip cuts it into, with clip's cut points: the triangle at the
-        corner alone inside the ball, or the rest of the face fanned from the
-        corner after the one alone outside.  Each piece's area is the face's
-        scaled by the edge parameters of its cut points.  As in clip, a piece
-        of no area (one whose cut point a corner took over) is dropped and
-        every other is kept."""
-        f, r, label, levels = cuts.faces, cuts.r, cuts.label, cuts.levels
-        level = levels[label]
-        s1 = _cut_parameter(f[:, 0], f[:, 1], r[:, 0], r[:, 1], level)
-        s2 = _cut_parameter(f[:, 0], f[:, 2], r[:, 0], r[:, 2], level)
-        inside = r[:, 0] < level
-        out = ~inside
-        areas = np.concatenate([(s1 * s2 * cuts.area)[inside], ((1.0 - s2) * cuts.area)[out],
-                                (s2 * (1.0 - s1) * cuts.area)[out]])
-        piece = np.concatenate([label[inside], label[out], label[out]])
-        n = len(levels)
-        keep = areas > 0.0
-        piece, areas = piece[keep], areas[keep]
-        empty = np.flatnonzero(cuts.whole_count + np.bincount(piece, minlength=n) == 0)
+        """Ball areas: the faces wholly below each level and the pieces of
+        those it straddles."""
+        empty = np.flatnonzero(cuts.whole_count + cuts.piece_count == 0)
         if len(empty):
-            raise DomainError(f"the ball of radius {float(levels[empty[0]])!r} contains no face")
+            R = float(cuts.levels[empty[0]])
+            raise DomainError(f"the ball of radius {R!r} contains no face")
         if cuts.error is not None:
             raise cuts.error
-        return cuts.whole_area + np.bincount(piece, areas, minlength=n)
+        return cuts.whole_area + cuts.piece_area
 
     def _fluxes(self, cuts: _Cuts) -> np.ndarray:
         """Level fluxes: the level segment of each straddled face, by
@@ -431,21 +500,12 @@ class RadialIndex:
         if np.any(cuts.grad == _DEGENERATE):
             raise DomainError("degenerate face in radial gradient computation")
         f, r, level = cuts.faces, cuts.r, cuts.levels[cuts.label]
-        v0 = self.verts[f[:, 0]]
-        p1 = v0 + ((level - r[:, 0]) / (r[:, 1] - r[:, 0]))[:, None] * (self.verts[f[:, 1]] - v0)
-        p2 = v0 + ((level - r[:, 0]) / (r[:, 2] - r[:, 0]))[:, None] * (self.verts[f[:, 2]] - v0)
+        verts = self.mesh.verts
+        v0 = verts[f[:, 0]]
+        p1 = v0 + ((level - r[:, 0]) / (r[:, 1] - r[:, 0]))[:, None] * (verts[f[:, 1]] - v0)
+        p2 = v0 + ((level - r[:, 0]) / (r[:, 2] - r[:, 0]))[:, None] * (verts[f[:, 2]] - v0)
         return np.bincount(cuts.label, cuts.grad * norms(*(p1 - p2).T),
                            minlength=len(cuts.levels))
-
-
-def _cut_parameter(p, q, rp, rq, level) -> np.ndarray:
-    """Where clip places the cut point of each edge from vertex p to vertex q
-    (with radii rp, rq) at its level, as a fraction of the way from p: from
-    the lower vertex index, and at an end within _SNAP of it."""
-    lo = p < q
-    t = _edge_parameter(np.where(lo, rp, rq), np.where(lo, rq, rp), level)
-    t = np.where(t <= _SNAP, 0.0, np.where(t >= 1.0 - _SNAP, 1.0, t))
-    return np.where(lo, t, 1.0 - t)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +631,7 @@ def assemble_laplacian(region: ClippedRegion, boundary_spec: dict) -> SparseSPDS
     unknown = set(boundary_spec) - {"inner", "outer", "truncation"}
     if unknown:
         raise DomainError(f"unknown boundary labels {sorted(unknown)}")
-    K, mass = cotangent_laplacian(region.verts, region.faces)
+    K, mass = region.stiffness, region.mass
     code = {"inner": LABEL_INNER, "outer": LABEL_OUTER, "truncation": LABEL_TRUNCATION}
     cons = []
     vals = []
@@ -1270,17 +1330,123 @@ def cholesky(A, fronts: _Fronts, shared=(0, [])) -> CholeskyFactor:
     return factor
 
 
-def _eigen_block(K: Stiffness, pos: np.ndarray):
-    """The free block of K on the vertices with pos >= 0, numbered by pos:
-    as an _Ell, as the entries of its lower triangle, and the free vertices
-    with an edge to a constrained one."""
-    block, (row, _, _) = _free_block(K, pos)
-    inner = (pos[K.i] >= 0) & (pos[K.j] >= 0)
-    pi, pj = pos[K.i[inner]], pos[K.j[inner]]
-    d = np.arange(len(block.diag))
-    lower = (np.concatenate([np.maximum(pi, pj), d]), np.concatenate([np.minimum(pi, pj), d]),
-             np.concatenate([-K.w[inner], block.diag]))
-    return block, lower, np.unique(row)
+@dataclass(eq=False)
+class _Block:
+    """A ball's free block in mesh vertex numbers: the free vertices,
+    increasing, with the diagonal entry and mass of each, whether an edge
+    joins it to a constrained vertex (touching), and whether the
+    singularity check must see it reached (check); and the free-free edges
+    (i, j, w) of positive weight."""
+
+    free: np.ndarray
+    diag: np.ndarray
+    mass: np.ndarray
+    touching: np.ndarray
+    check: np.ndarray
+    i: np.ndarray
+    j: np.ndarray
+    w: np.ndarray
+
+
+def _block(region: ClippedRegion, free=None, constrained=None) -> _Block:
+    """The free block of a region on the vertices `free` marks (by default
+    those of no boundary label), touching those that `constrained` marks
+    (by default the rest)."""
+    free = region.vertex_label == LABEL_INTERIOR if free is None else free
+    constrained = ~free if constrained is None else constrained
+    K, parent = region.stiffness, region.vertex_parent
+    touching = np.zeros(len(free), dtype=bool)
+    touching[K.i[free[K.i] & constrained[K.j]]] = touching[K.j[free[K.j] & constrained[K.i]]] = True
+    both = free[K.i] & free[K.j]
+    ids = np.flatnonzero(free)
+    return _Block(parent[ids], K.diag[ids], region.mass[ids], touching[ids],
+                  np.ones(len(ids), dtype=bool), parent[K.i[both]], parent[K.j[both]], K.w[both])
+
+
+class _Exhaustion:
+    """The balls of an exhaustion for the per-ball step: the elimination
+    tree of their radii, the largest ball's free block and each smaller
+    ball's band, read from the mesh's radial index, which it does not keep;
+    and, once the largest ball is factored, its interior (_Interior).
+
+    A smaller ball of radius R differs from the largest only at its band,
+    the vertices with r < R on the faces that R cuts: any other vertex's
+    faces lie wholly inside the ball or outside it.  A region of the cut
+    faces and the whole faces at the band holds every edge and face at a
+    band vertex, so it gives the band's rows, masses and labels."""
+
+    def __init__(self, index: RadialIndex, radii):
+        self.radii = sorted({float(R) for R in radii}, reverse=True)
+        self.r = index.mesh.r
+        self.tree = elimination_tree(index.mesh, self.radii)
+        self.largest = _block(clip(index, 0.0, self.radii[0]))
+        self.bands = {R: self._band(index, R) for R in self.radii[1:]}
+        self.interior = None
+
+    def _band(self, index: RadialIndex, R: float) -> tuple:
+        """The band of the ball of radius R, and the block of its vertices
+        that are free in the ball."""
+        k = int(np.searchsorted(index.max_r, R, "left"))
+        cut = np.arange(k, int(np.searchsorted(index.min_r_after, R, "left")))
+        cut = cut[index.min_r[cut] < R]
+        band = np.zeros(len(self.r), dtype=bool)
+        band[index.faces[cut]] = True
+        band &= self.r < R
+        near = np.flatnonzero(band[index.faces[:k]].any(axis=1))
+        region = _region(index, near[index.area[near] > 0.0], cut, 0.0, R)
+        if k == 0 and len(region.faces) == 0:
+            raise DomainError("clip produced an empty region")
+        # free in the ball: on the band by the region's label, else as in the largest ball
+        free = np.zeros(len(self.r), dtype=bool)
+        free[self.largest.free] = self.r[self.largest.free] < R
+        parent = region.vertex_parent
+        on = (parent >= 0) & band[np.maximum(parent, 0)]
+        free[parent[on]] &= region.vertex_label[on] == LABEL_INTERIOR
+        free = (parent >= 0) & free[np.maximum(parent, 0)]
+        return np.flatnonzero(band), _block(region, free & on, ~free)
+
+    def block(self, R: float) -> _Block:
+        """The free block of the ball of radius R: for a smaller ball, the
+        largest ball's restricted to it, with its band's rows put in and
+        the band to check."""
+        if R == self.radii[0]:
+            return self.largest
+        if R not in self.bands:
+            raise DomainError(f"no ball of radius {R!r} in the exhaustion of radii {self.radii}")
+        big, (band, own) = self.largest, self.bands[R]
+        inside, lost, on_band = (np.zeros(len(self.r), dtype=bool) for _ in range(3))
+        inside[big.free] = self.r[big.free] < R
+        inside[band] = False
+        inside[own.free] = True
+        lost[big.free] = ~inside[big.free]  # free in the largest ball only
+        on_band[band] = True
+        keep = inside[big.i] & inside[big.j] & ~(on_band[big.i] & on_band[big.j])
+        sel = inside[big.free]
+        free = big.free[sel]
+        diag, mass, touching = big.diag[sel], big.mass[sel], big.touching[sel]
+        touching |= np.isin(free, np.concatenate([big.i[inside[big.i] & lost[big.j]],
+                                                  big.j[inside[big.j] & lost[big.i]]]))
+        at = np.searchsorted(free, own.free)
+        diag[at], mass[at], touching[at] = own.diag, own.mass, own.touching
+        return _Block(free, diag, mass, touching, on_band[free],
+                      np.concatenate([big.i[keep], own.i]), np.concatenate([big.j[keep], own.j]),
+                      np.concatenate([big.w[keep], own.w]))
+
+
+def _check_reached(block: _Block):
+    """Raise DomainError unless every free vertex has an edge path to the
+    Dirichlet boundary.  Off its band, a smaller ball has the largest
+    ball's rows, so only a band vertex can be cut off anew: unless one of
+    them touches no constrained vertex, there is nothing to search."""
+    if np.all(block.touching[block.check]):
+        return
+    n = len(block.free)
+    i, j = np.searchsorted(block.free, block.i), np.searchsorted(block.free, block.j)
+    reached = _breadth_first(_adjacency(np.concatenate([i, j]), np.concatenate([j, i]), n),
+                             np.flatnonzero(block.touching), np.zeros(n, dtype=bool))
+    if len(reached) < n:
+        raise DomainError(f"the free block is singular: {n - len(reached)} free "
+                          "vertices have no path to the Dirichlet boundary")
 
 
 @dataclass(eq=False)
@@ -1320,89 +1486,106 @@ class _Interior:
                         np.concatenate([lower[2][kept], values[added]]))
 
 
-def first_eigenvalue_estimates(mesh: TriMesh, radii) -> list:
+def first_eigenvalue_estimates(mesh: TriMesh | RadialIndex, radii) -> list:
     """Smallest Dirichlet eigenvalue of (K, M) on the extrinsic ball of each
-    radius, the balls of an exhaustion, in the order of radii.
-
-    One elimination tree serves every ball, with the band of the smallest
-    radius at its root when there are several.  The largest ball goes first
-    and is factored in full; each smaller one shares its interior's panels
-    (first_eigenvalue_estimate)."""
+    radius, the balls of an exhaustion, in the order of radii.  mesh is a
+    TriMesh or its RadialIndex, which is freed here once the exhaustion is
+    read from it, before any factorization, unless the caller keeps it.
+    The largest ball goes first (first_eigenvalue_estimate)."""
     radii = [float(R) for R in radii]
-    tree = elimination_tree(mesh, radii)
-    interior, estimates = None, {}
-    for R in sorted(set(radii), reverse=True):
-        estimates[R], interior = first_eigenvalue_estimate(clip(mesh, 0.0, R), tree, interior)
+    exhaustion = _Exhaustion(RadialIndex(mesh) if isinstance(mesh, TriMesh) else mesh, radii)
+    del mesh
+    estimates = {R: first_eigenvalue_estimate(exhaustion, R) for R in exhaustion.radii}
     return [estimates[R] for R in radii]
 
 
-def first_eigenvalue_estimate(region: ClippedRegion, tree: EliminationTree,
-                              interior: _Interior | None = None) -> tuple:
-    """Smallest Dirichlet eigenvalue of (K, M) on the region by inverse
-    power iteration on one Cholesky factorization of the free block, and
-    the factored interior that a smaller ball of the exhaustion shares.
-
-    tree is elimination_tree(parent mesh, radii) for radii whose largest is
-    at least region.R.  The free vertices (each a parent vertex: cut
-    vertices lie on the Dirichlet boundary) are eliminated front by front on
-    that tree (_fronts, cholesky), the tree's interior first.  Given the
-    interior of a larger ball, its panels eliminate this ball's interior:
-    no face at an interior vertex is cut, and clip keeps or drops a whole
-    face by its area alone, so the interior's free vertices and rows are
-    the same in both balls, and only the rest of the free block is
-    factored.  A part of the free vertices with no edge path to the
-    Dirichlet boundary (a closed component inside the ball) makes the block
-    singular and raises DomainError."""
-    system = assemble_laplacian(region, {"inner": 0.0, "outer": 0.0, "truncation": 0.0})
-    free = np.flatnonzero(system.free_mask())
-    if len(free) == 0:
+def first_eigenvalue_estimate(exhaustion: _Exhaustion, R: float) -> float:
+    """Smallest Dirichlet eigenvalue of (K, M) on the ball of radius R of
+    the exhaustion, by shift-invert Lanczos (_lanczos) on one Cholesky
+    factorization of its free block, front by front on the exhaustion's
+    tree (_fronts, cholesky), the tree's interior first.  Once the largest
+    ball has left its factored interior in the exhaustion, its panels
+    eliminate every other ball's: no face at an interior vertex is cut, so
+    the interior's free vertices and rows are the same in every ball.  The
+    interior is the exhaustion's own, so no ball can be given another
+    tree's.  A part of the free vertices with no edge path to the Dirichlet
+    boundary (a closed component inside the ball) makes the block singular
+    and raises DomainError."""
+    block = exhaustion.block(R)
+    n = len(block.free)
+    if n == 0:
         raise DomainError("region has no interior vertices")
-    vertices = region.vertex_parent[free]
+    interior = exhaustion.interior
     shared = np.zeros(0, dtype=np.int64)  # the free vertices that the interior eliminates
     if interior is not None:
-        at = np.full(len(tree.node), -1)
-        at[vertices] = np.arange(len(free))
-        shared = at[interior.vertices[:interior.count]]
-    own = np.ones(len(free), dtype=bool)
+        shared = np.searchsorted(block.free, interior.vertices[:interior.count])
+    own = np.ones(n, dtype=bool)
     own[shared] = False
     own = np.flatnonzero(own)
-    fronts = _fronts(tree, vertices[own])
-    free = free[np.concatenate([shared, own[fronts.order]])]
-    del vertices, shared, own
-    pos = np.full(len(system.mass), -1)
-    pos[free] = np.arange(len(free))
-    Kff, lower, touching = _eigen_block(system.K, pos)
-    mf = system.mass[free]
-    del system, pos  # only the free block is factored
-    # the free block's graph: the columns of each row's slots
-    reached = _breadth_first(np.ascontiguousarray(Kff.cols.T), touching,
-                             np.zeros(len(free), dtype=bool))
-    if len(reached) < len(free):
-        raise DomainError(f"the free block is singular: {len(free) - len(reached)} free "
-                          "vertices have no path to the Dirichlet boundary")
-    del touching, reached
+    fronts = _fronts(exhaustion.tree, block.free[own])
+    order = np.concatenate([shared, own[fronts.order]])
+    _check_reached(block)
+    position = np.full(len(exhaustion.r), -1)
+    position[block.free[order]] = np.arange(n)
+    ends, d = position[np.stack([block.i, block.j])], np.arange(n)
+    lower = (np.concatenate([ends.max(axis=0), d]), np.concatenate([ends.min(axis=0), d]),
+             np.concatenate([-block.w, block.diag[order]]))
+    del ends
     if interior is None:
         factor = cholesky(lower, fronts)
         if factor.interior is not None:
-            interior = _Interior(region.vertex_parent[free], fronts.interior, *factor.interior)
+            exhaustion.interior = _Interior(block.free[order], fronts.interior, *factor.interior)
     else:
-        at = np.full(len(tree.node), -1)
-        at[region.vertex_parent[free]] = np.arange(len(free))
-        panels, lower = interior.share(at, len(free), lower)
+        panels, lower = interior.share(position, n, lower)
         factor = cholesky(lower, fronts, (interior.count, panels))
     del lower
-    x = np.ones(len(free))
-    x /= math.sqrt(float((x * x * mf).sum()))
-    lam_prev = math.inf
+    return _lanczos(factor.solve, block.mass[order])
+
+
+def _lanczos(solve, mass: np.ndarray) -> float:
+    """The smallest eigenvalue of K x = lam M x, M = diag(mass), given
+    solve(b) = K^-1 b: Lanczos on K^-1 M in the M inner product, in which it
+    is symmetric (shift-invert at 0; Ericsson & Ruhe, Math. Comp. 35, 1980),
+    from the constant vector, each new vector orthogonalized against the
+    basis twice.  It stops once 1 / theta, theta the largest Ritz value,
+    changes by at most _EIGEN_TOL of itself from one step (one solve) to
+    the next, or once the basis spans an invariant subspace.  A full basis
+    (_LANCZOS_BASIS vectors) restarts from its Ritz vector y, and the next
+    step is not judged.  The
+    estimate is the Rayleigh quotient of (K, M) at K^-1 M y, which the
+    Lanczos relation gives as theta / (theta^2 + (beta s_last)^2): it lies
+    between lam and 1 / theta."""
+    n = len(mass)
+    basis = np.empty((min(_LANCZOS_BASIS, n), n))
+    q = np.full(n, 1.0 / math.sqrt(float(mass.sum())))
+    alpha, beta = [], []
+    lam_prev = change = math.inf
     for _ in range(_EIGEN_MAXITER):
-        x = factor.solve(mf * x)
-        x /= math.sqrt(float((x * x * mf).sum()))
-        lam = _dot(x, Kff @ x) / float((x * x * mf).sum())
-        change = abs(lam - lam_prev)
-        if change <= _EIGEN_TOL * abs(lam):
-            return lam, interior
-        lam_prev = lam
-    raise SolveError("inverse power iteration did not converge", residual=change)
+        j = len(alpha)
+        basis[j] = q
+        Q = basis[:j + 1]
+        w = solve(mass * q)
+        h = np.zeros(j + 1)
+        for _ in range(2):
+            c = np.einsum("ij,j->i", Q, mass * w)
+            w -= np.einsum("i,ij->j", c, Q)
+            h += c
+        alpha.append(h[j])
+        b = math.sqrt(_dot(w, mass * w))
+        theta, s = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        theta, s = theta[-1], s[:, -1]
+        change = abs(1.0 / theta - lam_prev)
+        if change <= _EIGEN_TOL / theta or j + 1 == n or b == 0.0:  # or the basis is invariant
+            return theta / (theta * theta + (b * s[-1]) ** 2)
+        lam_prev = 1.0 / theta
+        if j + 1 < len(basis):
+            beta.append(b)
+            q = w / b
+        else:
+            q = np.einsum("i,ij->j", s, Q)
+            q /= math.sqrt(_dot(q, mass * q))
+            alpha, beta, lam_prev = [], [], math.inf
+    raise SolveError("Lanczos iteration did not converge", residual=change)
 
 
 def _mean_edge_length(region: ClippedRegion) -> float:

@@ -198,8 +198,8 @@ class Study:
     end split and sweep of all faces is computed on first use and memoised in
     a dict keyed by its arguments; only results are kept (`Check`,
     `CapacityResult`, `EndsResult`, arrays), never a region.  index is the
-    mesh's radial index, built by the first sweep and held until tone_report
-    releases it."""
+    mesh's radial index, built by the first sweep or clip and held until
+    tone_report hands it to the eigenvalue estimates, which free it."""
 
     mesh: TriMesh | None
     model: ModelSpace
@@ -225,10 +225,22 @@ class Study:
         return self._once(("monotone", R, strict),
                           lambda: _monotone_w_gate(self.model, R, strict))
 
+    def radial_index(self) -> dgeom.RadialIndex:
+        """The mesh's radial index, built on first use."""
+        if self.index is None:
+            self.index = dgeom.RadialIndex(self.mesh)
+        return self.index
+
+    def release_index(self) -> dgeom.RadialIndex:
+        """The radial index, which the study no longer holds: the caller's
+        reference is the last one, and the next use builds it again."""
+        index, self.index = self.radial_index(), None
+        return index
+
     def capacity(self, rho: float, R: float) -> dgeom.CapacityResult:
         """Discrete capacity of the extrinsic annulus rho < r < R."""
         return self._once(("capacity", rho, R), lambda: dgeom.capacity_discrete(
-            dgeom.clip(self.mesh, rho, R)))
+            dgeom.clip(self.radial_index(), rho, R)))
 
     def ends(self, R: float) -> dgeom.EndsResult:
         """Components of {r > R} that reach the truncation boundary."""
@@ -239,9 +251,7 @@ class Study:
         end_mask selects (all by default): RadialIndex.sweep, values and
         errors alike.  A sweep of all faces is memoised per radius list."""
         def compute():
-            if self.index is None:
-                self.index = dgeom.RadialIndex(self.mesh)
-            return self.index.sweep(radii, end_mask)
+            return self.radial_index().sweep(radii, end_mask)
         if end_mask is not None:
             return compute()
         return self._once(("sweep", *map(float, radii)), compute)
@@ -306,7 +316,7 @@ def exit_time_comparison(study: Study, R: float) -> list[Check]:
             math.nan, math.nan, math.nan, _EXIT_TOL, INCONCLUSIVE)])
     checks = list(gates)
     model = study.model
-    region = dgeom.clip(study.mesh, 0.0, R)
+    region = dgeom.clip(study.radial_index(), 0.0, R)
     field = dgeom.exit_time_discrete(region)
     ew = model.mean_exit_profile(R, region.r)
     scale = float(ew.max())
@@ -444,8 +454,6 @@ def tone_report(study: Study, R0: float, grid) -> ToneReport:
         for mask in ends.face_masks:
             c = quotient_curves(study, sub, end_mask=mask)
             factors.append(c.w_flux_estimate() / c.w_volume_estimate())
-        # the sweeps are done: the eigenvalue factorizations below peak without their index
-        study.index = None
     factor = min(factors) if factors else 1.0
     upper = factor * tone.reported_limsup
     lower = cheeger.lower_bound
@@ -463,7 +471,10 @@ def tone_report(study: Study, R0: float, grid) -> ToneReport:
     eigenvalues = []
     if mesh is not None:
         radii = np.linspace(grid[0] + (grid[-1] - grid[0]) * 0.25, grid[-1], 4)
-        eigenvalues = list(zip(radii.tolist(), dgeom.first_eigenvalue_estimates(mesh, radii)))
+        # the estimates take the study's index, read the balls from it and
+        # free it before their factorizations, which set the run's peak
+        eigenvalues = list(zip(radii.tolist(),
+                               dgeom.first_eigenvalue_estimates(study.release_index(), radii)))
         lams = np.array([lam for _, lam in eigenvalues])
         if len(lams) >= 2:
             worst = int(np.argmax(lams[1:] / lams[:-1]))

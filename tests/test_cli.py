@@ -360,6 +360,7 @@ class TestOncePerRun:
         return calls
 
     def test_verify(self, tmp_path, monkeypatch):
+        index_type = dgeom.RadialIndex
         solves = self._count(monkeypatch, dgeom, "capacity_discrete")
         ends = self._count(monkeypatch, dgeom, "end_components")
         balance = self._count(monkeypatch, harness, "_balance_gate")
@@ -367,6 +368,7 @@ class TestOncePerRun:
         indexes = self._count(monkeypatch, dgeom, "RadialIndex")
         trees = self._count(monkeypatch, dgeom, "elimination_tree")
         fronts = self._count(monkeypatch, dgeom, "_fronts")
+        clips = self._count(monkeypatch, dgeom, "clip")
         code = run(_ONCE_PER_RUN_VERIFY + ["--out", str(tmp_path)])
         assert code == 0
         assert len(solves) == 1
@@ -379,6 +381,10 @@ class TestOncePerRun:
         # one curve for each of the catenoid's two ends
         assert len(indexes) == 1
         assert len(sweeps) == 7
+        # and every region: the capacity's annulus, the exit time's ball and
+        # the tone report's largest ball (a smaller ball restricts its block)
+        assert [args[1:] for args in clips] == [(1.5, 6.0), (0.0, 6.0), (0.0, 10.0)]
+        assert all(isinstance(args[0], index_type) for args in clips)
         # one elimination tree serves the tone report's four nested balls,
         # and the interior of the smallest one (the vertices off its band)
         # is among the free vertices ordered for the largest ball's

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import inspect
 import math
 import os
 import subprocess
@@ -234,8 +235,8 @@ def test_area_additive(request, mesh_name, lo, hi, s, t):
     rho = lo + (hi - lo) * min(s, t)
     R = lo + (hi - lo) * max(s, t)
     assume(R - rho > 1e-3)
-    whole = clip(mesh, 0.0, R).area()
-    parts = clip(mesh, 0.0, rho).area() + clip(mesh, rho, R).area()
+    whole = clip(_index(mesh), 0.0, R).area()
+    parts = clip(_index(mesh), 0.0, rho).area() + clip(_index(mesh), rho, R).area()
     assert parts == pytest.approx(whole, rel=1e-9)
 
 
@@ -246,6 +247,8 @@ def helicoid_64():
 
 @functools.cache
 def _index(mesh) -> dgeom.RadialIndex:
+    """One radial index per mesh, which the sweeps and the regions of the
+    many-example tests share, as a run's do."""
     return dgeom.RadialIndex(mesh)
 
 
@@ -299,7 +302,7 @@ def test_ball_area_matches_clip(request, mesh_name, ends_at, end, s, snap):
     mask = end_components(mesh, ends_at).face_masks[0] if end else None
     R = _radius(mesh, s, snap)
     try:
-        expected = clip(mesh, 0.0, R, face_mask=mask).area()
+        expected = clip(_index(mesh), 0.0, R, face_mask=mask).area()
     except CoverageError as exc:
         with pytest.raises(CoverageError) as err:
             _ball_area(mesh, R, mask)
@@ -393,11 +396,11 @@ def test_flux_matches_face_scan(request, mesh_name, ends_at, end, s, snap):
         with pytest.raises(CoverageError) as err:
             _flux(mesh, R, mask)
         with pytest.raises(CoverageError) as ref:
-            clip(mesh, 0.0, R, face_mask=mask)
+            clip(_index(mesh), 0.0, R, face_mask=mask)
         assert str(err.value) == str(ref.value)
         return
     try:
-        clip(mesh, 0.0, R, face_mask=mask)
+        clip(_index(mesh), 0.0, R, face_mask=mask)
     except DomainError:  # a ball of no face, such as one below the catenoid's neck
         with pytest.raises(DomainError, match="contains no face"):
             _flux(mesh, R, mask)
@@ -438,7 +441,8 @@ def test_sweep_matches_clip_and_face_scan(request, mesh_name, ends_at, end, pick
         return
     faces = mesh.faces if mask is None else mesh.faces[mask]
     for R, area, level_flux in zip(radii, *swept):
-        assert area == pytest.approx(clip(mesh, 0.0, R, face_mask=mask).area(), rel=1e-12)
+        region = clip(_index(mesh), 0.0, R, face_mask=mask)
+        assert area == pytest.approx(region.area(), rel=1e-12)
         assert level_flux == pytest.approx(_flux_by_face_scan(mesh, R, faces),
                                            rel=1e-12, abs=1e-12)
 
@@ -888,8 +892,8 @@ def test_panel_solves_leave_blas_threads_idle():
 
 def _nested_dissection_eigenvalues(mesh, radii):
     """first_eigenvalue_estimates on the balls of the radii, each with its
-    number of inverse-power steps and the entries of its factor L, in the
-    order of radii."""
+    number of Lanczos steps (factor solves) and the entries of its factor L,
+    in the order of radii."""
     steps, fill = [], []
     real = dgeom.cholesky
 
@@ -913,25 +917,74 @@ def _nested_dissection_eigenvalues(mesh, radii):
 
 
 def _colamd_eigenvalue(region):
-    """Reference: the same inverse power iteration on scipy's default LU of
-    the free block (COLAMD column order, partial pivoting), unpermuted."""
+    """Reference: the same Lanczos step rule on scipy's default LU of the
+    free block (COLAMD column order, partial pivoting), unpermuted, written
+    out with the basis as a list: Lanczos on K^-1 M in the M inner product
+    from the constant vector, each new vector orthogonalized against the
+    basis twice, stopping once 1 / (the largest eigenvalue of the projected
+    matrix) changes by at most _EIGEN_TOL of itself or the basis spans an
+    invariant subspace, a full basis restarting from its Ritz vector (the
+    next step not judged).  It returns
+    the Rayleigh quotient at K^-1 M y, y the last Ritz vector, here from one
+    more solve and a product by K."""
     from scipy.sparse.linalg import splu
     system = dgeom.assemble_laplacian(region, {"inner": 0.0, "outer": 0.0, "truncation": 0.0})
     free = system.free_mask()
     Kff = _scipy_stiffness(system.K)[free][:, free].tocsc()
     mf = system.mass[free]
     lu = splu(Kff)
-    x = np.ones(len(mf))
-    x /= math.sqrt(float((x * x * mf).sum()))
-    lam_prev = None
+
+    def m_dot(a, b):
+        return float(np.sum(a * mf * b))
+
+    q = np.ones(len(mf)) / math.sqrt(mf.sum())
+    basis, T, lam_prev = [], np.zeros((0, 0)), None
     for step in range(1, dgeom._EIGEN_MAXITER + 1):
-        x = lu.solve(mf * x)
-        x /= math.sqrt(float((x * x * mf).sum()))
-        lam = dgeom._dot(x, Kff @ x) / float((x * x * mf).sum())
-        if lam_prev is not None and abs(lam - lam_prev) <= dgeom._EIGEN_TOL * abs(lam):
-            return lam, step, lu.L.nnz + lu.U.nnz
+        basis.append(q)
+        w = lu.solve(mf * q)
+        column = np.zeros(len(basis))
+        for _ in range(2):
+            c = np.array([m_dot(v, w) for v in basis])
+            w = w - sum(ci * v for ci, v in zip(c, basis))
+            column += c
+        grown = np.zeros((len(basis), len(basis)))
+        grown[:-1, :-1] = T
+        grown[-1, -1] = column[-1]
+        if len(basis) > 1:
+            grown[-1, -2] = grown[-2, -1] = beta
+        T = grown
+        theta, s = np.linalg.eigh(T)
+        lam = 1.0 / theta[-1]
+        beta = math.sqrt(m_dot(w, w))
+        if (lam_prev is not None and abs(lam - lam_prev) <= dgeom._EIGEN_TOL * abs(lam)
+                or len(basis) == len(mf) or beta == 0.0):
+            z = lu.solve(mf * sum(si * v for si, v in zip(s[:, -1], basis)))
+            return float(z @ (Kff @ z)) / m_dot(z, z), step, lu.L.nnz + lu.U.nnz
         lam_prev = lam
+        if len(basis) < dgeom._LANCZOS_BASIS:
+            q = w / beta
+        else:
+            q = sum(si * v for si, v in zip(s[:, -1], basis))
+            q = q / math.sqrt(m_dot(q, q))
+            basis, T, lam_prev = [], np.zeros((0, 0)), None
     raise AssertionError("the reference did not converge")
+
+
+def _free_rows(region):
+    """Reference: a clipped ball's free block from cotangent_laplacian of its
+    faces, in parent vertex numbers: the free vertices, their diagonal
+    entries, masses and whether each has an edge to a constrained vertex,
+    and the free-free edges by (i, j), with their weights."""
+    K, mass = cotangent_laplacian(region.verts, region.faces)
+    free = region.vertex_label == LABEL_INTERIOR
+    parent = region.vertex_parent
+    touching = np.zeros(len(free), dtype=bool)
+    touching[K.i[free[K.i] & ~free[K.j]]] = touching[K.j[free[K.j] & ~free[K.i]]] = True
+    both = free[K.i] & free[K.j]
+    ids = np.flatnonzero(free)
+    edges = {(int(a), int(b)): w
+             for a, b, w in zip(parent[K.i[both]], parent[K.j[both]], K.w[both])}
+    return parent[ids], K.diag[ids], mass[ids], touching[ids], edges
 
 
 class TestEigenvalue:
@@ -1021,7 +1074,7 @@ class TestEigenvalue:
         # the smaller ball's factor starts with the larger one's interior panels
         monkeypatch.setattr(dgeom, "_PIVOTS", pivots)
         mesh = tessellate(builtin("plane", cover_radius=3.2), 32, 32)
-        calls = {"_fronts": [], "_eigen_block": [], "cholesky": []}
+        calls = {"_fronts": [], "first_eigenvalue_estimate": [], "cholesky": []}
         for name, made in calls.items():
             monkeypatch.setattr(dgeom, name, lambda *args, _real=getattr(dgeom, name), _made=made:
                                 _made.append((args, _real(*args))) or _made[-1][1])
@@ -1038,12 +1091,21 @@ class TestEigenvalue:
                      + np.bincount(f.front_of) * np.diff(f.boundary_ptr) for f in (large, small)]
         interior = per_front[0][np.unique(large.front_of[:large.interior])].sum()
         nnz = [per_front[0].sum(), interior + per_front[1].sum()]
-        for ((K, pos), _), (_, factor), entries in zip(calls["_eigen_block"], calls["cholesky"],
-                                                       nnz):
-            free = np.flatnonzero(pos >= 0)
-            free = free[np.argsort(pos[free])]
-            A = _scipy_stiffness(K)[free][:, free].toarray()
-            n = len(free)
+        (exhaustion, _), _ = calls["first_eigenvalue_estimate"][0]
+        first = exhaustion.interior.vertices[:exhaustion.interior.count]
+        # each ball's free vertices in elimination order: the interior's
+        # first in the smaller ball, then its own fronts' order
+        orders = [vertices[f.order] for (_, vertices), f in calls["_fronts"]]
+        orders[1] = np.concatenate([first, orders[1]])
+        for R, order, (_, factor), entries in zip((2.5, 1.0), orders, calls["cholesky"], nnz):
+            block = exhaustion.block(R)
+            n = len(order)
+            at = np.searchsorted(block.free, order)
+            assert np.array_equal(block.free[at], order)
+            dense = np.diag(block.diag)
+            i, j = np.searchsorted(block.free, block.i), np.searchsorted(block.free, block.j)
+            dense[i, j] = dense[j, i] = -block.w
+            A = dense[np.ix_(at, at)]
             assert factor.n == n
             assert factor.nnz == entries
             assert factor.nnz >= np.count_nonzero(np.linalg.cholesky(A))
@@ -1064,6 +1126,72 @@ class TestEigenvalue:
         assert np.count_nonzero(large.slots < 0)
         # the smaller ball's first panels are the larger ball's interior panels
         assert all(a[4] is b[4] for a, b in zip(smaller.panels[:shared], larger.panels))
+
+    @pytest.mark.parametrize("case, radii", [("catenoid_96", (4.0, 8.0, 16.0)),
+                                             ("helicoid_128", (4.5, 7.0, 9.5, 12.0))])
+    def test_within_1e_10_of_the_converged_eigenvalues(self, monkeypatch, request, case, radii):
+        mesh = _mesh_case(request, case)
+        lams = first_eigenvalue_estimates(mesh, radii)
+        monkeypatch.setattr(dgeom, "_EIGEN_TOL", 1e-15)
+        for lam, converged in zip(lams, first_eigenvalue_estimates(mesh, radii)):
+            assert lam == pytest.approx(converged, rel=1e-10, abs=0.0)
+
+    def test_a_restarted_basis_converges_to_the_same_eigenvalue(self, monkeypatch, catenoid_96):
+        # a basis of three vectors restarts from its Ritz vector, so a slow
+        # ball holds no more than three vectors of its size
+        (lam, steps, _), = _nested_dissection_eigenvalues(catenoid_96, [16.0])
+        monkeypatch.setattr(dgeom, "_LANCZOS_BASIS", 3)
+        (short, short_steps, _), = _nested_dissection_eigenvalues(catenoid_96, [16.0])
+        assert short_steps > steps > 3
+        assert short == pytest.approx(lam, rel=1e-8, abs=0.0)
+
+    def test_a_ball_of_one_free_vertex_takes_one_step(self, plane_128):
+        # its basis spans the whole space after one solve: the estimate is
+        # then exact, diag / mass, with no second step to compare
+        R = 0.5 * float(np.sort(plane_128.r)[1])
+        (lam, steps, _), = _nested_dissection_eigenvalues(plane_128, [R])
+        block = dgeom._Exhaustion(dgeom.RadialIndex(plane_128), [R]).block(R)
+        assert len(block.free) == 1 and steps == 1
+        assert lam == pytest.approx(block.diag[0] / block.mass[0], rel=1e-14)
+
+    @pytest.mark.parametrize("case, radii", [("catenoid_96", (4.0, 8.0, 16.0)),
+                                             ("helicoid_128", (4.5, 7.0, 9.5, 12.0)),
+                                             ("sliver", (1.5, 2.5, 3.0)),
+                                             ("plane_128", (0.5, 1.0, 1.0 + 1e-13, 3.0))])
+    def test_restricted_blocks_match_a_clip_of_each_ball(self, request, case, radii):
+        # each ball's free block, restricted from the largest ball's with its
+        # band's rows assembled again, against the ball clipped and
+        # assembled from scratch
+        mesh = _mesh_case(request, case)
+        exhaustion = dgeom._Exhaustion(dgeom.RadialIndex(mesh), radii)
+        for R in radii:
+            block = exhaustion.block(R)
+            free, diag, mass, touching, edges = _free_rows(clip(mesh, 0.0, R))
+            assert np.array_equal(block.free, free)
+            for got, ref in ((block.diag, diag), (block.mass, mass)):
+                assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
+            assert np.array_equal(block.touching, touching)
+            got = {(int(min(a, b)), int(max(a, b))): w
+                   for a, b, w in zip(block.i, block.j, block.w)}
+            assert got.keys() == edges.keys()
+            ref = np.array(list(edges.values()))
+            assert np.abs(np.array([got[e] for e in edges]) - ref).max() <= 1e-14 * ref.max()
+
+    def test_a_ball_shares_only_its_own_exhaustion_interior(self, catenoid_96):
+        # fed the R = 16 interior of the tree for radii (4, 16), the R = 8
+        # ball of the tree for (6, 16) would read 0.12665 where 0.09547 is
+        # right: a ball's step takes the interior of its own exhaustion,
+        # whose radii it must be among
+        other = dgeom._Exhaustion(dgeom.RadialIndex(catenoid_96), (4.0, 16.0))
+        dgeom.first_eigenvalue_estimate(other, 16.0)
+        assert other.interior is not None
+        with pytest.raises(DomainError, match="no ball of radius 8.0"):
+            dgeom.first_eigenvalue_estimate(other, 8.0)
+        assert list(inspect.signature(dgeom.first_eigenvalue_estimate).parameters) == [
+            "exhaustion", "R"]
+        alone, = first_eigenvalue_estimates(catenoid_96, [8.0])
+        lam = first_eigenvalue_estimates(catenoid_96, (6.0, 8.0, 16.0))[1]
+        assert lam == pytest.approx(alone, rel=1e-12) and lam == pytest.approx(0.09547, rel=1e-4)
 
     def test_running_out_of_steps_reports_the_last_change(self, monkeypatch, plane_128):
         monkeypatch.setattr(dgeom, "_EIGEN_MAXITER", 2)

@@ -1,4 +1,5 @@
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -182,23 +183,25 @@ class TestToneReport:
     def test_eigenvalue_factorizations_run_with_the_radial_index_released(self, monkeypatch,
                                                                           catenoid_96):
         # the end-restricted curves build the study's index; the eigenvalue
-        # factorizations must not run while it holds one
+        # estimates take it, and their factorizations must not run while it
+        # lives
         study = Study(catenoid_96, flat_model())
         built, held = [], []
         real_index, real_cholesky = dgeom.RadialIndex, dgeom.cholesky
 
         def counted(mesh):
-            built.append(mesh)
-            return real_index(mesh)
+            index = real_index(mesh)
+            built.append((mesh, weakref.ref(index)))
+            return index
 
         def watched(*args, **kwargs):
-            held.append(study.index is not None)
+            held.append(study.index is not None or built[0][1]() is not None)
             return real_cholesky(*args, **kwargs)
         monkeypatch.setattr(dgeom, "RadialIndex", counted)
         monkeypatch.setattr(dgeom, "cholesky", watched)
         report = harness.tone_report(study, 2.0, np.linspace(2, 20, 10))
         assert len(report.end_factors) == 2
-        assert built == [catenoid_96]
+        assert [mesh for mesh, _ in built] == [catenoid_96]
         assert held == [False] * 4
         assert study.index is None
 
